@@ -21,13 +21,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__, cycle as cycle_mod, moments as moments_mod
-from .errors import ConfigError, TooShort, VarcycleError
+from .errors import ConfigError, NonFiniteResult, TooShort, VarcycleError
 from .model import (
     ModelParams,
     NoiseSpec,
     build_transition_matrix,
     lint_params,
     validate_noise,
+    validate_pair,
     validate_params,
 )
 from .simulate import (
@@ -210,7 +211,10 @@ def emit_report(config: dict, payload: dict, timing: dict, out: str | None = Non
         "payload": _jsonable(payload),
         "timing": {k: round(v, 6) for k, v in timing.items()},
     }
-    text = json.dumps(report, indent=2)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"report holds a non-finite value: {exc}") from exc
     if out:
         atomic_write(out, text + "\n")
     print(text)
@@ -374,7 +378,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             params=params, noise_spec=noise, reps=args.mc_reps, seed=int(args.seed or 0)
         )
     report = moments_mod.stationarity_diagnostic(inputs, dec, t_grid, tau_grid, mc=mc)
-    limits = moments_mod.limiting_moments(inputs, dec, tail_tol=args.tail_tol)
+    limits = moments_mod.limiting_moments(inputs, dec)
     timer.mark("compute")
 
     grid_payload = []
@@ -402,7 +406,6 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             "resolvent_limit_cov": limits.resolvent_limit_cov,
             "ma_infinity_cov": limits.ma_infinity_cov,
             "truncation_terms": limits.truncation_terms,
-            "tail_bound": limits.tail_bound,
             "covariance_discrepancy": limits.covariance_discrepancy,
         },
         "mc_reps": args.mc_reps,
@@ -434,6 +437,7 @@ def run_cycle(
 
     Returns (config echo, payload, warnings).
     """
+    validate_pair(alpha, beta)
     model = cycle_mod.reduce_to_cycle(alpha, beta)
     noise = cycle_mod.sample_scalar_noise((0.0, eps_sd), (0.0, eta_sd), T, seed)
     xbar = cycle_mod.simulate_cycle(model, noise, x0, x1, T)
@@ -522,10 +526,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     M = build_transition_matrix(params)
     n, alpha, beta = params.n, params.alpha, params.beta
     blocks_ok = (
-        np.allclose(M.entries[:n, :n], (1 - alpha) * np.eye(n), atol=0.0)
-        and np.allclose(M.entries[n:, n:], (1 - beta) * np.eye(n), atol=0.0)
-        and np.allclose(M.entries[:n, n:], alpha * np.outer(np.ones(n), params.a), atol=0.0)
-        and np.allclose(M.entries[n:, :n], -beta * np.outer(np.ones(n), params.b), atol=0.0)
+        np.array_equal(M.entries[:n, :n], (1 - alpha) * np.eye(n))
+        and np.array_equal(M.entries[n:, n:], (1 - beta) * np.eye(n))
+        and np.array_equal(M.entries[:n, n:], alpha * np.outer(np.ones(n), params.a))
+        and np.array_equal(M.entries[n:, :n], -beta * np.outer(np.ones(n), params.b))
     )
     record("transition_blocks", "pass" if blocks_ok else "fail", "block structure exact")
 
@@ -629,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", default="2,5,10")
     p.add_argument("--tau-grid", default="0,1")
     p.add_argument("--mc-reps", type=int, default=0)
-    p.add_argument("--tail-tol", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--dump-cov", metavar="PREFIX", help="CSV dump of covariance matrices")
     p.add_argument("--out", help="also write the JSON report here")

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateScale,
     NonFiniteState,
     NotInvertible,
+    RangeError,
     TooShort,
     WrongRegime,
 )
@@ -165,9 +166,15 @@ def sample_scalar_noise(
     seed: int,
     zero_noise: bool = False,
 ) -> ScalarNoise:
-    """Draw aggregated-shock series of length T + 2 (both, for symmetry)."""
+    """Draw aggregated-shock series of length T + 2 (both, for symmetry).
+
+    Each law is (mean, sd) with a finite mean and a finite sd >= 0.
+    """
     if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+        raise RangeError(f"T must be >= 1, got {T}")
+    for name, (mean, sd) in (("epsilon", eps_law), ("eta", eta_law)):
+        if not (np.isfinite(mean) and np.isfinite(sd) and sd >= 0):
+            raise RangeError(f"{name} law needs a finite mean and sd >= 0, got ({mean}, {sd})")
     if zero_noise:
         eps = np.full(T + 2, eps_law[0])
         eta = np.full(T + 2, eta_law[0])
@@ -212,21 +219,25 @@ def forcing_series(noise: ScalarNoise, alpha: float, beta: float) -> np.ndarray:
 def simulate_cycle(
     model: CycleModel, noise: ScalarNoise, x0: float, x1: float, T: int
 ) -> np.ndarray:
-    """Iterate xbar(t+2) = -kappa1 xbar(t+1) - kappa2 xbar(t) + h(t)."""
+    """Iterate xbar(t+2) = -kappa1 xbar(t+1) - kappa2 xbar(t) + h(t).
+
+    Raises NonFiniteState at the first t >= 2 whose state overflowed.
+    """
     if T < 2:
-        raise ValueError(f"T must be >= 2, got {T}")
+        raise RangeError(f"T must be >= 2, got {T}")
     if len(noise.eps_bar) < T or len(noise.eta_bar) < T - 1:
         raise IndexError("noise series do not cover the requested horizon")
-    x = np.empty(T + 1)
-    x[0], x[1] = x0, x1
+    within = ScalarNoise(noise.eps_bar[:T], noise.eta_bar[: T - 1], noise.law, noise.seed)
     k1, k2 = model.kappa1, model.kappa2
-    # overflow is reported through NonFiniteState, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T - 1):
-            x[t + 2] = -k1 * x[t + 1] - k2 * x[t] + forcing_term(noise, model.alpha, model.beta, t)
-            if not np.isfinite(x[t + 2]):
-                raise NonFiniteState(t + 2)
-    return x
+    # Python floats step faster than numpy scalars and overflow to inf silently
+    x = [float(x0), float(x1)]
+    for h in forcing_series(within, model.alpha, model.beta).tolist():
+        x.append(-k1 * x[-1] - k2 * x[-2] + h)
+    out = np.array(x)
+    bad = np.flatnonzero(~np.isfinite(out[2:]))
+    if bad.size:
+        raise NonFiniteState(int(bad[0]) + 2)
+    return out
 
 
 def fit_constants(model: CycleModel, x0: float, x1: float) -> tuple[float, float]:

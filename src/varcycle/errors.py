@@ -45,6 +45,10 @@ class NonFiniteState(VarcycleError):
         super().__init__(message or f"non-finite state first reached at t={t}")
 
 
+class NonFiniteResult(VarcycleError):
+    """A reported value overflowed to inf or NaN, which strict JSON cannot hold."""
+
+
 class RangeError(VarcycleError, ValueError):
     """A time or lag index is outside the range a formula supports."""
 

@@ -61,6 +61,26 @@ class TransitionMatrix:
     n: int
 
 
+def _agent_count(raw: Any) -> int:
+    try:
+        n = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        n = 0
+    if n < 1 or n != raw:
+        raise DimensionMismatch(f"n must be a positive integer, got {raw!r}")
+    return n
+
+
+def validate_pair(alpha: Any, beta: Any) -> tuple[float, float]:
+    """Check the adjustment pair: both finite, and not (0, 0) or (1, 1)."""
+    alpha, beta = float(alpha), float(beta)
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ParameterError(f"alpha and beta must be finite, got ({alpha}, {beta})")
+    if (alpha, beta) in ((0.0, 0.0), (1.0, 1.0)):
+        raise ForbiddenPair(f"(alpha, beta) = ({alpha}, {beta}) is excluded")
+    return alpha, beta
+
+
 def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
     """Validate a raw parameter record and return frozen ``ModelParams``.
 
@@ -73,12 +93,14 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
     Raises
     ------
     WeightViolation
-        Nonpositive weight entry, or weight sum off by more than the
-        tolerance.
+        Nonpositive or non-finite weight entry, or weight sum off by more
+        than the tolerance.
+    ParameterError
+        alpha or beta is not finite.
     ForbiddenPair
         (alpha, beta) equal to (0, 0) or (1, 1).
     DimensionMismatch
-        a or b does not have length n, or n < 1.
+        a or b does not have length n, or n is not a positive integer.
     """
     if isinstance(raw, ModelParams):
         record: Mapping[str, Any] = {
@@ -90,21 +112,16 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
     if missing:
         raise ParameterError(f"missing parameter keys: {', '.join(missing)}")
 
-    n = int(record["n"])
-    if n < 1:
-        raise DimensionMismatch(f"n must be a positive integer, got {n}")
-    alpha = float(record["alpha"])
-    beta = float(record["beta"])
-    if (alpha, beta) in ((0.0, 0.0), (1.0, 1.0)):
-        raise ForbiddenPair(f"(alpha, beta) = ({alpha}, {beta}) is excluded")
+    n = _agent_count(record["n"])
+    alpha, beta = validate_pair(record["alpha"], record["beta"])
 
     weights = {}
     for name in ("a", "b"):
         w = np.asarray(record[name], dtype=float)
         if w.shape != (n,):
             raise DimensionMismatch(f"{name} must have length n={n}, got shape {w.shape}")
-        if not np.all(w > 0):
-            raise WeightViolation(f"{name} must be strictly positive, got {w.tolist()}")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise WeightViolation(f"{name} must be finite and strictly positive, got {w.tolist()}")
         s = float(w.sum())
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
             raise WeightViolation(f"{name} must sum to 1 within {WEIGHT_SUM_TOL}, got sum {s!r}")
@@ -116,7 +133,7 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
 def validate_noise(raw: Mapping[str, Any] | NoiseSpec, n: int) -> NoiseSpec:
     """Validate a noise record against agent count ``n``.
 
-    Requires mu and sigma of length exactly 2n with every sigma > 0.
+    Requires finite mu and sigma of length exactly 2n with every sigma > 0.
     """
     if isinstance(raw, NoiseSpec):
         record: Mapping[str, Any] = {"mu": raw.mu, "sigma": raw.sigma}
@@ -131,8 +148,10 @@ def validate_noise(raw: Mapping[str, Any] | NoiseSpec, n: int) -> NoiseSpec:
         raise DimensionMismatch(f"noise mu must have length 2n={2*n}, got shape {mu.shape}")
     if sigma.shape != (2 * n,):
         raise DimensionMismatch(f"noise sigma must have length 2n={2*n}, got shape {sigma.shape}")
-    if not np.all(sigma > 0):
-        raise ParameterError("noise sigma entries must all be > 0")
+    if not np.all(np.isfinite(mu)):
+        raise ParameterError("noise mu entries must all be finite")
+    if not np.all(np.isfinite(sigma) & (sigma > 0)):
+        raise ParameterError("noise sigma entries must all be finite and > 0")
     return NoiseSpec(mu=_frozen(mu), sigma=_frozen(sigma))
 
 

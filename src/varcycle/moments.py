@@ -26,8 +26,11 @@ import numpy as np
 
 from .errors import ConditionViolated, DimensionMismatch, RangeError, WrongRegime
 from .model import ModelParams, NoiseSpec, build_transition_matrix
-from .simulate import mix_seed, sample_noise_path
+from .simulate import _iterate, mix_seed, sample_noise_path
 from .spectral import Regime, SpectralDecomposition
+
+#: Replications that mc_long_run simulates together; bounds the states held.
+_LONG_RUN_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,13 @@ class LimitReport:
 
     ``resolvent_limit_cov`` applies the resolvent-style map
     Q diag{1/(1-lam)} Q^-1 to the shock on both sides;
-    ``ma_infinity_cov`` sums the moving-average series
-    sum_i (Q J^i Q^-1) Sigma0 (Q J^i Q^-1)^T to the tail tolerance.
+    ``ma_infinity_cov`` is the moving-average series
+    sum_i (Q J^i Q^-1) Sigma0 (Q J^i Q^-1)^T in closed form: the
+    solution of the Stein equation Sigma = M Sigma M^T + Sigma0, which
+    in transformed coordinates is S~_jk / (1 - d_j d_k).
     The two differ in general; both are reported with their gap, and the
     long-run Monte Carlo oracle matches the moving-average form.
+    ``truncation_terms`` is always None: no series is truncated.
     """
 
     lambda_tilde: np.ndarray
@@ -95,7 +101,6 @@ class LimitReport:
     resolvent_limit_cov: np.ndarray | None
     ma_infinity_cov: np.ndarray | None
     truncation_terms: int | None
-    tail_bound: float | None
     covariance_discrepancy: float | None
 
 
@@ -231,7 +236,6 @@ def stationarity_diagnostic(
 def limiting_moments(
     inputs: MomentInputs,
     decomposition: SpectralDecomposition,
-    tail_tol: float = 1e-12,
     allow_skip: bool = True,
 ) -> LimitReport:
     """Limiting mean and the two limit-covariance candidates.
@@ -239,31 +243,26 @@ def limiting_moments(
     Requires 0 < max|lambda| < 1.  When the condition fails the report
     carries ``spectral_radius_ok=False`` with the limits skipped, or raises
     ``ConditionViolated`` when ``allow_skip`` is false.
-
-    The moving-average covariance is truncated after
-    K = ceil(log(tail_tol) / log(max|lambda|)) terms; the dropped tail
-    is bounded by the geometric series and reported.
     """
     d = _require_diagonal(decomposition)
     eig = decomposition.eig
     lams = np.array([eig.lambda1, eig.lambda2, np.real(eig.lambda3), np.real(eig.lambda4)])
+    # no eigenvalue is 1 once a basis exists: that needs alpha * beta = 0
+    lam_tilde = 1.0 / (1.0 - lams)
     rho = float(np.max(np.abs(d)))
-    condition = bool(0.0 < rho < 1.0)
-    if not condition:
+    if not 0.0 < rho < 1.0:
         if allow_skip:
             return LimitReport(
-                lambda_tilde=1.0 / (1.0 - lams) if np.all(lams != 1.0) else np.full(4, np.nan),
+                lambda_tilde=lam_tilde,
                 spectral_radius_ok=False,
                 limiting_mean=None,
                 resolvent_limit_cov=None,
                 ma_infinity_cov=None,
                 truncation_terms=None,
-                tail_bound=None,
                 covariance_discrepancy=None,
             )
         raise ConditionViolated(f"max |lambda| = {rho} is not inside (0, 1)")
 
-    lam_tilde = 1.0 / (1.0 - lams)
     Q, Qinv = decomposition.Q, decomposition.Qinv
     dtilde = 1.0 / (1.0 - d)
     resolvent = Q @ (dtilde[:, None] * Qinv)
@@ -272,13 +271,7 @@ def limiting_moments(
     claimed = resolvent @ inputs.Sigma0 @ resolvent.T
 
     _, S0t = transformed_inputs(inputs, decomposition)
-    K = int(np.ceil(np.log(tail_tol) / np.log(rho)))
-    acc = np.zeros_like(S0t)
-    for i in range(K + 1):
-        acc = acc + np.outer(d**i, d**i) * S0t
-    ma_cov = Q @ acc @ Q.T
-    lead = max(float(np.max(np.abs(ma_cov))), 1e-300)
-    tail_bound = float(np.max(np.abs(S0t))) * rho ** (2 * (K + 1)) / (1.0 - rho**2) / lead
+    ma_cov = Q @ (S0t / (1.0 - np.outer(d, d))) @ Q.T
 
     return LimitReport(
         lambda_tilde=lam_tilde,
@@ -286,32 +279,9 @@ def limiting_moments(
         limiting_mean=mean,
         resolvent_limit_cov=claimed,
         ma_infinity_cov=ma_cov,
-        truncation_terms=K,
-        tail_bound=tail_bound,
+        truncation_terms=None,
         covariance_discrepancy=float(np.max(np.abs(claimed - ma_cov))),
     )
-
-
-def _batched_recursion(
-    M: np.ndarray, z0: np.ndarray, gamma: np.ndarray, snapshots: list[int]
-) -> dict[int, np.ndarray]:
-    """Run z <- M z + gamma_t across a replication batch.
-
-    z0 has shape (R, 2n), gamma (R, T, 2n); returns the state at each
-    requested time as (R, 2n) arrays.  Semantically one recursive
-    simulation per replication, vectorized across replications.
-    """
-    want = set(snapshots)
-    out: dict[int, np.ndarray] = {}
-    z = z0.copy()
-    if 0 in want:
-        out[0] = z.copy()
-    T = gamma.shape[1]
-    for t in range(T):
-        z = z @ M.T + gamma[:, t, :]
-        if (t + 1) in want:
-            out[t + 1] = z.copy()
-    return out
 
 
 def _replication_noise(
@@ -342,17 +312,23 @@ def mc_cross_covariance(
     replications, with entrywise standard errors from the replication
     scatter.  z_0 is drawn as N(0, G) per replication (deterministic
     zero when G = 0)."""
-    M = build_transition_matrix(params).entries
-    steps = t + tau_prime
-    gamma = _replication_noise(params, spec, steps, reps, seed)
+    if reps < 2:
+        raise RangeError(f"Monte Carlo needs reps >= 2 for standard errors, got {reps}")
+    mat_t = build_transition_matrix(params).entries.T
     if np.any(G):
         L = np.linalg.cholesky(G + 1e-15 * np.trace(G) * np.eye(G.shape[0]))
         z0 = np.random.default_rng(mix_seed(seed, reps)).standard_normal((reps, G.shape[0])) @ L.T
     else:
         z0 = np.zeros((reps, 2 * params.n))
-    snap = _batched_recursion(M, z0, gamma, [t, t + tau_prime])
-    u = snap[t + tau_prime] - snap[t + tau_prime].mean(axis=0)
-    v = snap[t] - snap[t].mean(axis=0)
+    gamma = _replication_noise(params, spec, t + tau_prime, reps, seed)
+    z = _iterate(lambda z: z @ mat_t, z0, gamma)
+    # Noise and states are freed before the (reps, 2n, 2n) products, the
+    # noise first so that u and v can reuse its memory; either later
+    # raises peak RSS by about the size of the noise.
+    del gamma
+    u = z[:, t + tau_prime] - z[:, t + tau_prime].mean(axis=0)
+    v = z[:, t] - z[:, t].mean(axis=0)
+    del z
     prod = u[:, :, None] * v[:, None, :]
     est = prod.sum(axis=0) / (reps - 1)
     se = prod.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -366,37 +342,31 @@ def mc_long_run(
     t_burn: int,
     t_final: int,
     seed: int,
-    chunk: int = 64,
 ) -> LongRunEstimate:
     """Long-run mean and covariance from tail time-averages.
 
     Each replication contributes the time-average of z_t and of the
     centered outer products over t in (t_burn, t_final]; replications
     are i.i.d., so standard errors follow from their scatter.
+    Replications run in batches of ``_LONG_RUN_BATCH``.
     """
     if not 0 < t_burn < t_final:
         raise RangeError(f"need 0 < t_burn < t_final, got {t_burn}, {t_final}")
-    M = build_transition_matrix(params).entries
+    if reps < 2:
+        raise RangeError(f"Monte Carlo needs reps >= 2 for standard errors, got {reps}")
+    mat_t = build_transition_matrix(params).entries.T
     dim = 2 * params.n
-    tail = t_final - t_burn
     means = np.empty((reps, dim))
     covs = np.empty((reps, dim, dim))
-    done = 0
-    while done < reps:
-        r = min(chunk, reps - done)
+    for done in range(0, reps, _LONG_RUN_BATCH):
+        r = min(_LONG_RUN_BATCH, reps - done)
         gamma = _replication_noise(params, spec, t_final, r, seed, rep_offset=done)
-        z = np.zeros((r, dim))
-        sum_z = np.zeros((r, dim))
-        sum_zz = np.zeros((r, dim, dim))
-        for t in range(t_final):
-            z = z @ M.T + gamma[:, t, :]
-            if t + 1 > t_burn:
-                sum_z += z
-                sum_zz += z[:, :, None] * z[:, None, :]
-        m = sum_z / tail
+        tail = _iterate(lambda z: z @ mat_t, np.zeros((r, dim)), gamma)[:, t_burn + 1:]
+        m = tail.mean(axis=1)
         means[done:done + r] = m
-        covs[done:done + r] = sum_zz / tail - m[:, :, None] * m[:, None, :]
-        done += r
+        covs[done:done + r] = (
+            tail.transpose(0, 2, 1) @ tail / tail.shape[1] - m[:, :, None] * m[:, None, :]
+        )
     return LongRunEstimate(
         mean=means.mean(axis=0),
         mean_se=means.std(axis=0, ddof=1) / np.sqrt(reps),

@@ -10,11 +10,11 @@ spectral decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteState, WrongRegime
+from .errors import DimensionMismatch, NonFiniteState, RangeError, WrongRegime
 from .model import ModelParams, NoiseSpec, TransitionMatrix
 from .spectral import Regime, SpectralDecomposition
 
@@ -39,24 +39,13 @@ def mix_seed(seed: int, r: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    """Shocks for one step: epsilon and eta per agent, plus the stacked
-    gamma = (alpha * epsilon, -beta * eta) that enters the recursion."""
-
-    t: int
-    epsilon: np.ndarray
-    eta: np.ndarray
-    gamma: np.ndarray
-
-
-class NoisePath(Sequence[NoiseDraw]):
-    """A full noise path stored as arrays, viewable as a sequence of
-    per-step :class:`NoiseDraw` records.
+class NoisePath:
+    """A full noise path stored as arrays.
 
     ``epsilon`` and ``eta`` have shape (T, n) and ``gamma`` shape
-    (T, 2n).  ``seed`` is None when the path was assembled from raw
-    arrays rather than drawn.
+    (T, 2n), the stacked gamma_t = (alpha * epsilon_t, -beta * eta_t)
+    that enters the recursion.  ``seed`` is None when the path was
+    assembled from raw arrays rather than drawn.
     """
 
     def __init__(
@@ -77,21 +66,6 @@ class NoisePath(Sequence[NoiseDraw]):
         self.eta = eta
         self.gamma = np.hstack([alpha * epsilon, -beta * eta])
         self.seed = seed
-
-    def __len__(self) -> int:
-        return self.epsilon.shape[0]
-
-    def __getitem__(self, t):  # type: ignore[override]
-        if isinstance(t, slice):
-            return [self[i] for i in range(*t.indices(len(self)))]
-        if t < 0:
-            t += len(self)
-        if not 0 <= t < len(self):
-            raise IndexError(t)
-        return NoiseDraw(t=t, epsilon=self.epsilon[t], eta=self.eta[t], gamma=self.gamma[t])
-
-    def __iter__(self) -> Iterator[NoiseDraw]:
-        return (self[t] for t in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -136,7 +110,7 @@ def sample_noise_path(
     sigma = 0, which the spec validation rejects).
     """
     if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+        raise RangeError(f"T must be >= 1, got {T}")
     n = params.n
     if zero_noise:
         eps = np.tile(spec.mu[:n], (T, 1))
@@ -147,21 +121,47 @@ def sample_noise_path(
     return NoisePath(eps, eta, params.alpha, params.beta, seed=seed)
 
 
-def _gamma_array(noises: NoisePath | Sequence[NoiseDraw]) -> np.ndarray:
-    if isinstance(noises, NoisePath):
-        return noises.gamma
-    return np.array([d.gamma for d in noises], dtype=float)
+def _iterate(
+    step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, gamma: np.ndarray
+) -> np.ndarray:
+    """Run z_{t+1} = step(z_t) + gamma_t over any leading batch axes.
+
+    z0 has shape (..., m) and gamma (..., T, m); returns the states
+    z_0..z_T as (..., T + 1, m).  This is the one loop over time steps
+    behind every vector recursion in the package.  Overflow is left in
+    the states (callers that care use :func:`_check_finite`), not
+    raised as a numpy warning.
+    """
+    g = np.moveaxis(gamma, -2, 0)
+    z = np.empty((g.shape[0] + 1,) + g.shape[1:])
+    z[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(g.shape[0]):
+            z[t + 1] = step(z[t]) + g[t]
+    return np.moveaxis(z, 0, -2)
 
 
-def _noise_seed(noises: NoisePath | Sequence[NoiseDraw]) -> int | None:
-    return noises.seed if isinstance(noises, NoisePath) else None
+def _check_finite(z: np.ndarray) -> None:
+    """Raise NonFiniteState at the first time row of z holding a
+    non-finite entry.  A non-finite state stays non-finite under the
+    linear step, so this is the first t at which the run overflowed."""
+    bad = np.flatnonzero(~np.all(np.isfinite(z), axis=1))
+    if bad.size:
+        raise NonFiniteState(int(bad[0]))
+
+
+def _initial_state(params: ModelParams, z0: np.ndarray) -> np.ndarray:
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (2 * params.n,):
+        raise DimensionMismatch(f"z0 must have length 2n={2*params.n}, got shape {z0.shape}")
+    return z0
 
 
 def simulate_recursive(
     params: ModelParams,
     M: TransitionMatrix,
     z0: np.ndarray,
-    noises: NoisePath | Sequence[NoiseDraw],
+    noises: NoisePath,
 ) -> Trajectory:
     """Iterate z_{t+1} = M z_t + gamma_t literally.
 
@@ -172,28 +172,17 @@ def simulate_recursive(
         carries the first bad time index so explosive parameter sets
         fail loudly instead of saturating silently.
     """
-    gamma = _gamma_array(noises)
-    T = gamma.shape[0]
-    mat = M.entries
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (2 * params.n,):
-        raise DimensionMismatch(f"z0 must have length 2n={2*params.n}, got shape {z0.shape}")
-    z = np.empty((T + 1, 2 * params.n))
-    z[0] = z0
-    # overflow is reported through NonFiniteState, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            z[t + 1] = mat @ z[t] + gamma[t]
-            if not np.all(np.isfinite(z[t + 1])):
-                raise NonFiniteState(t + 1)
-    return Trajectory(z=z, noises=noises, seed=_noise_seed(noises), method=METHOD_RECURSIVE)
+    mat_t = M.entries.T
+    z = _iterate(lambda z: z @ mat_t, _initial_state(params, z0), noises.gamma)
+    _check_finite(z)
+    return Trajectory(z=z, noises=noises, seed=noises.seed, method=METHOD_RECURSIVE)
 
 
 def simulate_explicit(
     params: ModelParams,
     decomposition: SpectralDecomposition,
     z0: np.ndarray,
-    noises: NoisePath | Sequence[NoiseDraw],
+    noises: NoisePath,
 ) -> Trajectory:
     """Evaluate the closed-form solution
 
@@ -206,25 +195,14 @@ def simulate_explicit(
     """
     if decomposition.regime is not Regime.DIAGONALIZABLE_REAL or decomposition.Q is None:
         raise WrongRegime("explicit solution requires the diagonalizable regime with a basis")
-    gamma = _gamma_array(noises)
-    T = gamma.shape[0]
     Q, Qinv = decomposition.Q, decomposition.Qinv
     d = decomposition.diag
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (2 * params.n,):
-        raise DimensionMismatch(f"z0 must have length 2n={2*params.n}, got shape {z0.shape}")
-
-    gtilde = gamma @ Qinv.T
-    ztilde = np.empty((T + 1, 2 * params.n))
-    ztilde[0] = Qinv @ z0
+    z0 = _initial_state(params, z0)
+    ztilde = _iterate(lambda z: d * z, Qinv @ z0, noises.gamma @ Qinv.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            ztilde[t + 1] = d * ztilde[t] + gtilde[t]
         z = ztilde @ Q.T
-    bad = np.flatnonzero(~np.all(np.isfinite(z), axis=1))
-    if bad.size:
-        raise NonFiniteState(int(bad[0]))
-    return Trajectory(z=z, noises=noises, seed=_noise_seed(noises), method=METHOD_EXPLICIT)
+    _check_finite(z)
+    return Trajectory(z=z, noises=noises, seed=noises.seed, method=METHOD_EXPLICIT)
 
 
 def aggregates(trajectory: Trajectory, params: ModelParams) -> AggregateSeries:

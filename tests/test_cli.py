@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,67 @@ class TestStrictSchema:
         assert code == 2
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
+
+
+NAN, INF = float("nan"), float("inf")
+MODEL_FLAGS = ["--n", "2", "--alpha", "0.1", "--beta", "0.9"]
+
+
+def config_with(tmp_path, **overrides):
+    doc = {"n": 2, "alpha": 0.1, "beta": 0.9, "a": [0.5, 0.5], "b": [0.5, 0.5]}
+    doc.update(overrides)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # Python's json writes NaN/Infinity tokens
+    return path
+
+
+BAD_INPUTS = {
+    "alpha-nan": (lambda p: ["decompose", "--config", config_with(p, alpha=NAN)],
+                  "ParameterError"),
+    "beta-inf": (lambda p: ["decompose", "--config", config_with(p, beta=INF)],
+                 "ParameterError"),
+    "a-nan": (lambda p: ["decompose", "--config", config_with(p, a=[NAN, 0.5])],
+              "WeightViolation"),
+    "b-inf": (lambda p: ["decompose", "--config", config_with(p, b=[INF, 0.5])],
+              "WeightViolation"),
+    "mu-nan": (lambda p: ["decompose", "--config", config_with(
+        p, noise={"mu": [NAN, 0.0, 0.0, 0.0], "sigma": [1.0] * 4})], "ParameterError"),
+    "sigma-inf": (lambda p: ["decompose", "--config", config_with(
+        p, noise={"mu": [0.0] * 4, "sigma": [1.0, INF, 1.0, 1.0]})], "ParameterError"),
+    "n-fractional": (lambda p: ["decompose", "--config", config_with(p, n=2.7)],
+                     "DimensionMismatch"),
+    "cycle-alpha-nan": (lambda p: ["cycle", "--alpha", "nan", "--out", p / "c.csv"],
+                        "ParameterError"),
+    "cycle-forbidden-pair": (lambda p: ["cycle", "--alpha", "1", "--beta", "1",
+                                        "--out", p / "c.csv"], "ForbiddenPair"),
+    "cycle-T-zero": (lambda p: ["cycle", "--T", "0", "--out", p / "c.csv"], "RangeError"),
+    "cycle-T-one": (lambda p: ["cycle", "--T", "1", "--out", p / "c.csv"], "RangeError"),
+    "cycle-eps-sd-negative": (lambda p: ["cycle", "--eps-sd", "-1", "--out", p / "c.csv"],
+                              "RangeError"),
+    "cycle-eta-sd-negative": (lambda p: ["cycle", "--eta-sd", "-1", "--out", p / "c.csv"],
+                              "RangeError"),
+    "simulate-T-negative": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "-3",
+                                       "--out", p / "s.csv"], "RangeError"),
+    "moments-one-rep": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "1"], "RangeError"),
+    "moments-negative-reps": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "-5"],
+                              "RangeError"),
+    "decompose-overflow": (lambda p: ["decompose", "--n", "2", "--alpha", "1e200",
+                                      "--beta", "0.3"], "NonFiniteResult"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
+    argv, error = BAD_INPUTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([str(a) for a in argv(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 class TestCycleCommand:

@@ -201,8 +201,28 @@ class TestSimulateCycle:
     def test_explosive_raises(self):
         m = reduce_to_cycle(2.0, 2.0)  # |rho| = sqrt(5) > 1
         noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 2000, seed=0, zero_noise=True)
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(NonFiniteState) as info:
             simulate_cycle(m, noise, 1.0, 1.0, 2000)
+        x = per_step_cycle(m, noise, 1.0, 1.0, 2000)
+        assert info.value.t == np.flatnonzero(~np.isfinite(x))[0]
+
+    @pytest.mark.parametrize("alpha,beta", [(BENCH_ALPHA, BENCH_BETA), (0.1, 0.9), (0.5, 0.5)])
+    def test_equals_per_step_forcing_loop(self, alpha, beta):
+        m = reduce_to_cycle(alpha, beta)
+        noise = sample_scalar_noise((0.1, 1.0), (-0.2, 1.6), 500, seed=17)
+        x = simulate_cycle(m, noise, 0.4, -0.3, 500)
+        assert np.array_equal(x, per_step_cycle(m, noise, 0.4, -0.3, 500))
+
+
+def per_step_cycle(model, noise, x0, x1, T):
+    """Oracle: the recursion with one forcing_term call per step."""
+    x = np.empty(T + 1)
+    x[0], x[1] = x0, x1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T - 1):
+            h = forcing_term(noise, model.alpha, model.beta, t)
+            x[t + 2] = -model.kappa1 * x[t + 1] - model.kappa2 * x[t] + h
+    return x
 
 
 class TestFitConstants:

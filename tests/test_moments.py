@@ -20,7 +20,8 @@ from varcycle import (
     validate_params,
 )
 from varcycle.errors import ConditionViolated, RangeError, WrongRegime
-from varcycle.moments import _batched_recursion, _replication_noise
+from varcycle.moments import _replication_noise
+from varcycle.simulate import _iterate, mix_seed
 
 
 def setup_model(n=3, alpha=0.1, beta=0.9, sigma=None, mu=None):
@@ -45,6 +46,18 @@ def brute_cross_cov(J, Gt, S0t, t, tau):
     for s in range(t):  # shared shock indices of the two expansions
         out += P(t + tau - 1 - s) @ S0t @ P(t - 1 - s).T
     return out
+
+
+def truncated_ma_sum(inputs, dec, tail_tol=1e-12):
+    """Oracle: the moving-average series sum_i J^i Sigma0~ J^i summed term
+    by term until rho^K < tail_tol, mapped back with Q."""
+    d = dec.diag
+    _, S0t = transformed_inputs(inputs, dec)
+    K = int(np.ceil(np.log(tail_tol) / np.log(np.max(np.abs(d)))))
+    acc = np.zeros_like(S0t)
+    for i in range(K + 1):
+        acc = acc + np.outer(d**i, d**i) * S0t
+    return dec.Q @ acc @ dec.Q.T
 
 
 class TestCrossCovariance:
@@ -176,14 +189,13 @@ class TestBatchedRecursion:
         M = build_transition_matrix(params)
         reps, steps, seed = 5, 7, 77
         gamma = _replication_noise(params, spec, steps, reps, seed)
-        out = _batched_recursion(M.entries, np.zeros((reps, 4)), gamma, [steps])
-        from varcycle.simulate import mix_seed
-
+        out = _iterate(lambda z: z @ M.entries.T, np.zeros((reps, 4)), gamma)
+        assert out.shape == (reps, steps + 1, 4)
         for r in range(reps):
             path = sample_noise_path(spec, params, steps, seed=mix_seed(seed, r))
             assert np.array_equal(gamma[r], path.gamma)
             traj = simulate_recursive(params, M, np.zeros(4), path)
-            assert_allclose(out[steps][r], traj.z[steps], rtol=1e-12, atol=1e-14)
+            assert_allclose(out[r], traj.z, rtol=1e-12, atol=1e-14)
 
 
 class TestLimitingMoments:
@@ -232,12 +244,40 @@ class TestLimitingMoments:
             assert np.max(np.abs(mat - mat.T)) < 1e-10 * np.max(np.abs(mat))
             assert np.min(np.linalg.eigvalsh((mat + mat.T) / 2)) > -1e-10 * np.trace(mat)
 
-    def test_tail_bound_reported_small(self):
-        params, spec = setup_model()
+    @pytest.mark.parametrize("alpha", [0.1, 4e-4])
+    def test_ma_limit_solves_stein_equation(self, alpha):
+        # Sigma = M Sigma M^T + Sigma0; at alpha = 4e-4 the spectral radius is 0.9996
+        from scipy.linalg import solve_discrete_lyapunov
+
+        params, spec = setup_model(alpha=alpha, sigma=[0.5, 1.0, 1.5, 2.0, 0.7, 1.2])
         dec = decompose(params)
-        report = limiting_moments(moment_inputs(params, spec), dec, tail_tol=1e-12)
-        assert report.truncation_terms >= 1
-        assert report.tail_bound < 1e-11
+        inputs = moment_inputs(params, spec)
+        report = limiting_moments(inputs, dec)
+        M = build_transition_matrix(params).entries
+        got = report.ma_infinity_cov
+        scale = np.max(np.abs(got))
+        want = solve_discrete_lyapunov(M, inputs.Sigma0)
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
+        assert np.max(np.abs(got - truncated_ma_sum(inputs, dec))) < 1e-12 * scale
+        assert np.max(np.abs(M @ got @ M.T + inputs.Sigma0 - got)) < 1e-12 * scale
+        assert report.truncation_terms is None
+
+    def test_long_run_equals_per_step_accumulation(self):
+        params, spec = setup_model(n=2, mu=[0.4, -0.2, 0.3, 0.1])
+        reps, t_burn, t_final, seed = 5, 20, 60, 13
+        got = mc_long_run(params, spec, reps=reps, t_burn=t_burn, t_final=t_final, seed=seed)
+        # oracle: per-replication running sums over t in (t_burn, t_final]
+        M = build_transition_matrix(params)
+        means, covs = [], []
+        for r in range(reps):
+            path = sample_noise_path(spec, params, t_final, seed=mix_seed(seed, r))
+            tail = simulate_recursive(params, M, np.zeros(4), path).z[t_burn + 1:]
+            m = sum(tail) / len(tail)
+            means.append(m)
+            covs.append(sum(np.outer(z, z) for z in tail) / len(tail) - np.outer(m, m))
+        assert_allclose(got.mean, np.mean(means, axis=0), rtol=1e-12, atol=1e-14)
+        assert_allclose(got.cov, np.mean(covs, axis=0), rtol=1e-12, atol=1e-14)
+        assert_allclose(got.cov_se, np.std(covs, axis=0, ddof=1) / np.sqrt(reps), rtol=1e-10)
 
     def test_condition_violated(self):
         params, spec = setup_model(alpha=-0.5, beta=0.3)  # lambda1 = 1.5

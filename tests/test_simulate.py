@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from varcycle import (
@@ -44,10 +45,6 @@ class TestNoisePath:
         n = params.n
         assert np.array_equal(path.gamma[:, :n], 0.3 * path.epsilon)
         assert np.array_equal(path.gamma[:, n:], -0.7 * path.eta)
-        draw = path[4]
-        assert draw.t == 4
-        assert np.array_equal(draw.gamma, path.gamma[4])
-        assert len(path) == 10
 
     def test_zero_noise_flag(self):
         params, spec = setup_model(mu=[0.5] * 6)
@@ -181,6 +178,51 @@ class TestExplicit:
         path = sample_noise_path(spec, params, 5, seed=1)
         with pytest.raises(WrongRegime):
             simulate_explicit(params, dec, np.zeros(6), path)
+
+    def test_non_finite_state_reports_first_t(self):
+        params, spec = setup_model(alpha=-5.0, beta=3.0)  # spectral radius 7.6
+        dec = decompose(params)
+        path = sample_noise_path(spec, params, 500, seed=0, zero_noise=True)
+        with pytest.raises(NonFiniteState) as info:
+            simulate_explicit(params, dec, np.ones(6), path)
+        t = info.value.t
+        assert 300 < t <= 500
+        # every state before t is finite
+        short = NoisePath(path.epsilon[: t - 1], path.eta[: t - 1], params.alpha, params.beta)
+        assert np.all(np.isfinite(simulate_explicit(params, dec, np.ones(6), short).z))
+
+
+@st.composite
+def diagonalizable_models(draw):
+    """(alpha, beta, n, weights) in the domain of acceptance criterion c03:
+    distinct real roots with Delta >= 0.05 max(1, alpha^2 + beta^2),
+    |alpha|, |beta| >= 0.05 and spectral radius below 0.999.  The
+    regime needs beta/alpha outside (3 - 2 sqrt 2, 3 + 2 sqrt 2), so one
+    of the pair is drawn as a small multiple of the other."""
+    big = draw(st.floats(0.35, 1.95))
+    small = draw(st.floats(0.05, 0.16 * big))
+    alpha, beta = (small, big) if draw(st.booleans()) else (big, small)
+    assume(alpha**2 + beta**2 - 6 * alpha * beta >= 0.05 * max(1.0, alpha**2 + beta**2))
+    n = draw(st.integers(2, 10))
+    weights = [draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)) for _ in "ab"]
+    a, b = (np.array(w) / sum(w) for w in weights)
+    params = validate_params({"n": n, "alpha": alpha, "beta": beta, "a": a, "b": b})
+    dec = decompose(params)
+    assume(np.max(np.abs(dec.diag)) < 0.999)
+    return params, dec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=diagonalizable_models(), seed=st.integers(0, 2**32 - 1))
+def test_explicit_equals_recursive_property(model, seed):
+    params, dec = model
+    n = params.n
+    spec = validate_noise({"mu": [0.0] * (2 * n), "sigma": [1.0] * (2 * n)}, n)
+    path = sample_noise_path(spec, params, 200, seed=seed)
+    z0 = np.random.default_rng(seed).uniform(-1, 1, 2 * n)
+    rec = simulate_recursive(params, build_transition_matrix(params), z0, path)
+    exp = simulate_explicit(params, dec, z0, path)
+    assert np.max(np.abs(rec.z - exp.z)) < 1e-8 * (1.0 + np.max(np.abs(rec.z)))
 
 
 class TestAggregates:
