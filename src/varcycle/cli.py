@@ -43,13 +43,13 @@ DEFAULT_SEED = 0
 BENCHMARK = {"alpha": 1.09804, "beta": 0.7, "T": 700, "eps_sd": 1.0, "eta_sd": 1.6}
 
 _RUN_DEFAULTS = {"T": 200, "seed": DEFAULT_SEED, "method": "recursive", "z0": "zeros"}
-_OUTPUT_DEFAULTS = {"path": None, "format": "csv"}
+_OUTPUT_DEFAULTS = {"path": None}
 
 _SCHEMA = {
     "": {"n", "alpha", "beta", "a", "b", "noise", "run", "output"},
     "noise": {"mu", "sigma"},
     "run": {"T", "seed", "method", "z0"},
-    "output": {"path", "format"},
+    "output": {"path"},
 }
 
 
@@ -93,8 +93,6 @@ def resolve_config(doc: dict) -> tuple[ModelParams, NoiseSpec, dict, dict]:
         raise ConfigError(f"run.method must be recursive|explicit|both, got {run['method']!r}")
     output = dict(_OUTPUT_DEFAULTS)
     output.update(doc.get("output") or {})
-    if output["format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv|json, got {output['format']!r}")
     return params, noise, run, output
 
 
@@ -111,8 +109,11 @@ def config_echo(params: ModelParams, noise: NoiseSpec, run: dict, output: dict) 
     }
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_numbers(text: str, kind: type = float) -> list:
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated {kind.__name__}s, got {text!r}") from exc
 
 
 def _model_from_args(args: argparse.Namespace) -> dict:
@@ -127,13 +128,13 @@ def _model_from_args(args: argparse.Namespace) -> dict:
         "n": n,
         "alpha": args.alpha,
         "beta": args.beta,
-        "a": _parse_floats(args.a) if args.a else [1.0 / n] * n,
-        "b": _parse_floats(args.b) if args.b else [1.0 / n] * n,
+        "a": _parse_numbers(args.a) if args.a else [1.0 / n] * n,
+        "b": _parse_numbers(args.b) if args.b else [1.0 / n] * n,
     }
     if args.noise_mu or args.noise_sigma:
         doc["noise"] = {
-            "mu": _parse_floats(args.noise_mu) if args.noise_mu else [0.0] * (2 * n),
-            "sigma": _parse_floats(args.noise_sigma) if args.noise_sigma else [1.0] * (2 * n),
+            "mu": _parse_numbers(args.noise_mu) if args.noise_mu else [0.0] * (2 * n),
+            "sigma": _parse_numbers(args.noise_sigma) if args.noise_sigma else [1.0] * (2 * n),
         }
     return doc
 
@@ -262,7 +263,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "lint": lint_params(params),
     }
     if dec.Q is not None:
-        check = verify_decomposition(M.entries, dec.blocks, dec.Q, dec.Qinv, tol=1e-10)
+        check = verify_decomposition(M.entries, dec.diag, dec.Q, dec.Qinv, tol=1e-10)
         payload["residuals"] = {
             "mq_qj": check.residual_mq_qj,
             "qqinv": check.residual_qqinv,
@@ -281,11 +282,21 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_ints(run: dict) -> tuple[int, int]:
+    try:
+        return int(run["T"]), int(run["seed"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"run.T and run.seed must be integers: {exc}") from exc
+
+
 def _resolve_z0(spec: str, n: int) -> np.ndarray:
     if spec == "zeros":
         return np.zeros(2 * n)
     if spec.startswith("csv:"):
-        values = np.loadtxt(spec[4:], delimiter=",").ravel()
+        try:
+            values = np.loadtxt(spec[4:], delimiter=",").ravel()
+        except ValueError as exc:
+            raise ConfigError(f"z0 file must hold comma-separated numbers: {exc}") from exc
         if values.shape != (2 * n,):
             raise ConfigError(f"z0 file must hold 2n={2*n} values, got {values.size}")
         return values
@@ -307,7 +318,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("simulate requires an output path (--out or output.path)")
     timer.mark("validate")
 
-    T, seed = int(run["T"]), int(run["seed"])
+    T, seed = _run_ints(run)
     z0 = _resolve_z0(str(run["z0"]), params.n)
     noises = sample_noise_path(noise, params, T, seed, zero_noise=args.zero_noise)
     M = build_transition_matrix(params)
@@ -353,10 +364,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_grid(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
 def _cmd_moments(args: argparse.Namespace) -> int:
     timer = _Timer()
     doc = _model_from_args(args)
@@ -364,14 +371,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     timer.mark("validate")
 
     dec = decompose(params)
-    if dec.regime is not Regime.DIAGONALIZABLE_REAL or dec.Q is None:
-        raise ConfigError(
-            "moment formulas need the diagonalizable regime with alpha*beta != 0 "
-            f"(got regime {dec.regime.value})"
-        )
     inputs = moments_mod.moment_inputs(params, noise)
-    t_grid = _parse_int_grid(args.t_grid)
-    tau_grid = _parse_int_grid(args.tau_grid)
+    t_grid = _parse_numbers(args.t_grid, int)
+    tau_grid = _parse_numbers(args.tau_grid, int)
     mc = None
     if args.mc_reps:
         mc = moments_mod.MonteCarloSpec(
@@ -536,7 +538,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     dec = decompose(params)
     record("regime", "pass", dec.regime.value)
     if dec.Q is not None:
-        check = verify_decomposition(M.entries, dec.blocks, dec.Q, dec.Qinv, tol=1e-10)
+        check = verify_decomposition(M.entries, dec.diag, dec.Q, dec.Qinv, tol=1e-10)
         record(
             "decomposition_residuals",
             "pass" if check.passed else "fail",
@@ -545,7 +547,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         record("decomposition_residuals", "skipped", "no explicit basis in this regime")
 
-    T, seed = int(run["T"]), int(run["seed"])
+    T, seed = _run_ints(run)
     noises = sample_noise_path(noise, params, T, seed)
     traj = simulate_recursive(params, M, np.zeros(2 * params.n), noises)
     if dec.Q is not None:

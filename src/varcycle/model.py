@@ -71,9 +71,20 @@ def _agent_count(raw: Any) -> int:
     return n
 
 
+def _numbers(raw: Any, name: str, error: type[ParameterError]) -> np.ndarray:
+    """``raw`` as a float array, or ``error`` when it holds a non-number."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must hold numbers: {exc}") from exc
+
+
 def validate_pair(alpha: Any, beta: Any) -> tuple[float, float]:
-    """Check the adjustment pair: both finite, and not (0, 0) or (1, 1)."""
-    alpha, beta = float(alpha), float(beta)
+    """Check the adjustment pair: both finite numbers, and not (0, 0) or (1, 1)."""
+    try:
+        alpha, beta = float(alpha), float(beta)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"alpha and beta must be numbers: {exc}") from exc
     if not (np.isfinite(alpha) and np.isfinite(beta)):
         raise ParameterError(f"alpha and beta must be finite, got ({alpha}, {beta})")
     if (alpha, beta) in ((0.0, 0.0), (1.0, 1.0)):
@@ -93,10 +104,10 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
     Raises
     ------
     WeightViolation
-        Nonpositive or non-finite weight entry, or weight sum off by more
-        than the tolerance.
+        Nonpositive, non-finite or non-numeric weight entry, or weight sum
+        off by more than the tolerance.
     ParameterError
-        alpha or beta is not finite.
+        alpha or beta is not a finite number.
     ForbiddenPair
         (alpha, beta) equal to (0, 0) or (1, 1).
     DimensionMismatch
@@ -117,7 +128,7 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
 
     weights = {}
     for name in ("a", "b"):
-        w = np.asarray(record[name], dtype=float)
+        w = _numbers(record[name], name, WeightViolation)
         if w.shape != (n,):
             raise DimensionMismatch(f"{name} must have length n={n}, got shape {w.shape}")
         if not np.all(np.isfinite(w) & (w > 0)):
@@ -133,7 +144,7 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
 def validate_noise(raw: Mapping[str, Any] | NoiseSpec, n: int) -> NoiseSpec:
     """Validate a noise record against agent count ``n``.
 
-    Requires finite mu and sigma of length exactly 2n with every sigma > 0.
+    Requires finite numeric mu and sigma of length exactly 2n with every sigma > 0.
     """
     if isinstance(raw, NoiseSpec):
         record: Mapping[str, Any] = {"mu": raw.mu, "sigma": raw.sigma}
@@ -142,8 +153,8 @@ def validate_noise(raw: Mapping[str, Any] | NoiseSpec, n: int) -> NoiseSpec:
     missing = [k for k in ("mu", "sigma") if k not in record]
     if missing:
         raise ParameterError(f"missing noise keys: {', '.join(missing)}")
-    mu = np.asarray(record["mu"], dtype=float)
-    sigma = np.asarray(record["sigma"], dtype=float)
+    mu = _numbers(record["mu"], "noise mu", ParameterError)
+    sigma = _numbers(record["sigma"], "noise sigma", ParameterError)
     if mu.shape != (2 * n,):
         raise DimensionMismatch(f"noise mu must have length 2n={2*n}, got shape {mu.shape}")
     if sigma.shape != (2 * n,):

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolated, DimensionMismatch, RangeError, WrongRegime
+from .errors import ConditionViolated, DimensionMismatch, NonFiniteResult, RangeError
 from .model import ModelParams, NoiseSpec, build_transition_matrix
 from .simulate import _iterate, mix_seed, sample_noise_path
-from .spectral import Regime, SpectralDecomposition
+from .spectral import SpectralDecomposition
 
 #: Replications that mc_long_run simulates together; bounds the states held.
 _LONG_RUN_BATCH = 64
@@ -141,19 +141,12 @@ def moment_inputs(
     return MomentInputs(G=G, Sigma0=np.diag(var), mu_gamma=mu_gamma, n=n)
 
 
-def _require_diagonal(decomposition: SpectralDecomposition) -> np.ndarray:
-    # Guards the Jordan boundary regime out: these products assume J is
-    # diagonal, so J^a X J^b reduces to an entrywise scaling.
-    if decomposition.regime is not Regime.DIAGONALIZABLE_REAL or decomposition.Qinv is None:
-        raise WrongRegime("moment formulas require the diagonalizable regime with a basis")
-    return decomposition.diag
-
-
 def transformed_inputs(
     inputs: MomentInputs, decomposition: SpectralDecomposition
 ) -> tuple[np.ndarray, np.ndarray]:
-    """G and Sigma0 mapped to transformed coordinates: X~ = Q^-1 X Q^-T."""
-    _require_diagonal(decomposition)
+    """G and Sigma0 mapped to transformed coordinates: X~ = Q^-1 X Q^-T.
+    Raises WrongRegime when no explicit basis exists."""
+    decomposition.diag  # the basis gate
     Qinv = decomposition.Qinv
     return Qinv @ inputs.G @ Qinv.T, Qinv @ inputs.Sigma0 @ Qinv.T
 
@@ -173,13 +166,17 @@ def cross_covariance(
         raise RangeError(f"cross-covariance formula holds for t >= 2, got t={t}")
     if tau_prime < 0:
         raise RangeError(f"tau_prime must be >= 0, got {tau_prime}")
-    d = _require_diagonal(decomposition)
+    d = decomposition.diag
     Gt, S0t = transformed_inputs(inputs, decomposition)
-    out = np.outer(d ** (t + tau_prime), d**t) * Gt
-    for i in range(t):
-        out = out + np.outer(d ** (tau_prime + i), d**i) * S0t
     Q = decomposition.Q
-    return CrossCovariance(gamma_tilde=out, gamma=Q @ out @ Q.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.outer(d ** (t + tau_prime), d**t) * Gt
+        for i in range(t):
+            out = out + np.outer(d ** (tau_prime + i), d**i) * S0t
+        gamma = Q @ out @ Q.T
+    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(gamma))):
+        raise NonFiniteResult(f"cross-covariance at t={t}, tau'={tau_prime} is not finite")
+    return CrossCovariance(gamma_tilde=out, gamma=gamma)
 
 
 def stationarity_diagnostic(
@@ -244,7 +241,7 @@ def limiting_moments(
     carries ``spectral_radius_ok=False`` with the limits skipped, or raises
     ``ConditionViolated`` when ``allow_skip`` is false.
     """
-    d = _require_diagonal(decomposition)
+    d = decomposition.diag
     eig = decomposition.eig
     lams = np.array([eig.lambda1, eig.lambda2, np.real(eig.lambda3), np.real(eig.lambda4)])
     # no eigenvalue is 1 once a basis exists: that needs alpha * beta = 0

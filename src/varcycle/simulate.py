@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteState, RangeError, WrongRegime
+from .errors import DimensionMismatch, NonFiniteState, RangeError
 from .model import ModelParams, NoiseSpec, TransitionMatrix
-from .spectral import Regime, SpectralDecomposition
+from .spectral import SpectralDecomposition
 
 METHOD_RECURSIVE = "recursive"
 METHOD_EXPLICIT = "explicit"
@@ -191,10 +191,8 @@ def simulate_explicit(
     in transformed coordinates: ztilde accumulates blockwise through
     scalar eigenvalue multiplications (the running form of the moving-
     average sum), and the basis maps every requested step back at the
-    end.  Requires the diagonalizable regime.
+    end.  Raises WrongRegime when no explicit basis exists.
     """
-    if decomposition.regime is not Regime.DIAGONALIZABLE_REAL or decomposition.Q is None:
-        raise WrongRegime("explicit solution requires the diagonalizable regime with a basis")
     Q, Qinv = decomposition.Q, decomposition.Qinv
     d = decomposition.diag
     z0 = _initial_state(params, z0)

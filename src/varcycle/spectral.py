@@ -86,8 +86,8 @@ class EigenStructure:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Regime, eigenvalues, Jordan block layout, and (when the matrix is
-    diagonalizable with alpha*beta != 0) the explicit basis Q and its
-    structured inverse.
+    diagonalizable, n >= 2 and alpha*beta != 0) the explicit basis Q and
+    its structured inverse; ``diag`` is the gate to them.
 
     ``blocks`` lists (eigenvalue, block size) pairs in basis-column
     order; ``None`` in the complex regime where no real normal form is
@@ -114,9 +114,15 @@ class SpectralDecomposition:
 
     @property
     def diag(self) -> np.ndarray:
-        """Diagonal of the normal form as a vector (diagonalizable regime only)."""
-        if self.regime is not Regime.DIAGONALIZABLE_REAL:
-            raise WrongRegime("normal form is diagonal only in the diagonalizable regime")
+        """Diagonal d of the normal form, so that M Q = Q diag(d).
+
+        The one gate for every computation that uses the explicit basis:
+        raises WrongRegime whenever Q is None, which covers the complex
+        and repeated-root regimes, n < 2 and alpha*beta == 0.
+        """
+        if self.Q is None:
+            raise WrongRegime(f"no explicit basis in regime {self.regime.value} with n={self.n}: "
+                              "it needs diagonalizable_real, n >= 2 and alpha*beta != 0")
         return jordan_diag(self.eig)
 
 
@@ -211,31 +217,6 @@ def jordan_diag(eig: EigenStructure) -> np.ndarray:
         np.full(n - 1, eig.lambda2),
         [float(np.real(eig.lambda4))],
     ])
-
-
-def blocks_to_matrix(blocks: tuple[tuple[float, int], ...]) -> np.ndarray:
-    """Dense normal form from a block description."""
-    size = sum(s for _, s in blocks)
-    J = np.zeros((size, size))
-    pos = 0
-    for value, s in blocks:
-        J[pos:pos + s, pos:pos + s] = jordan_block_power(value, s, 1)
-        pos += s
-    return J
-
-
-def jordan_block_power(theta: float, size: int, t: int) -> np.ndarray:
-    """t-th power of an elementary Jordan block, computed blockwise.
-
-    For size 1 this is theta^t; for size 2 it is
-    [[theta^t, t*theta^(t-1)], [0, theta^t]].
-    """
-    if size == 1:
-        return np.array([[theta ** t]])
-    if size == 2:
-        off = float(t) * theta ** (t - 1) if t >= 1 else 0.0
-        return np.array([[theta ** t, off], [0.0, theta ** t]])
-    raise ValueError(f"blocks of size {size} do not occur in this model")
 
 
 def _column_scales(params: ModelParams, eig: EigenStructure) -> tuple[float, float]:
@@ -398,23 +379,34 @@ class DecompositionCheck:
 
 def verify_decomposition(
     M: np.ndarray,
-    blocks: tuple[tuple[float, int], ...],
+    d: np.ndarray,
     Q: np.ndarray,
     Qinv: np.ndarray,
     tol: float = 1e-10,
 ) -> DecompositionCheck:
-    """Measure ||MQ - QJ||, ||QQ^-1 - I||, and ||Q^-1 M Q - J|| in max norm.
+    """Measure ||MQ - QJ||, ||QQ^-1 - I||, and ||Q^-1 M Q - J|| in max norm,
+    where J = diag(d) is the diagonal normal form.
 
+    MQ is formed once and shared by the first and third residual, and J
+    only ever scales columns, so the check costs three dense products.
     The MQ - QJ and similarity residuals are compared against
     tol * ||M||_max, the inverse residual against tol directly.
     """
     if M.shape[0] < 4:
         raise DimensionMismatch("decomposition checks require n >= 2 (matrix at least 4 x 4)")
-    J = blocks_to_matrix(blocks)
     m_scale = float(np.max(np.abs(M)))
-    r1 = float(np.max(np.abs(M @ Q - Q @ J)))
-    r2 = float(np.max(np.abs(Q @ Qinv - np.eye(M.shape[0]))))
-    r3 = float(np.max(np.abs(Qinv @ M @ Q - J)))
+    MQ = M @ Q
+    # R holds each residual matrix in turn (two m x m arrays beyond the
+    # inputs); subtracting on the diagonal alone equals subtracting diag(d) or I
+    R = Q * d - MQ
+    r1 = float(np.max(np.abs(R, out=R)))
+    on_diag = np.diag_indices_from(R)
+    np.matmul(Qinv, MQ, out=R)
+    R[on_diag] -= d
+    r3 = float(np.max(np.abs(R, out=R)))
+    np.matmul(Q, Qinv, out=R)
+    R[on_diag] -= 1.0
+    r2 = float(np.max(np.abs(R, out=R)))
     passed = (r1 < tol * m_scale) and (r2 < tol) and (r3 < tol * m_scale)
     return DecompositionCheck(
         residual_mq_qj=r1,

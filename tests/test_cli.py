@@ -18,7 +18,7 @@ def diag_config(tmp_path):
         "b": [0.4, 0.4, 0.2],
         "noise": {"mu": [0.0] * 6, "sigma": [1.0] * 6},
         "run": {"T": 80, "seed": 11, "method": "both"},
-        "output": {"path": str(tmp_path / "traj.csv"), "format": "csv"},
+        "output": {"path": str(tmp_path / "traj.csv")},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -147,13 +147,15 @@ class TestStrictSchema:
 
     def test_unknown_nested_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({
-            "n": 2, "alpha": 0.1, "beta": 0.9, "a": [0.5, 0.5], "b": [0.5, 0.5],
-            "run": {"T": 10, "sede": 1},
-        }))
-        code, _, err = run_cli(capsys, "decompose", "--config", cfg)
-        assert code == 2
-        assert "sede" in err
+        for section, key in (({"run": {"T": 10, "sede": 1}}, "sede"),
+                             ({"output": {"format": "csv"}}, "format")):
+            cfg.write_text(json.dumps({
+                "n": 2, "alpha": 0.1, "beta": 0.9, "a": [0.5, 0.5], "b": [0.5, 0.5],
+                **section,
+            }))
+            code, _, err = run_cli(capsys, "decompose", "--config", cfg)
+            assert code == 2
+            assert err.startswith("error: ConfigError:") and repr(key) in err
 
     def test_validation_error_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -176,6 +178,11 @@ class TestStrictSchema:
 
 NAN, INF = float("nan"), float("inf")
 MODEL_FLAGS = ["--n", "2", "--alpha", "0.1", "--beta", "0.9"]
+
+
+def text_file(path, text):
+    path.write_text(text)
+    return path
 
 
 def config_with(tmp_path, **overrides):
@@ -218,6 +225,30 @@ BAD_INPUTS = {
                               "RangeError"),
     "decompose-overflow": (lambda p: ["decompose", "--n", "2", "--alpha", "1e200",
                                       "--beta", "0.3"], "NonFiniteResult"),
+    "moments-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "-0.5", "--beta", "0.3",
+                                    "--t-grid", "2,2000"], "NonFiniteResult"),
+    "alpha-text": (lambda p: ["decompose", "--config", config_with(p, alpha="x")],
+                   "ParameterError"),
+    "alpha-huge-integer": (lambda p: ["decompose", "--config", config_with(p, alpha=10**400)],
+                           "ParameterError"),
+    "a-text": (lambda p: ["decompose", "--config", config_with(p, a=["x", 0.5])],
+               "WeightViolation"),
+    "mu-text": (lambda p: ["decompose", "--config", config_with(
+        p, noise={"mu": ["x", 0.0, 0.0, 0.0], "sigma": [1.0] * 4})], "ParameterError"),
+    "sigma-text": (lambda p: ["decompose", "--config", config_with(
+        p, noise={"mu": [0.0] * 4, "sigma": [1.0, "x", 1.0, 1.0]})], "ParameterError"),
+    "run-T-text": (lambda p: ["simulate", "--config", config_with(p, run={"T": "x"}),
+                              "--out", p / "s.csv"], "ConfigError"),
+    "z0-file-text": (lambda p: ["simulate", *MODEL_FLAGS, "--out", p / "s.csv", "--z0",
+                                f"csv:{text_file(p / 'z0.txt', '0,x,0,0')}"], "ConfigError"),
+    "t-grid-text": (lambda p: ["moments", *MODEL_FLAGS, "--t-grid", "2,x"], "ConfigError"),
+    "tau-grid-text": (lambda p: ["moments", *MODEL_FLAGS, "--tau-grid", "0,x"], "ConfigError"),
+    "a-flag-text": (lambda p: ["decompose", *MODEL_FLAGS, "--a", "x,0.5"], "ConfigError"),
+    "b-flag-text": (lambda p: ["decompose", *MODEL_FLAGS, "--b", "0.5,x"], "ConfigError"),
+    "noise-mu-flag-text": (lambda p: ["decompose", *MODEL_FLAGS, "--noise-mu", "0,x,0,0"],
+                           "ConfigError"),
+    "noise-sigma-flag-text": (lambda p: ["decompose", *MODEL_FLAGS,
+                                         "--noise-sigma", "1,1,x,1"], "ConfigError"),
 }
 
 
@@ -289,7 +320,7 @@ class TestMoments:
                                    "a": [0.5, 0.5], "b": [0.5, 0.5]}))
         code, _, err = run_cli(capsys, "moments", "--config", cfg)
         assert code == 2
-        assert "regime" in err
+        assert err.startswith("error: WrongRegime:") and "complex_conjugate" in err
 
     def test_dump_cov(self, capsys, tmp_path, diag_config):
         config_path, _ = diag_config

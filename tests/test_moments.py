@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,7 @@ from varcycle import (
     validate_noise,
     validate_params,
 )
-from varcycle.errors import ConditionViolated, RangeError, WrongRegime
+from varcycle.errors import ConditionViolated, NonFiniteResult, RangeError, WrongRegime
 from varcycle.moments import _replication_noise
 from varcycle.simulate import _iterate, mix_seed
 
@@ -101,6 +103,16 @@ class TestCrossCovariance:
         diff = sum(np.outer(d**i, d**i) * S0t for i in range(2, 5))
         assert_allclose(g5 - g2, diff, rtol=1e-12, atol=1e-15)
         assert np.max(np.abs(g5 - g2)) > 1e-3
+
+    def test_overflow_is_non_finite_result(self):
+        params, spec = setup_model(n=2, alpha=-0.5, beta=0.3)  # eigenvalue 1.5
+        dec = decompose(params)
+        inputs = moment_inputs(params, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.all(np.isfinite(cross_covariance(inputs, dec, 2, 0).gamma))
+            with pytest.raises(NonFiniteResult, match="t=2000"):
+                cross_covariance(inputs, dec, 2000, 0)
 
     def test_range_errors(self):
         params, spec = setup_model()

@@ -11,7 +11,6 @@ from varcycle import (
     classify_regime,
     decompose,
     eigen_structure,
-    jordan_block_power,
     jordan_blocks,
     jordan_diag,
     validate_params,
@@ -299,7 +298,7 @@ class TestVerifyDecomposition:
         p = make_params(n=3, alpha=0.1, beta=0.9)
         dec = decompose(p)
         M = build_transition_matrix(p).entries
-        check = verify_decomposition(M, dec.blocks, dec.Q, dec.Qinv)
+        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
         assert check.passed
         assert check.residual_mq_qj < 1e-10 * np.max(np.abs(M))
         assert check.residual_qqinv < 1e-10
@@ -311,24 +310,35 @@ class TestVerifyDecomposition:
         M = build_transition_matrix(p).entries
         Q = dec.Q.copy()
         Q[0, 0] += 1e-3
-        check = verify_decomposition(M, dec.blocks, Q, dec.Qinv)
+        check = verify_decomposition(M, dec.diag, Q, dec.Qinv)
         assert not check.passed
         assert 1e-5 < check.residual_mq_qj < 1e-1
+        assert 1e-5 < check.residual_similarity < 1e-1
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    def test_residuals_match_dense_oracle(self, n):
+        # oracle: the dense normal form J = diag(d) and the products as written
+        p = random_diagonalizable(np.random.default_rng(n), n)
+        dec = decompose(p)
+        M = build_transition_matrix(p).entries
+        Q, Qinv, J = dec.Q, dec.Qinv, np.diag(dec.diag)
+        check = verify_decomposition(M, dec.diag, Q, Qinv)
+        # a diagonal J makes Q @ J exact, so these two agree bitwise
+        assert check.residual_mq_qj == np.max(np.abs(M @ Q - Q @ J))
+        assert check.residual_qqinv == np.max(np.abs(Q @ Qinv - np.eye(2 * n)))
+        # Q^-1 M Q is associated differently: allow the rounding of two
+        # products of inner dimension 2n (Higham's gamma_2n, twice)
+        want = np.max(np.abs(Qinv @ M @ Q - J))
+        bound = 4 * 2 * n * np.finfo(float).eps * np.max(np.abs(Qinv) @ np.abs(M) @ np.abs(Q))
+        assert abs(check.residual_similarity - want) <= bound
+        assert check.passed
 
     def test_n1_rejected(self):
         with pytest.raises(DimensionMismatch):
-            verify_decomposition(np.eye(2), ((1.0, 1), (1.0, 1)), np.eye(2), np.eye(2))
+            verify_decomposition(np.eye(2), np.ones(2), np.eye(2), np.eye(2))
 
 
 class TestJordanPieces:
-    def test_block_power_formula(self):
-        theta = 0.8
-        J2 = np.array([[theta, 1.0], [0.0, theta]])
-        for t in (1, 2, 5, 11):
-            assert_allclose(jordan_block_power(theta, 2, t),
-                            np.linalg.matrix_power(J2, t), rtol=1e-12)
-        assert_allclose(jordan_block_power(theta, 1, 6), [[theta**6]], rtol=0)
-
     def test_diag_layout(self):
         p = make_params(n=3, alpha=0.1, beta=0.9)
         boundaries, regime = classify_regime(0.1, 0.9)
@@ -337,6 +347,15 @@ class TestJordanPieces:
         assert_allclose(d, [0.9, 0.9, eig.lambda3, 0.1, 0.1, eig.lambda4], rtol=0, atol=1e-15)
         blocks = jordan_blocks(eig, regime)
         assert [b for _, b in blocks] == [1] * 6
+
+    @pytest.mark.parametrize("n, beta", [(1, 0.9), (3, 0.0)])
+    def test_diag_needs_a_basis(self, n, beta):
+        # the diagonalizable regime without a basis: n = 1, or alpha*beta == 0
+        p = make_params(n=n, alpha=0.1, beta=beta)
+        dec = decompose(p)
+        assert dec.regime is Regime.DIAGONALIZABLE_REAL and dec.Q is None
+        with pytest.raises(WrongRegime):
+            _ = dec.diag
 
     def test_complex_regime_has_no_blocks(self):
         p = make_params(alpha=1.09804, beta=0.7)
