@@ -282,11 +282,20 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_ints(run: dict) -> tuple[int, int]:
+def _run_int(run: dict, key: str) -> int:
+    """run[key] as an int.  A boolean or a fractional number is rejected
+    rather than truncated, so the echoed config reproduces the run."""
+    raw = run[key]
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"run.{key} must be an integer, got {raw!r}")
     try:
-        return int(run["T"]), int(run["seed"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"run.T and run.seed must be integers: {exc}") from exc
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"run.{key} must be an integer: {exc}") from exc
+
+
+def _run_ints(run: dict) -> tuple[int, int]:
+    return _run_int(run, "T"), _run_int(run, "seed")
 
 
 def _resolve_z0(spec: str, n: int) -> np.ndarray:

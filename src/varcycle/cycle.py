@@ -168,7 +168,8 @@ def sample_scalar_noise(
 ) -> ScalarNoise:
     """Draw aggregated-shock series of length T + 2 (both, for symmetry).
 
-    Each law is (mean, sd) with a finite mean and a finite sd >= 0.
+    Each law is (mean, sd) with a finite mean and a finite sd >= 0; a
+    drawn series needs a seed >= 0.
     """
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
@@ -179,6 +180,8 @@ def sample_scalar_noise(
         eps = np.full(T + 2, eps_law[0])
         eta = np.full(T + 2, eta_law[0])
     else:
+        if seed < 0:
+            raise RangeError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         eps = rng.normal(eps_law[0], eps_law[1], T + 2)
         eta = rng.normal(eta_law[0], eta_law[1], T + 2)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConditionViolated, DimensionMismatch, NonFiniteResult, RangeError
 from .model import ModelParams, NoiseSpec, build_transition_matrix
-from .simulate import _iterate, mix_seed, sample_noise_path
+from .simulate import _iterate, _scale_shift, _standard_draws, mix_seed
 from .spectral import SpectralDecomposition
 
 #: Replications that mc_long_run simulates together; bounds the states held.
@@ -284,16 +284,22 @@ def limiting_moments(
 def _replication_noise(
     params: ModelParams, spec: NoiseSpec, steps: int, reps: int, seed: int, rep_offset: int = 0
 ) -> np.ndarray:
-    """Stacked gamma paths, one independent stream per replication.
+    """Stacked gamma paths of shape (reps, steps, 2n), one independent
+    stream per replication.
 
-    Replication r draws from the generator seeded mix_seed(seed, r), so
-    any single replication can be reproduced in isolation.
+    Replication r draws its standard normals from the generator seeded
+    mix_seed(seed, rep_offset + r), the stream sample_noise_path draws for
+    that seed, so any single replication can be reproduced in isolation.
+    Scaling, shifting and the alpha / -beta factors act on the whole batch.
     """
-    gamma = np.empty((reps, steps, 2 * params.n))
+    n = params.n
+    draws = np.empty((reps, 2, steps, n))
     for r in range(reps):
-        path = sample_noise_path(spec, params, steps, seed=mix_seed(seed, rep_offset + r))
-        gamma[r] = path.gamma
-    return gamma
+        _standard_draws(mix_seed(seed, rep_offset + r), draws[r])
+    _scale_shift(draws, spec)
+    gamma = np.empty((reps, steps, 2, n))
+    np.multiply(draws.transpose(0, 2, 1, 3), [[params.alpha], [-params.beta]], out=gamma)
+    return gamma.reshape(reps, steps, 2 * n)
 
 
 def mc_cross_covariance(
@@ -319,16 +325,13 @@ def mc_cross_covariance(
         z0 = np.zeros((reps, 2 * params.n))
     gamma = _replication_noise(params, spec, t + tau_prime, reps, seed)
     z = _iterate(lambda z: z @ mat_t, z0, gamma)
-    # Noise and states are freed before the (reps, 2n, 2n) products, the
-    # noise first so that u and v can reuse its memory; either later
-    # raises peak RSS by about the size of the noise.
-    del gamma
     u = z[:, t + tau_prime] - z[:, t + tau_prime].mean(axis=0)
     v = z[:, t] - z[:, t].mean(axis=0)
-    del z
-    prod = u[:, :, None] * v[:, None, :]
-    est = prod.sum(axis=0) / (reps - 1)
-    se = prod.std(axis=0, ddof=1) / np.sqrt(reps)
+    # sums over replications of the products u_i v_j and of their squares
+    S1 = u.T @ v
+    S2 = (u * u).T @ (v * v)
+    est = S1 / (reps - 1)
+    se = np.sqrt(np.maximum(S2 - S1**2 / reps, 0.0) / (reps - 1)) / np.sqrt(reps)
     return est, se
 
 

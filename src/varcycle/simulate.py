@@ -86,13 +86,27 @@ class AggregateSeries:
     ybar: np.ndarray
 
 
-def _draw_noise(
-    rng: np.random.Generator, spec: NoiseSpec, params: ModelParams, T: int
-) -> tuple[np.ndarray, np.ndarray]:
-    n = params.n
-    eps = rng.normal(spec.mu[:n], spec.sigma[:n], size=(T, n))
-    eta = rng.normal(spec.mu[n:], spec.sigma[n:], size=(T, n))
-    return eps, eta
+def _standard_draws(seed: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, shape (2, T, n), with one stream's standard normals.
+
+    One call ``default_rng(seed).standard_normal`` fills the array in C
+    order: epsilon's (T, n) block first, then eta's.  These are the same
+    values in the same order that ``rng.normal(mu, sigma, (T, n))`` scales
+    for epsilon and then for eta.
+    """
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed).standard_normal(out=out)
+
+
+def _scale_shift(draws: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """Turn standard draws of shape (..., 2, T, n) into shocks in place:
+    coordinate i of block k is scaled by sigma[k*n + i] and shifted by
+    mu[k*n + i], which is bitwise what ``rng.normal`` computes."""
+    law_shape = (2, 1, draws.shape[-1])
+    draws *= spec.sigma.reshape(law_shape)
+    draws += spec.mu.reshape(law_shape)
+    return draws
 
 
 def sample_noise_path(
@@ -105,9 +119,10 @@ def sample_noise_path(
     """Draw T i.i.d. Gaussian noise steps, deterministic in ``seed``.
 
     Coordinate i of epsilon uses (mu_i, sigma_i) and coordinate i of eta
-    uses (mu_{n+i}, sigma_{n+i}).  With ``zero_noise`` every draw equals
-    its mean (degenerate paths are requested explicitly, never by
-    sigma = 0, which the spec validation rejects).
+    uses (mu_{n+i}, sigma_{n+i}); both come from one standard-normal draw
+    of shape (2, T, n) (see :func:`_standard_draws`).  With ``zero_noise``
+    every draw equals its mean (degenerate paths are requested
+    explicitly, never by sigma = 0, which the spec validation rejects).
     """
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
@@ -116,8 +131,7 @@ def sample_noise_path(
         eps = np.tile(spec.mu[:n], (T, 1))
         eta = np.tile(spec.mu[n:], (T, 1))
     else:
-        rng = np.random.default_rng(seed)
-        eps, eta = _draw_noise(rng, spec, params, T)
+        eps, eta = _scale_shift(_standard_draws(seed, np.empty((2, T, n))), spec)
     return NoisePath(eps, eta, params.alpha, params.beta, seed=seed)
 
 

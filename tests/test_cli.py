@@ -103,6 +103,19 @@ class TestSimulate:
         assert code == 0
         assert first["payload"] == second["payload"]
 
+    def test_integral_float_run_values_match_ints(self, capsys, tmp_path, diag_config):
+        config_path, doc = diag_config
+        outs = []
+        for T, seed in ((12, 3), (12.0, 3.0)):
+            doc["run"] = {"T": T, "seed": seed, "method": "recursive"}
+            doc["output"] = {"path": str(tmp_path / f"{T!r}.csv")}
+            config_path.write_text(json.dumps(doc))
+            code, report, _ = run_cli(capsys, "simulate", "--config", config_path)
+            assert code == 0
+            outs.append((tmp_path / f"{T!r}.csv").read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].decode().strip().splitlines()) == 12 + 2
+
     def test_z0_from_csv(self, capsys, tmp_path, diag_config):
         config_path, _ = diag_config
         z0 = tmp_path / "z0.csv"
@@ -249,6 +262,22 @@ BAD_INPUTS = {
                            "ConfigError"),
     "noise-sigma-flag-text": (lambda p: ["decompose", *MODEL_FLAGS,
                                          "--noise-sigma", "1,1,x,1"], "ConfigError"),
+    "simulate-seed-negative": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "5", "--seed", "-1",
+                                          "--out", p / "o.csv"], "RangeError"),
+    "cycle-seed-negative": (lambda p: ["cycle", "--T", "100", "--seed", "-1",
+                                       "--out", p / "c.csv"], "RangeError"),
+    "run-seed-negative-simulate": (lambda p: ["simulate", "--config", config_with(
+        p, run={"seed": -1}), "--out", p / "s.csv"], "RangeError"),
+    "run-seed-negative-verify": (lambda p: ["verify", "--config", config_with(
+        p, run={"seed": -1})], "RangeError"),
+    "run-T-fractional": (lambda p: ["simulate", "--config", config_with(
+        p, run={"T": 2.7, "seed": 1}), "--out", p / "s.csv"], "ConfigError"),
+    "run-seed-fractional": (lambda p: ["simulate", "--config", config_with(
+        p, run={"T": 2, "seed": 1.9}), "--out", p / "s.csv"], "ConfigError"),
+    "run-T-boolean": (lambda p: ["simulate", "--config", config_with(p, run={"T": True}),
+                                 "--out", p / "s.csv"], "ConfigError"),
+    "run-seed-boolean": (lambda p: ["verify", "--config", config_with(p, run={"seed": False})],
+                         "ConfigError"),
 }
 
 

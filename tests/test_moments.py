@@ -210,6 +210,20 @@ class TestBatchedRecursion:
             assert_allclose(out[r], traj.z, rtol=1e-12, atol=1e-14)
 
 
+class TestReplicationNoise:
+    def test_bitwise_equal_to_per_replication_paths(self):
+        n = 2
+        params, spec = setup_model(
+            n=n, alpha=0.3, beta=0.7, mu=[0.5, -1.0, 2.0, 0.0], sigma=[0.2, 1.5, 3.0, 0.9]
+        )
+        reps, steps, seed, offset = 6, 9, 31, 128
+        gamma = _replication_noise(params, spec, steps, reps, seed, rep_offset=offset)
+        assert gamma.shape == (reps, steps, 2 * n)
+        for r in range(reps):
+            path = sample_noise_path(spec, params, steps, seed=mix_seed(seed, offset + r))
+            assert np.array_equal(gamma[r], path.gamma)
+
+
 class TestLimitingMoments:
     def test_lambda_tilde_values(self):
         params, spec = setup_model()
@@ -331,6 +345,31 @@ class TestMCCrossCovariance:
         theory = cross_covariance(inputs, dec, 3, 0).gamma
         est, se = mc_cross_covariance(params, spec, G, 3, 0, reps=20000, seed=505)
         assert np.all(np.abs(est - theory) < 5 * se)
+
+
+    @pytest.mark.parametrize("G_scale", [0.0, 0.25])
+    def test_matches_product_tensor_oracle(self, G_scale):
+        params, spec = setup_model(n=3, mu=[0.1, 0.0, -0.2, 0.3, 0.0, 1.0],
+                                   sigma=[0.5, 1.0, 1.5, 2.0, 0.7, 1.1])
+        G = G_scale * (np.eye(6) + 0.5 * np.ones((6, 6)))
+        t, tau, reps, seed = 4, 2, 3000, 808
+        est, se = mc_cross_covariance(params, spec, G, t, tau, reps=reps, seed=seed)
+        # the estimator as it was: one (reps, 2n, 2n) product tensor
+        if G_scale:
+            L = np.linalg.cholesky(G + 1e-15 * np.trace(G) * np.eye(6))
+            z0 = np.random.default_rng(mix_seed(seed, reps)).standard_normal((reps, 6)) @ L.T
+        else:
+            z0 = np.zeros((reps, 6))
+        mat_t = build_transition_matrix(params).entries.T
+        z = _iterate(lambda z: z @ mat_t, z0,
+                     _replication_noise(params, spec, t + tau, reps, seed))
+        u = z[:, t + tau] - z[:, t + tau].mean(axis=0)
+        v = z[:, t] - z[:, t].mean(axis=0)
+        prod = u[:, :, None] * v[:, None, :]
+        old_est = prod.sum(axis=0) / (reps - 1)
+        old_se = prod.std(axis=0, ddof=1) / np.sqrt(reps)
+        assert np.max(np.abs(est - old_est)) <= 1e-12 * np.max(np.abs(old_est))
+        assert np.max(np.abs(se - old_se)) <= 1e-12 * np.max(np.abs(old_se))
 
 
 def test_moment_inputs_shapes_and_validation():

@@ -46,6 +46,18 @@ class TestNoisePath:
         assert np.array_equal(path.gamma[:, :n], 0.3 * path.epsilon)
         assert np.array_equal(path.gamma[:, n:], -0.7 * path.eta)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_bitwise_equal_to_two_normal_calls(self, seed):
+        n, T = 3, 40
+        mu = [1.0, -2.0, 0.5, 3.0, 0.0, -0.25]
+        sigma = [0.1, 2.0, 0.7, 1.3, 5.0, 0.02]
+        params, spec = setup_model(n=n, alpha=0.3, beta=0.7, mu=mu, sigma=sigma)
+        path = sample_noise_path(spec, params, T, seed=seed)
+        rng = np.random.default_rng(seed)
+        eps = rng.normal(spec.mu[:n], spec.sigma[:n], (T, n))
+        eta = rng.normal(spec.mu[n:], spec.sigma[n:], (T, n))
+        assert np.array_equal(path.epsilon, eps) and np.array_equal(path.eta, eta)
+
     def test_zero_noise_flag(self):
         params, spec = setup_model(mu=[0.5] * 6)
         path = sample_noise_path(spec, params, 8, seed=3, zero_noise=True)
