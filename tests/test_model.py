@@ -120,7 +120,6 @@ class TestTransitionMatrix:
                 assert np.array_equal(M[i, n:], alpha * p.a)
                 assert np.array_equal(M[n + i, :n], -beta * p.b)
 
-
     @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (4, 1.09804, 0.7),
                                                 (7, -0.5, 1.5), (60, 0.1, 0.9)])
     def test_read_only_and_bitwise_equal_to_stacked_blocks(self, n, alpha, beta):

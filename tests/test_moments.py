@@ -346,7 +346,6 @@ class TestMCCrossCovariance:
         est, se = mc_cross_covariance(params, spec, G, 3, 0, reps=20000, seed=505)
         assert np.all(np.abs(est - theory) < 5 * se)
 
-
     @pytest.mark.parametrize("G_scale", [0.0, 0.25])
     def test_matches_product_tensor_oracle(self, G_scale):
         params, spec = setup_model(n=3, mu=[0.1, 0.0, -0.2, 0.3, 0.0, 1.0],
