@@ -168,11 +168,13 @@ def sample_scalar_noise(
 ) -> ScalarNoise:
     """Draw aggregated-shock series of length T + 2 (both, for symmetry).
 
-    Each law is (mean, sd) with a finite mean and a finite sd >= 0; a
-    drawn series needs a seed >= 0.
+    Each law is (mean, sd) with a finite mean and a finite sd >= 0, and
+    the seed must be >= 0 even when nothing is drawn.
     """
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
     for name, (mean, sd) in (("epsilon", eps_law), ("eta", eta_law)):
         if not (np.isfinite(mean) and np.isfinite(sd) and sd >= 0):
             raise RangeError(f"{name} law needs a finite mean and sd >= 0, got ({mean}, {sd})")
@@ -180,8 +182,6 @@ def sample_scalar_noise(
         eps = np.full(T + 2, eps_law[0])
         eta = np.full(T + 2, eta_law[0])
     else:
-        if seed < 0:
-            raise RangeError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         eps = rng.normal(eps_law[0], eps_law[1], T + 2)
         eta = rng.normal(eta_law[0], eta_law[1], T + 2)

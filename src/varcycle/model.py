@@ -170,21 +170,13 @@ def build_transition_matrix(params: ModelParams) -> TransitionMatrix:
     """Assemble the 2n x 2n transition matrix from validated parameters.
 
     Every entry is a plain product of inputs, so the block invariants
-    hold exactly in floating point.  The entries are written into one
-    array, which is then made read-only in place.
+    hold exactly in floating point.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
-    M = np.empty((2 * n, 2 * n))
-    # the off-diagonal entries of (1 - alpha) I and (1 - beta) I: -0.0 for a factor below 0
-    M[:n, :n] = (1.0 - alpha) * 0.0
-    M[n:, n:] = (1.0 - beta) * 0.0
-    diagonal = M.reshape(-1)[:: 2 * n + 1]
-    diagonal[:n] = 1.0 - alpha
-    diagonal[n:] = 1.0 - beta
-    M[:n, n:] = alpha * params.a
-    M[n:, :n] = -beta * params.b
-    M.setflags(write=False)
-    return TransitionMatrix(entries=M, n=n)
+    ones = np.ones(n)
+    top = np.hstack([(1.0 - alpha) * np.eye(n), alpha * np.outer(ones, params.a)])
+    bottom = np.hstack([-beta * np.outer(ones, params.b), (1.0 - beta) * np.eye(n)])
+    return TransitionMatrix(entries=_frozen(np.vstack([top, bottom])), n=n)
 
 
 def lint_params(params: ModelParams) -> list[str]:

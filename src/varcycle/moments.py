@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConditionViolated, DimensionMismatch, NonFiniteResult, RangeError
 from .model import ModelParams, NoiseSpec, build_transition_matrix
-from .simulate import _iterate, _scale_shift, _standard_draws, mix_seed
+from .simulate import _iterate, mix_seed, sample_noise_path
 from .spectral import SpectralDecomposition
 
 #: Replications that mc_long_run simulates together; bounds the states held.
@@ -287,19 +287,12 @@ def _replication_noise(
     """Stacked gamma paths of shape (reps, steps, 2n), one independent
     stream per replication.
 
-    Replication r draws its standard normals from the generator seeded
-    mix_seed(seed, rep_offset + r), the stream sample_noise_path draws for
-    that seed, so any single replication can be reproduced in isolation.
-    Scaling, shifting and the alpha / -beta factors act on the whole batch.
+    Replication r draws the path sample_noise_path draws for the seed
+    mix_seed(seed, rep_offset + r), so any single replication can be
+    reproduced in isolation; the batch is drawn and scaled in one call.
     """
-    n = params.n
-    draws = np.empty((reps, 2, steps, n))
-    for r in range(reps):
-        _standard_draws(mix_seed(seed, rep_offset + r), draws[r])
-    _scale_shift(draws, spec)
-    gamma = np.empty((reps, steps, 2, n))
-    np.multiply(draws.transpose(0, 2, 1, 3), [[params.alpha], [-params.beta]], out=gamma)
-    return gamma.reshape(reps, steps, 2 * n)
+    seeds = [mix_seed(seed, rep_offset + r) for r in range(reps)]
+    return sample_noise_path(spec, params, steps, seeds).gamma
 
 
 def mc_cross_covariance(

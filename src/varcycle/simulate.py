@@ -10,7 +10,7 @@ spectral decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,10 +42,11 @@ def mix_seed(seed: int, r: int) -> int:
 class NoisePath:
     """A full noise path stored as arrays.
 
-    ``epsilon`` and ``eta`` have shape (T, n) and ``gamma`` shape
-    (T, 2n), the stacked gamma_t = (alpha * epsilon_t, -beta * eta_t)
-    that enters the recursion.  ``seed`` is None when the path was
-    assembled from raw arrays rather than drawn.
+    ``epsilon`` and ``eta`` have shape (..., T, n) and ``gamma`` shape
+    (..., T, 2n), the stacked gamma_t = (alpha * epsilon_t, -beta * eta_t)
+    that enters the recursion; leading axes index independent paths.
+    ``seed`` is None when the path was assembled from raw arrays rather
+    than drawn.
     """
 
     def __init__(
@@ -54,17 +55,20 @@ class NoisePath:
         eta: np.ndarray,
         alpha: float,
         beta: float,
-        seed: int | None = None,
+        seed: int | Sequence[int] | None = None,
     ):
         epsilon = np.asarray(epsilon, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        if epsilon.shape != eta.shape or epsilon.ndim != 2:
+        if epsilon.shape != eta.shape or epsilon.ndim < 2:
             raise DimensionMismatch(
-                f"epsilon and eta must both be (T, n), got {epsilon.shape} and {eta.shape}"
+                f"epsilon and eta must both be (..., T, n), got {epsilon.shape} and {eta.shape}"
             )
+        n = epsilon.shape[-1]
         self.epsilon = epsilon
         self.eta = eta
-        self.gamma = np.hstack([alpha * epsilon, -beta * eta])
+        self.gamma = np.empty(epsilon.shape[:-1] + (2 * n,))
+        np.multiply(epsilon, alpha, out=self.gamma[..., :n])
+        np.multiply(eta, -beta, out=self.gamma[..., n:])
         self.seed = seed
 
 
@@ -94,8 +98,6 @@ def _standard_draws(seed: int, out: np.ndarray) -> np.ndarray:
     values in the same order that ``rng.normal(mu, sigma, (T, n))`` scales
     for epsilon and then for eta.
     """
-    if seed < 0:
-        raise RangeError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed).standard_normal(out=out)
 
 
@@ -113,25 +115,37 @@ def sample_noise_path(
     spec: NoiseSpec,
     params: ModelParams,
     T: int,
-    seed: int,
+    seed: int | Sequence[int],
     zero_noise: bool = False,
 ) -> NoisePath:
     """Draw T i.i.d. Gaussian noise steps, deterministic in ``seed``.
 
     Coordinate i of epsilon uses (mu_i, sigma_i) and coordinate i of eta
     uses (mu_{n+i}, sigma_{n+i}); both come from one standard-normal draw
-    of shape (2, T, n) (see :func:`_standard_draws`).  With ``zero_noise``
-    every draw equals its mean (degenerate paths are requested
-    explicitly, never by sigma = 0, which the spec validation rejects).
+    of shape (2, T, n) (see :func:`_standard_draws`).  A sequence of seeds
+    draws one independent path per seed, stacked on a leading axis, and
+    scales the whole batch at once; path k equals the path drawn for
+    ``seed[k]`` alone.  With ``zero_noise`` every draw equals its mean
+    (degenerate paths are requested explicitly, never by sigma = 0, which
+    the spec validation rejects).  Seeds must be >= 0 either way.
     """
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    batch = () if single else (len(seeds),)
+    if any(s < 0 for s in seeds):
+        raise RangeError(f"seed must be >= 0, got {min(seeds)}")
     n = params.n
     if zero_noise:
-        eps = np.tile(spec.mu[:n], (T, 1))
-        eta = np.tile(spec.mu[n:], (T, 1))
+        eps = np.tile(spec.mu[:n], batch + (T, 1))
+        eta = np.tile(spec.mu[n:], batch + (T, 1))
     else:
-        eps, eta = _scale_shift(_standard_draws(seed, np.empty((2, T, n))), spec)
+        draws = np.empty(batch + (2, T, n))
+        for s, out in zip(seeds, draws.reshape(-1, 2, T, n)):
+            _standard_draws(s, out)
+        _scale_shift(draws, spec)
+        eps, eta = draws[..., 0, :, :], draws[..., 1, :, :]
     return NoisePath(eps, eta, params.alpha, params.beta, seed=seed)
 
 

@@ -266,6 +266,12 @@ BAD_INPUTS = {
                                           "--out", p / "o.csv"], "RangeError"),
     "cycle-seed-negative": (lambda p: ["cycle", "--T", "100", "--seed", "-1",
                                        "--out", p / "c.csv"], "RangeError"),
+    "simulate-zero-noise-seed-negative": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "5",
+                                                     "--zero-noise", "--seed", "-1",
+                                                     "--out", p / "o.csv"], "RangeError"),
+    "cycle-zero-sd-seed-negative": (lambda p: ["cycle", "--T", "100", "--eps-sd", "0",
+                                               "--eta-sd", "0", "--seed", "-1",
+                                               "--out", p / "c.csv"], "RangeError"),
     "run-seed-negative-simulate": (lambda p: ["simulate", "--config", config_with(
         p, run={"seed": -1}), "--out", p / "s.csv"], "RangeError"),
     "run-seed-negative-verify": (lambda p: ["verify", "--config", config_with(

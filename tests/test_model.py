@@ -120,21 +120,6 @@ class TestTransitionMatrix:
                 assert np.array_equal(M[i, n:], alpha * p.a)
                 assert np.array_equal(M[n + i, :n], -beta * p.b)
 
-    @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (4, 1.09804, 0.7),
-                                                (7, -0.5, 1.5), (60, 0.1, 0.9)])
-    def test_read_only_and_bitwise_equal_to_stacked_blocks(self, n, alpha, beta):
-        w = np.random.default_rng(n).uniform(0.5, 1.5, (2, n))
-        p = make_params(n=n, alpha=alpha, beta=beta, a=w[0] / w[0].sum(), b=w[1] / w[1].sum())
-        ones = np.ones(n)
-        top = np.hstack([(1.0 - alpha) * np.eye(n), alpha * np.outer(ones, p.a)])
-        bottom = np.hstack([-beta * np.outer(ones, p.b), (1.0 - beta) * np.eye(n)])
-        M = build_transition_matrix(p).entries
-        # tobytes also tells 0.0 from the -0.0 that (1 - alpha) * eye has when alpha > 1
-        assert M.dtype == float and M.tobytes() == np.vstack([top, bottom]).tobytes()
-        assert not M.flags.writeable
-        with pytest.raises(ValueError):
-            M[0, 0] = 2.0
-
 
 def test_lint_flags_out_of_range():
     assert lint_params(make_params(alpha=1.09804, beta=0.7))
