@@ -37,7 +37,7 @@ from .simulate import (
     simulate_explicit,
     simulate_recursive,
 )
-from .spectral import Regime, decompose, verify_decomposition
+from .spectral import BOUNDARY_TOL, Regime, decompose, verify_decomposition
 
 DEFAULT_SEED = 0
 BENCHMARK = {"alpha": 1.09804, "beta": 0.7, "T": 700, "eps_sd": 1.0, "eta_sd": 1.6}
@@ -242,11 +242,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     params, noise, run, output = resolve_config(doc)
     timer.mark("validate")
 
-    dec = decompose(params, boundary_tol=args.boundary_tol)
+    dec = decompose(params)
     M = build_transition_matrix(params)
     payload: dict[str, Any] = {
         "regime": dec.regime.value,
-        "boundary_tol": dec.boundary_tol,
+        "boundary_tol": BOUNDARY_TOL,
         "d1": dec.boundaries.d1,
         "d2": dec.boundaries.d2,
         "delta": dec.boundaries.delta,
@@ -321,8 +321,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             run[key] = flag
     if args.out is not None:
         output["path"] = args.out
-    if run["method"] not in ("recursive", "explicit", "both"):
-        raise ConfigError(f"method must be recursive|explicit|both, got {run['method']!r}")
     if not output["path"]:
         raise ConfigError("simulate requires an output path (--out or output.path)")
     timer.mark("validate")
@@ -377,6 +375,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     timer = _Timer()
     doc = _model_from_args(args)
     params, noise, run, output = resolve_config(doc)
+    if args.seed is not None:
+        run["seed"] = args.seed
+    seed = _run_int(run, "seed")
     timer.mark("validate")
 
     dec = decompose(params)
@@ -386,7 +387,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     mc = None
     if args.mc_reps:
         mc = moments_mod.MonteCarloSpec(
-            params=params, noise_spec=noise, reps=args.mc_reps, seed=int(args.seed or 0)
+            params=params, noise_spec=noise, reps=args.mc_reps, seed=seed
         )
     report = moments_mod.stationarity_diagnostic(inputs, dec, t_grid, tau_grid, mc=mc)
     limits = moments_mod.limiting_moments(inputs, dec)
@@ -432,28 +433,19 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_cycle(
-    alpha: float,
-    beta: float,
-    T: int,
-    seed: int,
-    eps_sd: float,
-    eta_sd: float,
-    x0: float,
-    x1: float,
-    out: str,
-    analyze: bool,
-) -> tuple[dict, dict, list[str]]:
-    """Simulate the scalar model and optionally attach the period scan.
-
-    Returns (config echo, payload, warnings).
-    """
+def _cmd_cycle(args: argparse.Namespace) -> int:
+    timer = _Timer()
+    if not args.out:
+        raise ConfigError("cycle requires --out")
+    alpha, beta, T = args.alpha, args.beta, args.T
     validate_pair(alpha, beta)
+    timer.mark("validate")
+
     model = cycle_mod.reduce_to_cycle(alpha, beta)
-    noise = cycle_mod.sample_scalar_noise((0.0, eps_sd), (0.0, eta_sd), T, seed)
-    xbar = cycle_mod.simulate_cycle(model, noise, x0, x1, T)
+    noise = cycle_mod.sample_scalar_noise((0.0, args.eps_sd), (0.0, args.eta_sd), T, args.seed)
+    xbar = cycle_mod.simulate_cycle(model, noise, args.x0, args.x1, T)
     h = cycle_mod.forcing_series(noise, alpha, beta)[: T + 1]
-    atomic_write(out, cycle_csv(xbar, h))
+    atomic_write(args.out, cycle_csv(xbar, h))
 
     payload: dict[str, Any] = {
         "kappa1": model.kappa1,
@@ -466,10 +458,10 @@ def run_cycle(
         "strictly_periodic": model.strictly_periodic,
         "predicted_period": (2.0 * np.pi / model.omega) if model.omega else None,
         "rows": T + 1,
-        "file": out,
+        "file": args.out,
     }
     warnings: list[str] = []
-    if analyze:
+    if args.analyze:
         try:
             est = cycle_mod.dominant_period(xbar)
             payload["estimated_frequency"] = est.frequency
@@ -479,46 +471,15 @@ def run_cycle(
             payload["prominent"] = est.prominent
         except TooShort as exc:
             warnings.append(f"period analysis skipped: {exc}")
-    echo = {
-        "alpha": alpha, "beta": beta, "T": T, "seed": seed,
-        "eps_sd": eps_sd, "eta_sd": eta_sd, "x0": x0, "x1": x1,
-        "out": out, "analyze": analyze,
-    }
-    return echo, payload, warnings
-
-
-def emit_benchmark_cycle(seed: int = DEFAULT_SEED, out: str = "benchmark.csv", T: int | None = None) -> dict:
-    """Run the benchmark oscillatory parameterization with analysis attached."""
-    echo, payload, warnings = run_cycle(
-        alpha=BENCHMARK["alpha"],
-        beta=BENCHMARK["beta"],
-        T=T if T is not None else BENCHMARK["T"],
-        seed=seed,
-        eps_sd=BENCHMARK["eps_sd"],
-        eta_sd=BENCHMARK["eta_sd"],
-        x0=0.0,
-        x1=0.0,
-        out=out,
-        analyze=True,
-    )
-    payload["warnings"] = warnings
-    return {"config_echo": echo, "payload": payload}
-
-
-def _cmd_cycle(args: argparse.Namespace) -> int:
-    timer = _Timer()
-    if not args.out:
-        raise ConfigError("cycle requires --out")
-    timer.mark("validate")
-    echo, payload, warnings = run_cycle(
-        alpha=args.alpha, beta=args.beta, T=args.T, seed=args.seed,
-        eps_sd=args.eps_sd, eta_sd=args.eta_sd, x0=args.x0, x1=args.x1,
-        out=args.out, analyze=args.analyze,
-    )
     timer.mark("compute")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     payload["warnings"] = warnings
+    echo = {
+        "alpha": alpha, "beta": beta, "T": T, "seed": args.seed,
+        "eps_sd": args.eps_sd, "eta_sd": args.eta_sd, "x0": args.x0, "x1": args.x1,
+        "out": args.out, "analyze": args.analyze,
+    }
     emit_report(echo, payload, timer.stages)
     return 0
 
@@ -624,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("decompose", help="regime classification and explicit decomposition")
     _add_model_flags(p)
-    p.add_argument("--boundary-tol", type=float, default=1e-10)
     p.add_argument("--dump-matrices", metavar="DIR", help="write M, Q, Qinv as CSV")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_decompose)
@@ -644,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", default="2,5,10")
     p.add_argument("--tau-grid", default="0,1")
     p.add_argument("--mc-reps", type=int, default=0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--dump-cov", metavar="PREFIX", help="CSV dump of covariance matrices")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_moments)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .model import ModelParams
 from .simulate import NoisePath
-from .spectral import BOUNDARY_TOL, _trichotomy
+from .spectral import _trichotomy
 
 
 class CycleRegime(enum.Enum):
@@ -88,9 +88,7 @@ class ScalarNoise:
     seed: int | None
 
 
-def reduce_to_cycle(
-    alpha: float, beta: float, boundary_tol: float = BOUNDARY_TOL
-) -> CycleModel:
+def reduce_to_cycle(alpha: float, beta: float) -> CycleModel:
     """Collapse (alpha, beta) to the scalar-model coefficients and roots.
 
     The scalar discriminant equals the vector one (asserted to 1e-12),
@@ -106,7 +104,7 @@ def reduce_to_cycle(
     if abs(delta1 - delta) > 1e-12 * scale:
         raise AssertionError(f"discriminant identity violated: {delta1} vs {delta}")
 
-    sign = _trichotomy(delta1, alpha, beta, boundary_tol)
+    sign = _trichotomy(delta1, alpha, beta)
     omega: float | None = None
     if sign < 0:
         regime = CycleRegime.COMPLEX_OSCILLATORY

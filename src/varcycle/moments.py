@@ -202,14 +202,10 @@ def stationarity_diagnostic(
             grid_t[(t, tau)] = cc.gamma_tilde
             grid_o[(t, tau)] = cc.gamma
 
-    gap_t = 0.0
-    gap_o = 0.0
-    for tau in tau_grid:
-        ts = sorted(t_grid)
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                gap_t = max(gap_t, float(np.max(np.abs(grid_t[(ts[i], tau)] - grid_t[(ts[j], tau)]))))
-                gap_o = max(gap_o, float(np.max(np.abs(grid_o[(ts[i], tau)] - grid_o[(ts[j], tau)]))))
+    def gap(grid: dict[tuple[int, int], np.ndarray]) -> float:
+        # the largest pairwise |difference| over t is the spread max - min
+        return max(float(np.max(np.ptp([grid[(t, tau)] for t in t_grid], axis=0)))
+                   for tau in tau_grid)
 
     mc_estimate = None
     if mc is not None:
@@ -224,8 +220,8 @@ def stationarity_diagnostic(
     return CovarianceReport(
         gamma_tilde=grid_t,
         gamma=grid_o,
-        stationarity_gap=gap_t,
-        stationarity_gap_original=gap_o,
+        stationarity_gap=gap(grid_t),
+        stationarity_gap_original=gap(grid_o),
         mc_estimate=mc_estimate,
     )
 

@@ -17,16 +17,17 @@ three regimes:
 * Delta < 0 — g has a complex-conjugate root pair; M cannot be
   diagonalized over the reals.
 * Delta > 0 — two further real roots lam3, lam4; M is diagonalizable
-  with an explicit basis Q and structured inverse built here.
+  with an explicit basis Q and inverse built here.
 * Delta = 0 — lam3 is a double root carrying a single 2 x 2 Jordan
   block; only the block structure is reported (no explicit basis).
 
 The basis column for a simple root lam of g is (1_n, c * 1_n) with
 c = (lam - lam1) / alpha, which solves both block rows of the eigen
-equation because g(lam) = 0.  The inverse of Q never goes through a
-generic dense solver: Q reduces to block-diagonal form by two column
-operations, the two n x n blocks invert in closed form, and the same
-two operations applied as row operations finish the job in O(n^2).
+equation because g(lam) = 0.  Q and Q^-1 come from the same two
+projections, x = x_perp + (b.x) 1 and y = y_perp + (a.y) 1: the dual
+rows e_{i+1} - b and e_{i+1} - a read off the deviation coordinates,
+and a 2x2 inverse over the two quadratic roots mixes the aggregates
+(b.x, a.y).  Both are written in closed form, never by a dense solver.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScale, DimensionMismatch, WrongRegime
+from .errors import DimensionMismatch, WrongRegime
 from .model import ModelParams
 
-#: Default scale-relative tolerance for detecting the repeated-root boundary.
+#: Scale-relative tolerance for detecting the repeated-root boundary.
 BOUNDARY_TOL = 1e-10
 
 
@@ -87,7 +88,7 @@ class EigenStructure:
 class SpectralDecomposition:
     """Regime, eigenvalues, Jordan block layout, and (when the matrix is
     diagonalizable, n >= 2 and alpha*beta != 0) the explicit basis Q and
-    its structured inverse; ``diag`` is the gate to them.
+    its closed-form inverse; ``diag`` is the gate to them.
 
     ``blocks`` lists (eigenvalue, block size) pairs in basis-column
     order; ``None`` in the complex regime where no real normal form is
@@ -106,7 +107,6 @@ class SpectralDecomposition:
     tau_minus: float | None
     tau_plus: float | None
     tau_tilde: float | None
-    boundary_tol: float
 
     @property
     def n(self) -> int:
@@ -126,28 +126,26 @@ class SpectralDecomposition:
         return jordan_diag(self.eig)
 
 
-def _trichotomy(delta: float, alpha: float, beta: float, boundary_tol: float) -> int:
+def _trichotomy(delta: float, alpha: float, beta: float) -> int:
     """Sign of the discriminant under the scale-relative boundary tolerance:
     -1 complex pair, 0 repeated root, +1 distinct real pair."""
     scale = max(1.0, alpha * alpha + beta * beta)
-    if abs(delta) <= boundary_tol * scale:
+    if abs(delta) <= BOUNDARY_TOL * scale:
         return 0
     return -1 if delta < 0 else 1
 
 
-def classify_regime(
-    alpha: float, beta: float, boundary_tol: float = BOUNDARY_TOL
-) -> tuple[RegimeBoundaries, Regime]:
+def classify_regime(alpha: float, beta: float) -> tuple[RegimeBoundaries, Regime]:
     """Locate (alpha, beta) relative to the discriminant boundaries.
 
-    The repeated-root regime is detected by |Delta| <= boundary_tol *
+    The repeated-root regime is detected by |Delta| <= BOUNDARY_TOL *
     max(1, alpha^2 + beta^2); the scale-relative comparison avoids false
     boundary hits for large parameters.
     """
     delta = alpha * alpha + beta * beta - 6.0 * alpha * beta
     sq8 = 2.0 * np.sqrt(2.0)
     boundaries = RegimeBoundaries(d1=(3.0 - sq8) * beta, d2=(3.0 + sq8) * beta, delta=delta)
-    sign = _trichotomy(delta, alpha, beta, boundary_tol)
+    sign = _trichotomy(delta, alpha, beta)
     regime = {
         -1: Regime.COMPLEX_CONJUGATE,
         0: Regime.REPEATED_ROOT_JORDAN,
@@ -219,117 +217,54 @@ def jordan_diag(eig: EigenStructure) -> np.ndarray:
     ])
 
 
-def _column_scales(params: ModelParams, eig: EigenStructure) -> tuple[float, float]:
-    """Bottom-half scales of the two quadratic-root basis columns.
+def _basis(params: ModelParams, eig: EigenStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonalizing basis Q and its inverse, both in closed form.
 
-    The column for root lam is (1_n, c*1_n) with c = (lam - lambda1)/alpha,
-    the unique scalar solving the top block row (1-alpha) + alpha*c = lam;
-    g(lam) = 0 makes the bottom row hold as well.  Requires alpha != 0 and
-    beta != 0 (otherwise the quadratic roots collide with lambda1/lambda2
-    and the four-block basis degenerates).
+    Callers guarantee the diagonalizable regime, n >= 2 and
+    alpha*beta != 0.  Each half of the state splits as
+    x = x_perp + (b.x) 1 and y = y_perp + (a.y) 1.  Columns 1..n-1 of Q
+    span the lambda1 deviations, (-b_{i+1}/b_1, e_i, 0_n), and rows
+    1..n-1 of Q^-1 read them off as (e_{i+1} - b, 0); columns and rows
+    n+1..2n-1 do the same for lambda2 with a.  Columns n and 2n carry
+    the aggregates, (1_n, c*1_n) with c = (lam - lambda1)/alpha for the
+    quadratic roots lambda3 and lambda4, the scalar that solves the top
+    block row (1-alpha) + alpha*c = lam (g(lam) = 0 makes the bottom row
+    hold too).  Rows n and 2n of Q^-1 invert that 2x2 mixing: with
+    b.x = w3 + w4 and a.y = c3 w3 + c4 w4, row 2n reads
+    w4 = (-c3 b.x + a.y)/mix and row n reads w3 = b.x - w4, that is
+    (c4 b, -a)/mix, where mix = c4 - c3.
     """
-    alpha, beta = params.alpha, params.beta
-    if alpha == 0.0 or beta == 0.0:
-        raise DegenerateScale(
-            f"basis scalars undefined for alpha={alpha}, beta={beta} (alpha*beta == 0)"
-        )
-    lam3 = float(np.real(eig.lambda3))
-    lam4 = float(np.real(eig.lambda4))
-    return (lam3 - eig.lambda1) / alpha, (lam4 - eig.lambda1) / alpha
-
-
-def _require_basis_regime(params: ModelParams, regime: Regime) -> None:
-    if params.n < 2:
-        raise DimensionMismatch("explicit basis requires n >= 2")
-    if regime is not Regime.DIAGONALIZABLE_REAL:
-        raise WrongRegime(f"explicit basis exists only in the diagonalizable regime, got {regime}")
-
-
-def build_basis(params: ModelParams, eig: EigenStructure, regime: Regime) -> np.ndarray:
-    """Assemble the diagonalizing basis Q column-block-wise.
-
-    Columns 1..n-1 span the lambda1 eigenspace: (-b_{i+1}/b_1, e_i, 0_n).
-    Column n is the lambda3 eigenvector (1_n, c3*1_n).  Columns
-    n+1..2n-1 span the lambda2 eigenspace: (0_n, -a_{i+1}/a_1, e_i), and
-    column 2n is the lambda4 eigenvector (1_n, c4*1_n).
-    """
-    _require_basis_regime(params, regime)
-    c3, c4 = _column_scales(params, eig)
-    n = params.n
-    a, b = params.a, params.b
-    Q = np.zeros((2 * n, 2 * n))
-    for i in range(n - 1):
-        Q[0, i] = -b[i + 1] / b[0]
-        Q[i + 1, i] = 1.0
-    Q[:n, n - 1] = 1.0
+    n, a, b = params.n, params.a, params.b
+    c3 = (float(np.real(eig.lambda3)) - eig.lambda1) / params.alpha
+    c4 = (float(np.real(eig.lambda4)) - eig.lambda1) / params.alpha
+    mix = c4 - c3  # -sqrt(Delta)/alpha, nonzero off the repeated-root boundary
+    m = 2 * n
+    Q = np.zeros((m, m))
+    Qinv = np.zeros((m, m))
+    k = np.arange(n - 1)
+    for top, w in ((0, b), (n, a)):
+        Q[top, top + k] = -w[1:] / w[0]
+        Q[top + 1 + k, top + k] = 1.0
+        Qinv[top + k, top:top + n] = -w
+        Qinv[top + k, top + 1 + k] += 1.0
+    Q[:n, [n - 1, m - 1]] = 1.0
     Q[n:, n - 1] = c3
-    for i in range(n - 1):
-        Q[n, n + i] = -a[i + 1] / a[0]
-        Q[n + 1 + i, n + i] = 1.0
-    Q[:n, 2 * n - 1] = 1.0
-    Q[n:, 2 * n - 1] = c4
-    return Q
+    Q[n:, m - 1] = c4
+    Qinv[m - 1, :n] = (-c3 / mix) * b
+    Qinv[m - 1, n:] = a / mix
+    Qinv[n - 1, :n] = b - Qinv[m - 1, :n]
+    Qinv[n - 1, n:] = -Qinv[m - 1, n:]
+    return Q, Qinv
 
 
-def _inverse_blocks(
-    params: ModelParams, eig: EigenStructure
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closed-form inverses of the two n x n blocks Q reduces to, plus
-    the shear scalar of the reducing column operation.
-
-    Two column operations take Q to diag{Q21, Q22}: subtract column n
-    from column 2n (merged bottom scale mix = c4 - c3), then add
-    shear = -c3/mix times column 2n to column n.  Both blocks invert in
-    closed form from the weights alone.
-    """
-    c3, c4 = _column_scales(params, eig)
-    n = params.n
-    a, b = params.a, params.b
-    mix = c4 - c3  # -sqrt(Delta)/alpha
-    if mix == 0.0:
-        raise DegenerateScale("coincident quadratic roots leave the merged column zero")
-
-    ones = np.ones(n - 1)
-    q21 = np.zeros((n, n))
-    q21[: n - 1, 0] = -b[0]
-    q21[: n - 1, 1:] = np.eye(n - 1) - np.outer(ones, b[1:])
-    q21[n - 1, 0] = b[0]
-    q21[n - 1, 1:] = b[1:]
-
-    q22 = np.zeros((n, n))
-    q22[: n - 1, 0] = -a[0]
-    q22[: n - 1, 1:] = np.eye(n - 1) - np.outer(ones, a[1:])
-    q22[n - 1, 0] = a[0] / mix
-    q22[n - 1, 1:] = a[1:] / mix
-    return q21, q22, -c3 / mix
-
-
-def build_basis_inverse(params: ModelParams, eig: EigenStructure, regime: Regime) -> np.ndarray:
-    """Invert Q by the structured O(n^2) recipe, never a dense solver.
-
-    The two column operations that reduce Q to diag{Q21, Q22} are
-    applied as row operations on the left of diag{Q21^-1, Q22^-1}.
-    """
-    _require_basis_regime(params, regime)
-    q21, q22, shear = _inverse_blocks(params, eig)
-    n = params.n
-    qinv = np.zeros((2 * n, 2 * n))
-    qinv[:n, :n] = q21
-    qinv[n:, n:] = q22
-    # row operations mirroring the two column operations on Q
-    qinv[2 * n - 1, :] += shear * qinv[n - 1, :]
-    qinv[n - 1, :] -= qinv[2 * n - 1, :]
-    return qinv
-
-
-def decompose(params: ModelParams, boundary_tol: float = BOUNDARY_TOL) -> SpectralDecomposition:
+def decompose(params: ModelParams) -> SpectralDecomposition:
     """Classify the regime and build every artifact available in it.
 
     Q and its inverse are populated only in the diagonalizable regime
     with n >= 2 and alpha*beta != 0; elsewhere they are None and the
     eigenvalue report still stands.
     """
-    boundaries, regime = classify_regime(params.alpha, params.beta, boundary_tol)
+    boundaries, regime = classify_regime(params.alpha, params.beta)
     eig = eigen_structure(params, boundaries, regime)
     blocks = jordan_blocks(eig, regime)
 
@@ -344,8 +279,7 @@ def decompose(params: ModelParams, boundary_tol: float = BOUNDARY_TOL) -> Spectr
             tau_plus = 2.0 / den_plus
             tau_tilde = params.alpha * (tau_minus - tau_plus)
         if params.n >= 2 and params.alpha != 0.0 and params.beta != 0.0:
-            Q = build_basis(params, eig, regime)
-            Qinv = build_basis_inverse(params, eig, regime)
+            Q, Qinv = _basis(params, eig)
 
     return SpectralDecomposition(
         regime=regime,
@@ -357,7 +291,6 @@ def decompose(params: ModelParams, boundary_tol: float = BOUNDARY_TOL) -> Spectr
         tau_minus=tau_minus,
         tau_plus=tau_plus,
         tau_tilde=tau_tilde,
-        boundary_tol=boundary_tol,
     )
 
 

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from varcycle.cli import emit_benchmark_cycle, main
+from varcycle import BOUNDARY_TOL
+from varcycle.cli import main
 
 
 @pytest.fixture
@@ -50,6 +51,19 @@ class TestDecompose:
         res = report["payload"]["residuals"]
         assert res["passed"] is True
         assert res["mq_qj"] < 1e-12 and res["qqinv"] < 1e-12
+
+    def test_boundary_tolerance_is_not_an_option(self, capsys):
+        # a looser tolerance once reported a double root where the
+        # quadratic factor has two distinct real roots
+        flags = ["decompose", "--n", "3", "--alpha", "0.1", "--beta", "0.9"]
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["--boundary-tol", "10"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, report, _ = run_cli(capsys, *flags)
+        assert code == 0
+        assert report["payload"]["boundary_tol"] == BOUNDARY_TOL
+        assert report["payload"]["regime"] == "diagonalizable_real"
 
     def test_dump_matrices_round_trip(self, capsys, tmp_path):
         out = tmp_path / "mats"
@@ -357,6 +371,23 @@ class TestMoments:
         assert code == 2
         assert err.startswith("error: WrongRegime:") and "complex_conjugate" in err
 
+    @pytest.mark.parametrize("flags", [("--seed", 11), ()])
+    def test_echoed_config_reproduces_mc(self, capsys, tmp_path, diag_config, flags):
+        config_path, doc = diag_config
+        doc["run"]["seed"] = 5
+        config_path.write_text(json.dumps(doc))
+        grid = ("--t-grid", "2", "--tau-grid", "0", "--mc-reps", 4)
+        code, first, _ = run_cli(capsys, "moments", "--config", config_path, *grid, *flags)
+        assert code == 0
+        seed = first["config_echo"]["run"]["seed"]
+        assert seed == (11 if flags else 5)
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(first["config_echo"]))
+        for extra in ((), ("--seed", seed)):
+            code, again, _ = run_cli(capsys, "moments", "--config", echo, *grid, *extra)
+            assert code == 0
+            assert again["payload"]["grid"] == first["payload"]["grid"]
+
     def test_dump_cov(self, capsys, tmp_path, diag_config):
         config_path, _ = diag_config
         prefix = tmp_path / "cov"
@@ -390,12 +421,3 @@ class TestVerify:
         assert checks["decomposition_residuals"] == "skipped"
         assert checks["cycle_reduction"] == "pass"
 
-
-def test_emit_benchmark_cycle_function(tmp_path):
-    out = tmp_path / "benchmark.csv"
-    report = emit_benchmark_cycle(seed=3, out=str(out))
-    assert out.exists()
-    payload = report["payload"]
-    assert payload["rows"] == 701
-    pred = payload["predicted_period"]
-    assert abs(payload["estimated_period"] - pred) / pred < 0.10

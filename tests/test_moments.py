@@ -170,6 +170,21 @@ class TestStationarityDiagnostic:
         assert report.stationarity_gap_original > 1e-3
         assert set(report.gamma_tilde) == {(t, tau) for t in (2, 5, 10) for tau in (0, 1)}
 
+    def test_gap_equals_pairwise_loop(self):
+        params, spec = setup_model(n=4, sigma=[0.5, 1.0, 2.0, 1.5, 1.0, 0.7, 1.2, 2.2])
+        dec = decompose(params)
+        inputs = moment_inputs(params, spec)
+        t_grid, tau_grid = [10, 2, 5, 3, 5], [1, 0, 3]
+        report = stationarity_diagnostic(inputs, dec, t_grid, tau_grid)
+        for grid, gap in ((report.gamma_tilde, report.stationarity_gap),
+                          (report.gamma, report.stationarity_gap_original)):
+            want = 0.0
+            for tau in tau_grid:
+                for i, s in enumerate(t_grid):
+                    for t in t_grid[i + 1:]:
+                        want = max(want, float(np.max(np.abs(grid[(s, tau)] - grid[(t, tau)]))))
+            assert gap == want
+
     def test_gaps_vanish_together(self):
         params, spec = setup_model()
         dec = decompose(params)

@@ -4,8 +4,6 @@ from numpy.testing import assert_allclose
 
 from varcycle import (
     Regime,
-    build_basis,
-    build_basis_inverse,
     build_transition_matrix,
     characteristic_polynomial_eval,
     classify_regime,
@@ -16,7 +14,7 @@ from varcycle import (
     validate_params,
     verify_decomposition,
 )
-from varcycle.errors import DegenerateScale, DimensionMismatch, WrongRegime
+from varcycle.errors import DimensionMismatch, WrongRegime
 
 D1_FACTOR = 3.0 - 2.0 * np.sqrt(2.0)
 
@@ -222,51 +220,40 @@ class TestBasis:
                 resid = np.max(np.abs(M @ v - d[j] * v))
                 assert resid < 1e-10 * max(1.0, np.max(np.abs(v)))
 
-    def test_wrong_regime(self):
-        p = make_params(alpha=1.09804, beta=0.7)
-        boundaries, regime = classify_regime(p.alpha, p.beta)
-        eig = eigen_structure(p, boundaries, regime)
-        with pytest.raises(WrongRegime):
-            build_basis(p, eig, regime)
-
-    def test_n1_rejected(self):
-        p = make_params(n=1, alpha=0.1, beta=0.9, a=[1.0], b=[1.0])
-        boundaries, regime = classify_regime(0.1, 0.9)
-        eig = eigen_structure(p, boundaries, regime)
-        with pytest.raises(DimensionMismatch):
-            build_basis(p, eig, regime)
-
-    def test_degenerate_scale_beta_zero(self):
-        p = make_params(alpha=0.5, beta=0.0)
-        boundaries, regime = classify_regime(0.5, 0.0)
-        assert regime is Regime.DIAGONALIZABLE_REAL
-        eig = eigen_structure(p, boundaries, regime)
-        with pytest.raises(DegenerateScale):
-            build_basis(p, eig, regime)
-        with pytest.raises(DegenerateScale):
-            build_basis_inverse(p, eig, regime)
-        assert decompose(p).Q is None  # eigen reporting still available
-
-    def test_degenerate_scale_alpha_zero(self):
-        p = make_params(alpha=0.0, beta=0.8)
-        boundaries, regime = classify_regime(0.0, 0.8)
-        eig = eigen_structure(p, boundaries, regime)
-        with pytest.raises(DegenerateScale):
-            build_basis(p, eig, regime)
-
 
 class TestBasisInverse:
-    def test_q21_block_example(self):
-        from varcycle.spectral import _inverse_blocks
-
+    def test_dual_rows_example(self):
         p = make_params(n=2, alpha=0.1, beta=0.9, a=[0.5, 0.5], b=[0.5, 0.5])
-        boundaries, regime = classify_regime(0.1, 0.9)
-        eig = eigen_structure(p, boundaries, regime)
-        q21, q22, _ = _inverse_blocks(p, eig)
-        assert_allclose(q21, [[-0.5, 0.5], [0.5, 0.5]], atol=0)
-        # the block inverts the top-left block of Q exactly
+        Qinv = decompose(p).Qinv
+        assert Qinv[0].tolist() == [-0.5, 0.5, 0.0, 0.0]
+        assert Qinv[2].tolist() == [0.0, 0.0, -0.5, 0.5]
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    def test_matches_row_operation_recipe(self, n):
+        # oracle: reduce Q to diag{Q21, Q22} by two column operations,
+        # invert the blocks, and apply the same operations as row operations
+        p = random_diagonalizable(np.random.default_rng(100 + n), n)
         dec = decompose(p)
-        assert_allclose(q21 @ dec.Q[:2, :2], np.eye(2), atol=1e-15)
+        a, b = p.a, p.b
+        eig = dec.eig
+        c3, c4 = ((np.real(lam) - eig.lambda1) / p.alpha for lam in (eig.lambda3, eig.lambda4))
+        mix = c4 - c3
+        ones = np.ones(n - 1)
+        q21 = np.zeros((n, n))
+        q21[: n - 1, 0] = -b[0]
+        q21[: n - 1, 1:] = np.eye(n - 1) - np.outer(ones, b[1:])
+        q21[n - 1] = b
+        q22 = np.zeros((n, n))
+        q22[: n - 1, 0] = -a[0]
+        q22[: n - 1, 1:] = np.eye(n - 1) - np.outer(ones, a[1:])
+        q22[n - 1] = a / mix
+        oracle = np.zeros((2 * n, 2 * n))
+        oracle[:n, :n] = q21
+        oracle[n:, n:] = q22
+        oracle[2 * n - 1] += (-c3 / mix) * oracle[n - 1]
+        oracle[n - 1] -= oracle[2 * n - 1]
+        scale = np.max(np.abs(dec.Qinv))
+        assert np.max(np.abs(dec.Qinv - oracle)) <= 1e-15 * scale
 
     def test_tau_values(self):
         dec = decompose(make_params(alpha=0.1, beta=0.9))
@@ -348,10 +335,10 @@ class TestJordanPieces:
         blocks = jordan_blocks(eig, regime)
         assert [b for _, b in blocks] == [1] * 6
 
-    @pytest.mark.parametrize("n, beta", [(1, 0.9), (3, 0.0)])
-    def test_diag_needs_a_basis(self, n, beta):
+    @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (3, 0.1, 0.0), (3, 0.0, 0.8)])
+    def test_diag_needs_a_basis(self, n, alpha, beta):
         # the diagonalizable regime without a basis: n = 1, or alpha*beta == 0
-        p = make_params(n=n, alpha=0.1, beta=beta)
+        p = make_params(n=n, alpha=alpha, beta=beta)
         dec = decompose(p)
         assert dec.regime is Regime.DIAGONALIZABLE_REAL and dec.Q is None
         with pytest.raises(WrongRegime):
