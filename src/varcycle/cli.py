@@ -166,6 +166,10 @@ def matrix_csv(matrix: np.ndarray) -> str:
     return "\n".join(",".join(_fmt(v) for v in row) for row in np.atleast_2d(matrix)) + "\n"
 
 
+#: Rows of a trajectory CSV formatted together.
+_CSV_BLOCK_ROWS = 1024
+
+
 def trajectory_csv(traj_z: np.ndarray, params: ModelParams) -> str:
     n = params.n
     header = (
@@ -177,11 +181,15 @@ def trajectory_csv(traj_z: np.ndarray, params: ModelParams) -> str:
     )
     xbar = traj_z[:, :n] @ params.b
     ybar = traj_z[:, n:] @ params.a
-    lines = [header]
-    for t in range(traj_z.shape[0]):
-        cells = [str(t)] + [_fmt(v) for v in traj_z[t]] + [_fmt(xbar[t]), _fmt(ybar[t])]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # tolist() yields Python floats, whose repr is what _fmt writes; a block
+    # of rows at a time keeps few of them alive at once
+    blocks = [header]
+    for lo in range(0, traj_z.shape[0], _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        rows = np.column_stack([traj_z[lo:hi], xbar[lo:hi], ybar[lo:hi]]).tolist()
+        blocks.append("\n".join([f"{lo + k}," + ",".join(map(repr, row))
+                                 for k, row in enumerate(rows)]))
+    return "\n".join(blocks) + "\n"
 
 
 def cycle_csv(xbar: np.ndarray, h: np.ndarray) -> str:
@@ -213,7 +221,7 @@ def emit_report(config: dict, payload: dict, timing: dict, out: str | None = Non
         "timing": {k: round(v, 6) for k, v in timing.items()},
     }
     try:
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = json.dumps(report, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteResult(f"report holds a non-finite value: {exc}") from exc
     if out:
@@ -263,7 +271,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "lint": lint_params(params),
     }
     if dec.Q is not None:
-        check = verify_decomposition(M.entries, dec.diag, dec.Q, dec.Qinv, tol=1e-10)
+        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv, tol=1e-10)
         payload["residuals"] = {
             "mq_qj": check.residual_mq_qj,
             "qqinv": check.residual_qqinv,
@@ -497,22 +505,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     M = build_transition_matrix(params)
     n, alpha, beta = params.n, params.alpha, params.beta
+    dense = M.entries
     blocks_ok = (
-        np.array_equal(M.entries[:n, :n], (1 - alpha) * np.eye(n))
-        and np.array_equal(M.entries[n:, n:], (1 - beta) * np.eye(n))
-        and np.array_equal(M.entries[:n, n:], alpha * np.outer(np.ones(n), params.a))
-        and np.array_equal(M.entries[n:, :n], -beta * np.outer(np.ones(n), params.b))
+        np.array_equal(dense[:n, :n], (1 - alpha) * np.eye(n))
+        and np.array_equal(dense[n:, n:], (1 - beta) * np.eye(n))
+        and np.array_equal(dense[:n, n:], alpha * np.outer(np.ones(n), params.a))
+        and np.array_equal(dense[n:, :n], -beta * np.outer(np.ones(n), params.b))
     )
+    del dense  # no later check needs the dense M
     record("transition_blocks", "pass" if blocks_ok else "fail", "block structure exact")
 
     dec = decompose(params)
     record("regime", "pass", dec.regime.value)
     if dec.Q is not None:
-        check = verify_decomposition(M.entries, dec.diag, dec.Q, dec.Qinv, tol=1e-10)
+        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv, tol=1e-10)
         record(
             "decomposition_residuals",
             "pass" if check.passed else "fail",
-            f"mq_qj={check.residual_mq_qj:.3e} qqinv={check.residual_qqinv:.3e}",
+            f"mq_qj={check.residual_mq_qj:.3e} qqinv={check.residual_qqinv:.3e} "
+            f"similarity={check.residual_similarity:.3e}",
         )
     else:
         record("decomposition_residuals", "skipped", "no explicit basis in this regime")

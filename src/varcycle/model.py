@@ -53,12 +53,42 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """The 2n x 2n one-step map. Diagonal blocks are (1-alpha)I and
-    (1-beta)I; every row of the top-right block is alpha*a, every row of
-    the bottom-left block is -beta*b."""
+    """The 2n x 2n one-step map in its diagonal-plus-rank-two form,
+    M^T = diag(s) + V U.
 
-    entries: np.ndarray
+    s holds 1-alpha n times, then 1-beta n times.  The columns of the
+    2n x 2 factor V are (0, alpha*a) and (-beta*b, 0), and the 2 x 2n
+    factor U has rows (1_n, 0) and (0, 1_n).  So one step is
+    x' = (1-alpha) x + alpha (a.y) 1 and y' = (1-beta) y - beta (b.x) 1:
+    every row of the top-right block of M is alpha*a, every row of the
+    bottom-left block is -beta*b.  Build through
+    :func:`build_transition_matrix`.
+    """
+
+    s: np.ndarray
+    V: np.ndarray
+    U: np.ndarray
     n: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (2 * self.n, 2 * self.n)
+
+    def apply(self, Z: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Z @ M.T over the last axis of Z, for any leading batch axes;
+        Z @ M with ``transpose``.  O(n) per row of Z, and no dense M."""
+        left, right = (self.U.T, self.V.T) if transpose else (self.V, self.U)
+        return Z * self.s + (Z @ left) @ right
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, built anew on every access.  It is the oracle
+        for tests, ``decompose --dump-matrices`` and ``verify``'s block
+        check; nothing that steps or checks the model needs it."""
+        n = self.n
+        top = np.hstack([self.s[0] * np.eye(n), np.outer(np.ones(n), self.V[n:, 0])])
+        bottom = np.hstack([np.outer(np.ones(n), self.V[:n, 1]), self.s[n] * np.eye(n)])
+        return _frozen(np.vstack([top, bottom]))
 
 
 def _agent_count(raw: Any) -> int:
@@ -167,16 +197,19 @@ def validate_noise(raw: Mapping[str, Any] | NoiseSpec, n: int) -> NoiseSpec:
 
 
 def build_transition_matrix(params: ModelParams) -> TransitionMatrix:
-    """Assemble the 2n x 2n transition matrix from validated parameters.
+    """The transition matrix of validated parameters, in O(n) memory.
 
-    Every entry is a plain product of inputs, so the block invariants
-    hold exactly in floating point.
+    Every entry of M is a plain product of inputs, and the factors keep
+    them as such, so the block invariants hold exactly in floating point.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
-    ones = np.ones(n)
-    top = np.hstack([(1.0 - alpha) * np.eye(n), alpha * np.outer(ones, params.a)])
-    bottom = np.hstack([-beta * np.outer(ones, params.b), (1.0 - beta) * np.eye(n)])
-    return TransitionMatrix(entries=_frozen(np.vstack([top, bottom])), n=n)
+    V = np.zeros((2 * n, 2))
+    V[n:, 0] = alpha * params.a
+    V[:n, 1] = -beta * params.b
+    U = np.zeros((2, 2 * n))
+    U[0, :n] = U[1, n:] = 1.0
+    s = np.repeat([1.0 - alpha, 1.0 - beta], n)
+    return TransitionMatrix(s=_frozen(s), V=_frozen(V), U=_frozen(U), n=n)
 
 
 def lint_params(params: ModelParams) -> list[str]:

@@ -306,14 +306,14 @@ def mc_cross_covariance(
     zero when G = 0)."""
     if reps < 2:
         raise RangeError(f"Monte Carlo needs reps >= 2 for standard errors, got {reps}")
-    mat_t = build_transition_matrix(params).entries.T
+    M = build_transition_matrix(params)
     if np.any(G):
         L = np.linalg.cholesky(G + 1e-15 * np.trace(G) * np.eye(G.shape[0]))
         z0 = np.random.default_rng(mix_seed(seed, reps)).standard_normal((reps, G.shape[0])) @ L.T
     else:
         z0 = np.zeros((reps, 2 * params.n))
     gamma = _replication_noise(params, spec, t + tau_prime, reps, seed)
-    z = _iterate(lambda z: z @ mat_t, z0, gamma)
+    z = _iterate(M.apply, z0, gamma)
     u = z[:, t + tau_prime] - z[:, t + tau_prime].mean(axis=0)
     v = z[:, t] - z[:, t].mean(axis=0)
     # sums over replications of the products u_i v_j and of their squares
@@ -343,14 +343,14 @@ def mc_long_run(
         raise RangeError(f"need 0 < t_burn < t_final, got {t_burn}, {t_final}")
     if reps < 2:
         raise RangeError(f"Monte Carlo needs reps >= 2 for standard errors, got {reps}")
-    mat_t = build_transition_matrix(params).entries.T
+    M = build_transition_matrix(params)
     dim = 2 * params.n
     means = np.empty((reps, dim))
     covs = np.empty((reps, dim, dim))
     for done in range(0, reps, _LONG_RUN_BATCH):
         r = min(_LONG_RUN_BATCH, reps - done)
         gamma = _replication_noise(params, spec, t_final, r, seed, rep_offset=done)
-        tail = _iterate(lambda z: z @ mat_t, np.zeros((r, dim)), gamma)[:, t_burn + 1:]
+        tail = _iterate(M.apply, np.zeros((r, dim)), gamma)[:, t_burn + 1:]
         m = tail.mean(axis=1)
         means[done:done + r] = m
         covs[done:done + r] = (

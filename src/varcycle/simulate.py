@@ -191,7 +191,8 @@ def simulate_recursive(
     z0: np.ndarray,
     noises: NoisePath,
 ) -> Trajectory:
-    """Iterate z_{t+1} = M z_t + gamma_t literally.
+    """Iterate z_{t+1} = M z_t + gamma_t, each step in O(n) through M's
+    diagonal-plus-rank-two form (:meth:`TransitionMatrix.apply`).
 
     Raises
     ------
@@ -200,8 +201,7 @@ def simulate_recursive(
         carries the first bad time index so explosive parameter sets
         fail loudly instead of saturating silently.
     """
-    mat_t = M.entries.T
-    z = _iterate(lambda z: z @ mat_t, _initial_state(params, z0), noises.gamma)
+    z = _iterate(M.apply, _initial_state(params, z0), noises.gamma)
     _check_finite(z)
     return Trajectory(z=z, noises=noises, seed=noises.seed, method=METHOD_RECURSIVE)
 

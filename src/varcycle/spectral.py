@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, WrongRegime
-from .model import ModelParams
+from .model import ModelParams, TransitionMatrix
 
 #: Scale-relative tolerance for detecting the repeated-root boundary.
 BOUNDARY_TOL = 1e-10
@@ -310,8 +310,25 @@ class DecompositionCheck:
     passed: bool
 
 
+def _times_nonzeros(A: np.ndarray, rows: np.ndarray, cols: np.ndarray, X: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """out = A @ X, where (rows, cols) are the nonzeros of A sorted by row.
+
+    Row i sums over the nonzeros of row i only, so the cost is
+    O(nnz(A) * width).  A row that is at least half nonzero is multiplied
+    whole, which is no more work than gathering its rows of X.
+    """
+    bounds = np.searchsorted(rows, np.arange(A.shape[0] + 1)).tolist()
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if 2 * (hi - lo) < A.shape[1]:
+            np.matmul(A[i, cols[lo:hi]], X[cols[lo:hi]], out=out[i])
+        else:
+            np.matmul(A[i], X, out=out[i])
+    return out
+
+
 def verify_decomposition(
-    M: np.ndarray,
+    M: TransitionMatrix,
     d: np.ndarray,
     Q: np.ndarray,
     Qinv: np.ndarray,
@@ -320,26 +337,35 @@ def verify_decomposition(
     """Measure ||MQ - QJ||, ||QQ^-1 - I||, and ||Q^-1 M Q - J|| in max norm,
     where J = diag(d) is the diagonal normal form.
 
-    MQ is formed once and shared by the first and third residual, and J
-    only ever scales columns, so the check costs three dense products.
-    The MQ - QJ and similarity residuals are compared against
-    tol * ||M||_max, the inverse residual against tol directly.
+    Every entry of each residual is computed, in O(n^2): MQ and Q^-1 M
+    come from M's diagonal-plus-rank-two form, and the products with Q
+    run over the nonzeros of the array Q passed in, so any perturbed
+    entry of Q, structural zero or not, still counts.  J only ever
+    scales columns.  The MQ - QJ and similarity residuals are compared
+    against tol * ||M||_max, the inverse residual against tol directly.
     """
     if M.shape[0] < 4:
         raise DimensionMismatch("decomposition checks require n >= 2 (matrix at least 4 x 4)")
-    m_scale = float(np.max(np.abs(M)))
-    MQ = M @ Q
-    # R holds each residual matrix in turn (two m x m arrays beyond the
-    # inputs); subtracting on the diagonal alone equals subtracting diag(d) or I
-    R = Q * d - MQ
+    # bitwise the dense max|M|: each entry of M is one entry of s or V, or 0
+    m_scale = float(max(np.max(np.abs(M.s)), np.max(np.abs(M.V))))
+    rows, cols = np.nonzero(Q)
+    by_col = np.argsort(cols, kind="stable")
+    on_diag = np.diag_indices_from(Q)
+    # MQ = (Q^T M^T)^T, and the similarity residual is formed transposed so
+    # that the products over the nonzeros read rows (the max norm is the
+    # same); subtracting on the diagonal alone equals subtracting diag(d) or I
+    R = M.apply(Q.T).T  # MQ
+    R -= Q * d
     r1 = float(np.max(np.abs(R, out=R)))
-    on_diag = np.diag_indices_from(R)
-    np.matmul(Qinv, MQ, out=R)
-    R[on_diag] -= d
-    r3 = float(np.max(np.abs(R, out=R)))
-    np.matmul(Q, Qinv, out=R)
+    _times_nonzeros(Q, rows, cols, Qinv, out=R)
     R[on_diag] -= 1.0
     r2 = float(np.max(np.abs(R, out=R)))
+    del R  # at most two m x m arrays are alive at any time
+    S = M.apply(Qinv, transpose=True)  # Q^-1 M
+    QinvM_T = np.ascontiguousarray(S.T)
+    _times_nonzeros(Q.T, cols[by_col], rows[by_col], QinvM_T, out=S)  # (Q^-1 M Q)^T
+    S[on_diag] -= d
+    r3 = float(np.max(np.abs(S, out=S)))
     passed = (r1 < tol * m_scale) and (r2 < tol) and (r3 < tol * m_scale)
     return DecompositionCheck(
         residual_mq_qj=r1,

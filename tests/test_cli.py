@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from varcycle import BOUNDARY_TOL
-from varcycle.cli import main
+from varcycle import BOUNDARY_TOL, validate_params
+from varcycle.cli import main, trajectory_csv
 
 
 @pytest.fixture
@@ -411,6 +411,19 @@ class TestVerify:
         assert checks["cycle_reduction"] == "pass"
         assert checks["regime_agreement"] == "pass"
 
+    def test_residual_detail_names_all_three_figures(self, capsys, diag_config):
+        # passed tests all three residuals, so the detail shows all three
+        config_path, _ = diag_config
+        _, report, _ = run_cli(capsys, "verify", "--config", config_path)
+        detail = next(c["detail"] for c in report["payload"]["checks"]
+                      if c["name"] == "decomposition_residuals")
+        figures = dict(item.split("=") for item in detail.split())
+        assert sorted(figures) == ["mq_qj", "qqinv", "similarity"]
+        _, dec_report, _ = run_cli(capsys, "decompose", "--config", config_path)
+        for name, value in dec_report["payload"]["residuals"].items():
+            if name != "passed":
+                assert figures[name] == f"{value:.3e}"
+
     def test_complex_config_skips_basis_checks(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 2, "alpha": 1.09804, "beta": 0.7,
@@ -421,3 +434,33 @@ class TestVerify:
         assert checks["decomposition_residuals"] == "skipped"
         assert checks["cycle_reduction"] == "pass"
 
+
+
+def per_cell_trajectory_csv(traj_z, params):
+    """Oracle: the trajectory writer formatting one cell at a time."""
+    n = params.n
+    header = ("t," + ",".join(f"x_{i+1}" for i in range(n)) + ","
+              + ",".join(f"y_{i+1}" for i in range(n)) + ",xbar,ybar")
+    xbar = traj_z[:, :n] @ params.b
+    ybar = traj_z[:, n:] @ params.a
+    lines = [header]
+    for t in range(traj_z.shape[0]):
+        cells = ([str(t)] + [repr(float(v)) for v in traj_z[t]]
+                 + [repr(float(xbar[t])), repr(float(ybar[t]))])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_is_byte_identical_to_per_cell_writer():
+    params = validate_params({"n": 4, "alpha": 0.1, "beta": 0.9,
+                              "a": [0.1, 0.2, 0.3, 0.4], "b": [0.4, 0.3, 0.2, 0.1]})
+    rng = np.random.default_rng(9)
+    # 2,500 rows span several blocks of the writer, the last one partial
+    z = rng.standard_normal((2500, 8)) * 10.0 ** rng.integers(-150, 150, (2500, 8))
+    z[0] = [0.0, -0.0, 5e-324, 1.0, 3.0, -2.5, 1e16, 0.1]
+    got = trajectory_csv(z, params).split("\n")
+    want = per_cell_trajectory_csv(z, params).split("\n")
+    # compared line by line: pytest's diff of two long strings is very slow
+    assert len(got) == len(want)
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, f"line {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"

@@ -120,6 +120,29 @@ class TestTransitionMatrix:
                 assert np.array_equal(M[i, n:], alpha * p.a)
                 assert np.array_equal(M[n + i, :n], -beta * p.b)
 
+    @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (3, 1.09804, 0.7), (40, -0.4, 1.7)])
+    def test_apply_to_identity_is_the_dense_matrix(self, n, alpha, beta):
+        # each entry of the rank-two part has one nonzero term, so the
+        # structured product reproduces every dense entry exactly
+        rng = np.random.default_rng(n)
+        w = rng.uniform(0.5, 1.5, (2, n))
+        p = make_params(n=n, alpha=alpha, beta=beta, a=w[0] / w[0].sum(), b=w[1] / w[1].sum())
+        M = build_transition_matrix(p)
+        eye = np.eye(2 * n)
+        assert M.shape == (2 * n, 2 * n)
+        assert np.array_equal(M.apply(eye), M.entries.T)
+        assert np.array_equal(M.apply(eye, transpose=True), M.entries)
+
+    def test_apply_over_batch_axes(self):
+        p = make_params(n=4, alpha=0.3, beta=0.6, a=[0.1, 0.2, 0.3, 0.4], b=[0.4, 0.3, 0.2, 0.1])
+        M = build_transition_matrix(p)
+        Z = np.random.default_rng(5).standard_normal((3, 7, 8))
+        dense = M.entries
+        assert M.apply(Z).shape == Z.shape
+        assert_allclose(M.apply(Z), Z @ dense.T, rtol=0, atol=1e-14)
+        assert_allclose(M.apply(Z, transpose=True), Z @ dense, rtol=0, atol=1e-14)
+        assert_allclose(M.apply(Z[0, 0]), dense @ Z[0, 0], rtol=0, atol=1e-14)
+
 
 def test_lint_flags_out_of_range():
     assert lint_params(make_params(alpha=1.09804, beta=0.7))

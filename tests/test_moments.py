@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from varcycle import (
     validate_params,
 )
 from varcycle.errors import ConditionViolated, NonFiniteResult, RangeError, WrongRegime
+import varcycle.moments as moments_mod
 from varcycle.moments import _replication_noise
 from varcycle.simulate import _iterate, mix_seed
 
@@ -384,6 +386,32 @@ class TestMCCrossCovariance:
         old_se = prod.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.max(np.abs(est - old_est)) <= 1e-12 * np.max(np.abs(old_est))
         assert np.max(np.abs(se - old_se)) <= 1e-12 * np.max(np.abs(old_se))
+
+
+def test_mc_recursion_memory_is_linear_in_n(monkeypatch):
+    # the estimates are 2n x 2n by nature, so the peak is read when the step
+    # loop returns; a dense M at n = 2000 alone would be 128 MB
+    n = 2000
+    params, spec = setup_model(n=n)
+    peaks = []
+
+    class Stepped(Exception):
+        pass
+
+    def measured(step, z0, gamma):
+        _iterate(step, z0, gamma)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise Stepped
+
+    monkeypatch.setattr(moments_mod, "_iterate", measured)
+    G = np.broadcast_to(0.0, (2 * n, 2 * n))  # deterministic z_0, without 128 MB of zeros
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stepped):
+            mc_cross_covariance(params, spec, G, 2, 1, reps=3, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < (2 * n) ** 2 * 8 / 4
 
 
 def test_moment_inputs_shapes_and_validation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -126,11 +128,33 @@ class TestRecursive:
     def test_step_identity_is_literal(self):
         params, spec = setup_model()
         M = build_transition_matrix(params)
+        dense = M.entries
         path = sample_noise_path(spec, params, 40, seed=8)
         traj = simulate_recursive(params, M, np.ones(6), path)
+        m, eps = dense.shape[0], np.finfo(float).eps
         for t in range(40):
-            recomputed = M.entries @ traj.z[t] + path.gamma[t]
-            assert np.array_equal(traj.z[t + 1], recomputed)
+            z, g = traj.z[t], path.gamma[t]
+            recomputed = dense @ z + g
+            # each side is within gamma_{m+2} (|M||z| + |g|) of the exact step
+            # (Higham 2002, 3.5), so they differ by at most twice that
+            bound = 2 * (m + 2) * eps * (np.abs(dense) @ np.abs(z) + np.abs(g))
+            assert np.all(np.abs(traj.z[t + 1] - recomputed) <= bound)
+
+    def test_memory_is_linear_in_n(self):
+        # a dense M at n = 2000 is 4000 x 4000 doubles, 128 MB; the structured
+        # M and its steps need O(n) memory beyond the states themselves
+        n = 2000
+        params, spec = setup_model(n=n)
+        path = sample_noise_path(spec, params, 5, seed=3)
+        tracemalloc.start()
+        try:
+            M = build_transition_matrix(params)
+            traj = simulate_recursive(params, M, np.ones(2 * n), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.z.shape == (6, 2 * n)
+        assert peak < (2 * n) ** 2 * 8 / 4
 
     def test_stable_path_stays_finite(self):
         params, spec = setup_model()

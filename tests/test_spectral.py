@@ -280,21 +280,43 @@ class TestBasisInverse:
             assert np.max(np.abs(dec.Qinv - brute)) < 1e-8
 
 
+def dense_residuals(M, d, Q, Qinv):
+    """Oracle: the three residuals from dense products as written, each
+    with the largest gap that rounding can open between it and the
+    structured check (Higham's gamma_m for products of inner dimension
+    m, with a safety factor of 4)."""
+    m, eps = Q.shape[0], np.finfo(float).eps
+    J, aM, aQ, aQinv = np.diag(d), np.abs(M), np.abs(Q), np.abs(Qinv)
+    return (
+        (np.max(np.abs(M @ Q - Q @ J)), 4 * m * eps * np.max(aM @ aQ + aQ @ np.abs(J))),
+        (np.max(np.abs(Q @ Qinv - np.eye(m))), 4 * m * eps * np.max(aQ @ aQinv)),
+        (np.max(np.abs(Qinv @ M @ Q - J)), 4 * m * eps * np.max(aQinv @ aM @ aQ)),
+    )
+
+
+def assert_matches_dense(check, M, d, Q, Qinv):
+    got = (check.residual_mq_qj, check.residual_qqinv, check.residual_similarity)
+    for value, (want, bound) in zip(got, dense_residuals(M, d, Q, Qinv)):
+        assert abs(value - want) <= bound
+
+
 class TestVerifyDecomposition:
     def test_clean_case(self):
         p = make_params(n=3, alpha=0.1, beta=0.9)
         dec = decompose(p)
-        M = build_transition_matrix(p).entries
+        M = build_transition_matrix(p)
+        scale = np.max(np.abs(M.entries))
         check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
         assert check.passed
-        assert check.residual_mq_qj < 1e-10 * np.max(np.abs(M))
+        assert check.threshold_mq_qj == 1e-10 * scale
+        assert check.residual_mq_qj < 1e-10 * scale
         assert check.residual_qqinv < 1e-10
-        assert check.residual_similarity < 1e-10 * np.max(np.abs(M))
+        assert check.residual_similarity < 1e-10 * scale
 
     def test_perturbed_basis_fails(self):
         p = make_params(n=3, alpha=0.1, beta=0.9)
         dec = decompose(p)
-        M = build_transition_matrix(p).entries
+        M = build_transition_matrix(p)
         Q = dec.Q.copy()
         Q[0, 0] += 1e-3
         check = verify_decomposition(M, dec.diag, Q, dec.Qinv)
@@ -302,27 +324,36 @@ class TestVerifyDecomposition:
         assert 1e-5 < check.residual_mq_qj < 1e-1
         assert 1e-5 < check.residual_similarity < 1e-1
 
+    @pytest.mark.parametrize("which", ["Q", "Qinv"])
+    @pytest.mark.parametrize("structural_zero", [True, False])
+    def test_perturbed_entry_counts(self, which, structural_zero):
+        # a perturbed structural zero must count as much as a nonzero: the
+        # products with Q run over the nonzeros of the array passed in
+        p = random_diagonalizable(np.random.default_rng(7), 5)
+        dec = decompose(p)
+        M = build_transition_matrix(p)
+        mats = {"Q": dec.Q.copy(), "Qinv": dec.Qinv.copy()}
+        target = mats[which]
+        i, j = np.argwhere((target == 0.0) if structural_zero else (target != 0.0))[-1]
+        target[i, j] += 1e-3
+        check = verify_decomposition(M, dec.diag, mats["Q"], mats["Qinv"])
+        assert not check.passed
+        assert check.residual_qqinv > 1e-6 and check.residual_similarity > 1e-6
+        assert_matches_dense(check, M.entries, dec.diag, mats["Q"], mats["Qinv"])
+
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_residuals_match_dense_oracle(self, n):
-        # oracle: the dense normal form J = diag(d) and the products as written
         p = random_diagonalizable(np.random.default_rng(n), n)
         dec = decompose(p)
-        M = build_transition_matrix(p).entries
-        Q, Qinv, J = dec.Q, dec.Qinv, np.diag(dec.diag)
-        check = verify_decomposition(M, dec.diag, Q, Qinv)
-        # a diagonal J makes Q @ J exact, so these two agree bitwise
-        assert check.residual_mq_qj == np.max(np.abs(M @ Q - Q @ J))
-        assert check.residual_qqinv == np.max(np.abs(Q @ Qinv - np.eye(2 * n)))
-        # Q^-1 M Q is associated differently: allow the rounding of two
-        # products of inner dimension 2n (Higham's gamma_2n, twice)
-        want = np.max(np.abs(Qinv @ M @ Q - J))
-        bound = 4 * 2 * n * np.finfo(float).eps * np.max(np.abs(Qinv) @ np.abs(M) @ np.abs(Q))
-        assert abs(check.residual_similarity - want) <= bound
+        M = build_transition_matrix(p)
+        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
+        assert_matches_dense(check, M.entries, dec.diag, dec.Q, dec.Qinv)
         assert check.passed
 
     def test_n1_rejected(self):
+        M = build_transition_matrix(make_params(n=1, a=[1.0], b=[1.0]))
         with pytest.raises(DimensionMismatch):
-            verify_decomposition(np.eye(2), np.ones(2), np.eye(2), np.eye(2))
+            verify_decomposition(M, np.ones(2), np.eye(2), np.eye(2))
 
 
 class TestJordanPieces:
