@@ -429,6 +429,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             "covariance_discrepancy": limits.covariance_discrepancy,
         },
         "mc_reps": args.mc_reps,
+        "mc_stream_version": moments_mod.MC_STREAM_VERSION,
         "lint": lint_params(params),
     }
 

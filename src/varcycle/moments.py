@@ -32,6 +32,10 @@ from .spectral import SpectralDecomposition
 #: Replications that mc_long_run simulates together; bounds the states held.
 _LONG_RUN_BATCH = 64
 
+#: Layout of the Monte Carlo draws, echoed in reports.  Version 2 draws a
+#: whole batch from one generator; version 1 drew one stream per replication.
+MC_STREAM_VERSION = 2
+
 
 @dataclass(frozen=True)
 class MomentInputs:
@@ -277,18 +281,11 @@ def limiting_moments(
     )
 
 
-def _replication_noise(
-    params: ModelParams, spec: NoiseSpec, steps: int, reps: int, seed: int, rep_offset: int = 0
-) -> np.ndarray:
-    """Stacked gamma paths of shape (reps, steps, 2n), one independent
-    stream per replication.
-
-    Replication r draws the path sample_noise_path draws for the seed
-    mix_seed(seed, rep_offset + r), so any single replication can be
-    reproduced in isolation; the batch is drawn and scaled in one call.
-    """
-    seeds = [mix_seed(seed, rep_offset + r) for r in range(reps)]
-    return sample_noise_path(spec, params, steps, seeds).gamma
+def _generator(seed: int) -> np.random.Generator:
+    """The one generator a Monte Carlo batch draws from."""
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def mc_cross_covariance(
@@ -303,16 +300,18 @@ def mc_cross_covariance(
     """Sample cross-covariance of (z_{t+tau'}, z_t) over independent
     replications, with entrywise standard errors from the replication
     scatter.  z_0 is drawn as N(0, G) per replication (deterministic
-    zero when G = 0)."""
+    zero when G = 0).  All draws come from one ``default_rng(seed)``:
+    z_0 first when G is nonzero, then the (reps, 2, T, n) noise batch."""
     if reps < 2:
         raise RangeError(f"Monte Carlo needs reps >= 2 for standard errors, got {reps}")
+    rng = _generator(seed)
     M = build_transition_matrix(params)
     if np.any(G):
         L = np.linalg.cholesky(G + 1e-15 * np.trace(G) * np.eye(G.shape[0]))
-        z0 = np.random.default_rng(mix_seed(seed, reps)).standard_normal((reps, G.shape[0])) @ L.T
+        z0 = rng.standard_normal((reps, G.shape[0])) @ L.T
     else:
         z0 = np.zeros((reps, 2 * params.n))
-    gamma = _replication_noise(params, spec, t + tau_prime, reps, seed)
+    gamma = sample_noise_path(spec, params, t + tau_prime, rng, reps=reps).gamma
     z = _iterate(M.apply, z0, gamma)
     u = z[:, t + tau_prime] - z[:, t + tau_prime].mean(axis=0)
     v = z[:, t] - z[:, t].mean(axis=0)
@@ -337,20 +336,25 @@ def mc_long_run(
     Each replication contributes the time-average of z_t and of the
     centered outer products over t in (t_burn, t_final]; replications
     are i.i.d., so standard errors follow from their scatter.
-    Replications run in batches of ``_LONG_RUN_BATCH``.
+    Replications run in batches of ``_LONG_RUN_BATCH`` that draw in turn
+    from one ``default_rng(seed)``; the draws, and so the estimates, do
+    not depend on the batch size.
     """
     if not 0 < t_burn < t_final:
         raise RangeError(f"need 0 < t_burn < t_final, got {t_burn}, {t_final}")
     if reps < 2:
         raise RangeError(f"Monte Carlo needs reps >= 2 for standard errors, got {reps}")
+    rng = _generator(seed)
     M = build_transition_matrix(params)
     dim = 2 * params.n
     means = np.empty((reps, dim))
     covs = np.empty((reps, dim, dim))
     for done in range(0, reps, _LONG_RUN_BATCH):
         r = min(_LONG_RUN_BATCH, reps - done)
-        gamma = _replication_noise(params, spec, t_final, r, seed, rep_offset=done)
-        tail = _iterate(M.apply, np.zeros((r, dim)), gamma)[:, t_burn + 1:]
+        # a unit axis per replication makes every step one vector-matrix
+        # product per replication, which rounds alike in any batch size
+        gamma = sample_noise_path(spec, params, t_final, rng, reps=r).gamma[:, None]
+        tail = _iterate(M.apply, np.zeros((r, 1, dim)), gamma)[:, 0, t_burn + 1:]
         m = tail.mean(axis=1)
         means[done:done + r] = m
         covs[done:done + r] = (

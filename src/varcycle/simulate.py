@@ -10,7 +10,7 @@ spectral decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,12 +26,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def mix_seed(seed: int, r: int) -> int:
-    """Derive the seed for replication ``r`` from a base seed.
+    """Derive the seed for key ``r`` (a Monte Carlo grid point) from a
+    base seed.
 
     Splitmix-style avalanche: add (r + 1) Weyl increments of the golden
     ratio to the base, then apply the two xor-multiply finalizer rounds.
-    Documented so reports can state exactly how replication streams were
-    derived.
+    Documented so reports can state exactly how each grid point's stream
+    was derived.
     """
     z = (seed + (r + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -45,8 +46,8 @@ class NoisePath:
     ``epsilon`` and ``eta`` have shape (..., T, n) and ``gamma`` shape
     (..., T, 2n), the stacked gamma_t = (alpha * epsilon_t, -beta * eta_t)
     that enters the recursion; leading axes index independent paths.
-    ``seed`` is None when the path was assembled from raw arrays rather
-    than drawn.
+    ``seed`` is None when the path was assembled from raw arrays or drawn
+    from a caller's generator rather than from a seed.
     """
 
     def __init__(
@@ -55,7 +56,7 @@ class NoisePath:
         eta: np.ndarray,
         alpha: float,
         beta: float,
-        seed: int | Sequence[int] | None = None,
+        seed: int | None = None,
     ):
         epsilon = np.asarray(epsilon, dtype=float)
         eta = np.asarray(eta, dtype=float)
@@ -90,17 +91,6 @@ class AggregateSeries:
     ybar: np.ndarray
 
 
-def _standard_draws(seed: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out``, shape (2, T, n), with one stream's standard normals.
-
-    One call ``default_rng(seed).standard_normal`` fills the array in C
-    order: epsilon's (T, n) block first, then eta's.  These are the same
-    values in the same order that ``rng.normal(mu, sigma, (T, n))`` scales
-    for epsilon and then for eta.
-    """
-    return np.random.default_rng(seed).standard_normal(out=out)
-
-
 def _scale_shift(draws: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Turn standard draws of shape (..., 2, T, n) into shocks in place:
     coordinate i of block k is scaled by sigma[k*n + i] and shifted by
@@ -115,38 +105,36 @@ def sample_noise_path(
     spec: NoiseSpec,
     params: ModelParams,
     T: int,
-    seed: int | Sequence[int],
+    seed: int | np.random.Generator,
     zero_noise: bool = False,
+    reps: int | None = None,
 ) -> NoisePath:
     """Draw T i.i.d. Gaussian noise steps, deterministic in ``seed``.
 
     Coordinate i of epsilon uses (mu_i, sigma_i) and coordinate i of eta
     uses (mu_{n+i}, sigma_{n+i}); both come from one standard-normal draw
-    of shape (2, T, n) (see :func:`_standard_draws`).  A sequence of seeds
-    draws one independent path per seed, stacked on a leading axis, and
-    scales the whole batch at once; path k equals the path drawn for
-    ``seed[k]`` alone.  With ``zero_noise`` every draw equals its mean
-    (degenerate paths are requested explicitly, never by sigma = 0, which
-    the spec validation rejects).  Seeds must be >= 0 either way.
+    of shape (2, T, n) on ``default_rng(seed)``, epsilon's block first.
+    ``seed`` is a non-negative integer or a generator, which the draw
+    advances.  With ``reps`` the path is a batch of that many independent
+    paths on a leading axis, drawn in one (reps, 2, T, n) call.  With
+    ``zero_noise`` every draw equals its mean (degenerate paths are
+    requested explicitly, never by sigma = 0, which the spec validation
+    rejects).
     """
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
-    single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else list(seed)
-    batch = () if single else (len(seeds),)
-    if any(s < 0 for s in seeds):
-        raise RangeError(f"seed must be >= 0, got {min(seeds)}")
+    from_rng = isinstance(seed, np.random.Generator)
+    if not from_rng and seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
     n = params.n
+    batch = () if reps is None else (reps,)
     if zero_noise:
         eps = np.tile(spec.mu[:n], batch + (T, 1))
         eta = np.tile(spec.mu[n:], batch + (T, 1))
     else:
-        draws = np.empty(batch + (2, T, n))
-        for s, out in zip(seeds, draws.reshape(-1, 2, T, n)):
-            _standard_draws(s, out)
-        _scale_shift(draws, spec)
+        draws = _scale_shift(np.random.default_rng(seed).standard_normal(batch + (2, T, n)), spec)
         eps, eta = draws[..., 0, :, :], draws[..., 1, :, :]
-    return NoisePath(eps, eta, params.alpha, params.beta, seed=seed)
+    return NoisePath(eps, eta, params.alpha, params.beta, seed=None if from_rng else seed)
 
 
 def _iterate(
@@ -165,7 +153,7 @@ def _iterate(
     z[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(g.shape[0]):
-            z[t + 1] = step(z[t]) + g[t]
+            np.add(step(z[t]), g[t], out=z[t + 1])
     return np.moveaxis(z, 0, -2)
 
 

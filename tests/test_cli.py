@@ -388,6 +388,18 @@ class TestMoments:
             assert code == 0
             assert again["payload"]["grid"] == first["payload"]["grid"]
 
+    def test_report_echoes_mc_stream_version(self, capsys, diag_config):
+        config_path, _ = diag_config
+        code = main(["moments", "--config", str(config_path), "--t-grid", "2",
+                     "--tau-grid", "0", "--mc-reps", "4"])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["payload"]["mc_stream_version"] == 2
+
     def test_dump_cov(self, capsys, tmp_path, diag_config):
         config_path, _ = diag_config
         prefix = tmp_path / "cov"

@@ -24,8 +24,7 @@ from varcycle import (
 )
 from varcycle.errors import ConditionViolated, NonFiniteResult, RangeError, WrongRegime
 import varcycle.moments as moments_mod
-from varcycle.moments import _replication_noise
-from varcycle.simulate import _iterate, mix_seed
+from varcycle.simulate import NoisePath, _iterate
 
 
 def setup_model(n=3, alpha=0.1, beta=0.9, sigma=None, mu=None):
@@ -217,28 +216,32 @@ class TestBatchedRecursion:
         params, spec = setup_model(n=2)
         M = build_transition_matrix(params)
         reps, steps, seed = 5, 7, 77
-        gamma = _replication_noise(params, spec, steps, reps, seed)
-        out = _iterate(lambda z: z @ M.entries.T, np.zeros((reps, 4)), gamma)
+        batch = sample_noise_path(spec, params, steps, np.random.default_rng(seed), reps=reps)
+        out = _iterate(lambda z: z @ M.entries.T, np.zeros((reps, 4)), batch.gamma)
         assert out.shape == (reps, steps + 1, 4)
         for r in range(reps):
-            path = sample_noise_path(spec, params, steps, seed=mix_seed(seed, r))
-            assert np.array_equal(gamma[r], path.gamma)
+            path = NoisePath(batch.epsilon[r], batch.eta[r], params.alpha, params.beta)
+            assert np.array_equal(batch.gamma[r], path.gamma)
             traj = simulate_recursive(params, M, np.zeros(4), path)
             assert_allclose(out[r], traj.z, rtol=1e-12, atol=1e-14)
 
 
 class TestReplicationNoise:
     def test_bitwise_equal_to_per_replication_paths(self):
+        # oracle: one generator draws each replication's epsilon, then its
+        # eta, replication after replication
         n = 2
         params, spec = setup_model(
             n=n, alpha=0.3, beta=0.7, mu=[0.5, -1.0, 2.0, 0.0], sigma=[0.2, 1.5, 3.0, 0.9]
         )
-        reps, steps, seed, offset = 6, 9, 31, 128
-        gamma = _replication_noise(params, spec, steps, reps, seed, rep_offset=offset)
-        assert gamma.shape == (reps, steps, 2 * n)
+        reps, steps, seed = 6, 9, 31
+        batch = sample_noise_path(spec, params, steps, np.random.default_rng(seed), reps=reps)
+        assert batch.gamma.shape == (reps, steps, 2 * n)
+        rng = np.random.default_rng(seed)
         for r in range(reps):
-            path = sample_noise_path(spec, params, steps, seed=mix_seed(seed, offset + r))
-            assert np.array_equal(gamma[r], path.gamma)
+            eps = rng.normal(spec.mu[:n], spec.sigma[:n], (steps, n))
+            eta = rng.normal(spec.mu[n:], spec.sigma[n:], (steps, n))
+            assert np.array_equal(batch.epsilon[r], eps) and np.array_equal(batch.eta[r], eta)
 
 
 class TestLimitingMoments:
@@ -309,11 +312,13 @@ class TestLimitingMoments:
         params, spec = setup_model(n=2, mu=[0.4, -0.2, 0.3, 0.1])
         reps, t_burn, t_final, seed = 5, 20, 60, 13
         got = mc_long_run(params, spec, reps=reps, t_burn=t_burn, t_final=t_final, seed=seed)
-        # oracle: per-replication running sums over t in (t_burn, t_final]
+        # oracle: per-replication running sums over t in (t_burn, t_final],
+        # the replications drawn in turn from one generator
         M = build_transition_matrix(params)
+        rng = np.random.default_rng(seed)
         means, covs = [], []
         for r in range(reps):
-            path = sample_noise_path(spec, params, t_final, seed=mix_seed(seed, r))
+            path = sample_noise_path(spec, params, t_final, rng)
             tail = simulate_recursive(params, M, np.zeros(4), path).z[t_burn + 1:]
             m = sum(tail) / len(tail)
             means.append(m)
@@ -370,15 +375,17 @@ class TestMCCrossCovariance:
         G = G_scale * (np.eye(6) + 0.5 * np.ones((6, 6)))
         t, tau, reps, seed = 4, 2, 3000, 808
         est, se = mc_cross_covariance(params, spec, G, t, tau, reps=reps, seed=seed)
-        # the estimator as it was: one (reps, 2n, 2n) product tensor
+        # the estimator as it was: one (reps, 2n, 2n) product tensor, on the
+        # draws of one generator (z_0 first, then the noise batch)
+        rng = np.random.default_rng(seed)
         if G_scale:
             L = np.linalg.cholesky(G + 1e-15 * np.trace(G) * np.eye(6))
-            z0 = np.random.default_rng(mix_seed(seed, reps)).standard_normal((reps, 6)) @ L.T
+            z0 = rng.standard_normal((reps, 6)) @ L.T
         else:
             z0 = np.zeros((reps, 6))
         mat_t = build_transition_matrix(params).entries.T
         z = _iterate(lambda z: z @ mat_t, z0,
-                     _replication_noise(params, spec, t + tau, reps, seed))
+                     sample_noise_path(spec, params, t + tau, rng, reps=reps).gamma)
         u = z[:, t + tau] - z[:, t + tau].mean(axis=0)
         v = z[:, t] - z[:, t].mean(axis=0)
         prod = u[:, :, None] * v[:, None, :]
@@ -386,6 +393,44 @@ class TestMCCrossCovariance:
         old_se = prod.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.max(np.abs(est - old_est)) <= 1e-12 * np.max(np.abs(old_est))
         assert np.max(np.abs(se - old_se)) <= 1e-12 * np.max(np.abs(old_se))
+
+
+class TestMonteCarloStream:
+    def long_run(self, monkeypatch, batch):
+        params, spec = setup_model(n=2, mu=[0.4, -0.2, 0.3, 0.1], sigma=[1.0, 0.5, 0.8, 1.2])
+        monkeypatch.setattr(moments_mod, "_LONG_RUN_BATCH", batch)
+        return mc_long_run(params, spec, reps=10, t_burn=5, t_final=30, seed=2024)
+
+    def test_long_run_does_not_depend_on_batch_size(self, monkeypatch):
+        runs = [self.long_run(monkeypatch, batch) for batch in (1, 7, 64)]
+        for name in ("mean", "mean_se", "cov", "cov_se"):
+            for other in runs[1:]:
+                assert np.array_equal(getattr(runs[0], name), getattr(other, name)), name
+
+    def test_long_run_batches_are_one_standard_normal_draw(self, monkeypatch):
+        # batches of 7 and 3 replications together are one (10, 2, T, n)
+        # draw, scaled by sigma and shifted by mu
+        params, spec = setup_model(n=2, mu=[0.4, -0.2, 0.3, 0.1], sigma=[1.0, 0.5, 0.8, 1.2])
+        gammas = []
+
+        def recorded(step, z0, gamma):
+            gammas.append(gamma)
+            return _iterate(step, z0, gamma)
+
+        monkeypatch.setattr(moments_mod, "_iterate", recorded)
+        self.long_run(monkeypatch, 7)
+        assert [g.shape[0] for g in gammas] == [7, 3]
+        draws = np.random.default_rng(2024).standard_normal((10, 2, 30, 2))
+        shocks = draws * spec.sigma.reshape(2, 1, 2) + spec.mu.reshape(2, 1, 2)
+        want = np.concatenate([params.alpha * shocks[:, 0], -params.beta * shocks[:, 1]], axis=-1)
+        assert np.array_equal(np.concatenate(gammas).reshape(want.shape), want)
+
+    def test_negative_seed_is_range_error(self):
+        params, spec = setup_model(n=2)
+        with pytest.raises(RangeError, match="seed"):
+            mc_cross_covariance(params, spec, np.zeros((4, 4)), 2, 1, reps=3, seed=-1)
+        with pytest.raises(RangeError, match="seed"):
+            mc_long_run(params, spec, reps=3, t_burn=1, t_final=2, seed=-1)
 
 
 def test_mc_recursion_memory_is_linear_in_n(monkeypatch):

@@ -61,16 +61,21 @@ class TestNoisePath:
         assert np.array_equal(path.epsilon, eps) and np.array_equal(path.eta, eta)
 
     @pytest.mark.parametrize("zero_noise", [False, True])
-    def test_seed_sequence_stacks_the_single_seed_paths(self, zero_noise):
+    def test_replication_batch_stacks_the_paths_drawn_in_turn(self, zero_noise):
         params, spec = setup_model(n=2, alpha=0.3, beta=0.7, mu=[0.5, -1.0, 2.0, 0.0],
                                    sigma=[0.2, 1.5, 3.0, 0.9])
-        seeds = [5, 0, 2**64 - 1]
-        batch = sample_noise_path(spec, params, 7, seeds, zero_noise=zero_noise)
-        assert batch.gamma.shape == (3, 7, 4)
-        for k, seed in enumerate(seeds):
-            path = sample_noise_path(spec, params, 7, seed, zero_noise=zero_noise)
+        seed = 2**64 - 1
+        batch = sample_noise_path(spec, params, 7, np.random.default_rng(seed),
+                                  zero_noise=zero_noise, reps=3)
+        assert batch.gamma.shape == (3, 7, 4) and batch.seed is None
+        rng = np.random.default_rng(seed)
+        for k in range(3):
+            path = sample_noise_path(spec, params, 7, rng, zero_noise=zero_noise)
             for name in ("epsilon", "eta", "gamma"):
                 assert np.array_equal(getattr(batch, name)[k], getattr(path, name))
+        # an integer seed draws what its generator's first draw is
+        first = sample_noise_path(spec, params, 7, seed, zero_noise=zero_noise)
+        assert first.seed == seed and np.array_equal(first.gamma, batch.gamma[0])
 
     def test_zero_noise_flag(self):
         params, spec = setup_model(mu=[0.5] * 6)
