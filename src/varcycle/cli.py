@@ -271,7 +271,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "lint": lint_params(params),
     }
     if dec.Q is not None:
-        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv, tol=1e-10)
+        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
         payload["residuals"] = {
             "mq_qj": check.residual_mq_qj,
             "qqinv": check.residual_qqinv,
@@ -316,6 +316,8 @@ def _resolve_z0(spec: str, n: int) -> np.ndarray:
             raise ConfigError(f"z0 file must hold comma-separated numbers: {exc}") from exc
         if values.shape != (2 * n,):
             raise ConfigError(f"z0 file must hold 2n={2*n} values, got {values.size}")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("z0 file must hold finite numbers")
         return values
     raise ConfigError(f"run.z0 must be 'zeros' or 'csv:<path>', got {spec!r}")
 
@@ -519,7 +521,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     dec = decompose(params)
     record("regime", "pass", dec.regime.value)
     if dec.Q is not None:
-        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv, tol=1e-10)
+        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
         record(
             "decomposition_residuals",
             "pass" if check.passed else "fail",

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateScale,
-    NonFiniteState,
-    NotInvertible,
-    RangeError,
-    TooShort,
-    WrongRegime,
-)
+from .errors import NonFiniteState, NotInvertible, RangeError, TooShort, WrongRegime
 from .model import ModelParams
 from .simulate import NoisePath
 from .spectral import _trichotomy
@@ -84,7 +77,6 @@ class ScalarNoise:
 
     eps_bar: np.ndarray
     eta_bar: np.ndarray
-    law: tuple[tuple[float, float], tuple[float, float]] | None
     seed: int | None
 
 
@@ -141,22 +133,6 @@ def reduce_to_cycle(alpha: float, beta: float) -> CycleModel:
     )
 
 
-def invertibility_region_check(alpha: float, beta: float) -> bool | None:
-    """Secondary invertibility check via the published region bounds.
-
-    (beta-1)/(2beta-1) < alpha < beta/(2beta-1) for beta > 1/2, with the
-    bounds swapped for beta < 1/2; undefined (None) at beta = 1/2 where
-    the direct condition 0 < kappa2 < 1 holds trivially.
-    """
-    if beta == 0.5:
-        return None
-    lo = (beta - 1.0) / (2.0 * beta - 1.0)
-    hi = beta / (2.0 * beta - 1.0)
-    if beta < 0.5:
-        lo, hi = hi, lo
-    return bool(lo < alpha < hi)
-
-
 def sample_scalar_noise(
     eps_law: tuple[float, float],
     eta_law: tuple[float, float],
@@ -183,31 +159,14 @@ def sample_scalar_noise(
         rng = np.random.default_rng(seed)
         eps = rng.normal(eps_law[0], eps_law[1], T + 2)
         eta = rng.normal(eta_law[0], eta_law[1], T + 2)
-    return ScalarNoise(eps_bar=eps, eta_bar=eta, law=(eps_law, eta_law), seed=seed)
+    return ScalarNoise(eps_bar=eps, eta_bar=eta, seed=seed)
 
 
 def scalar_noise_from_vector(params: ModelParams, noises: NoisePath) -> ScalarNoise:
-    """Aggregate a vector noise path: ebar = b . epsilon, nbar = a . eta.
-
-    The implied laws are the weighted means and root-sum-square
-    deviations of the per-agent laws when the path was drawn from one.
-    """
+    """Aggregate a vector noise path: ebar = b . epsilon, nbar = a . eta."""
     eps_bar = noises.epsilon @ params.b
     eta_bar = noises.eta @ params.a
-    return ScalarNoise(eps_bar=eps_bar, eta_bar=eta_bar, law=None, seed=noises.seed)
-
-
-def forcing_term(noise: ScalarNoise, alpha: float, beta: float, t: int) -> float:
-    """h(t) = alpha*(ebar(t+1) - ebar(t)) + alpha*beta*(ebar(t) - nbar(t)).
-
-    Raises IndexError when the series do not cover index t + 1.
-    """
-    if t < 0:
-        raise IndexError(f"t must be >= 0, got {t}")
-    if t + 1 >= len(noise.eps_bar) or t >= len(noise.eta_bar):
-        raise IndexError(f"noise series too short for forcing term at t={t}")
-    e, e1, n0 = noise.eps_bar[t], noise.eps_bar[t + 1], noise.eta_bar[t]
-    return float(alpha * (e1 - e) + alpha * beta * (e - n0))
+    return ScalarNoise(eps_bar=eps_bar, eta_bar=eta_bar, seed=noises.seed)
 
 
 def forcing_series(noise: ScalarNoise, alpha: float, beta: float) -> np.ndarray:
@@ -217,28 +176,43 @@ def forcing_series(noise: ScalarNoise, alpha: float, beta: float) -> np.ndarray:
     return alpha * (e[1:] - e[:-1]) + alpha * beta * (e[:-1] - n0)
 
 
-def simulate_cycle(
-    model: CycleModel, noise: ScalarNoise, x0: float, x1: float, T: int
-) -> np.ndarray:
-    """Iterate xbar(t+2) = -kappa1 xbar(t+1) - kappa2 xbar(t) + h(t).
+def _recurse(k1: float, k2: float, x0: float, x1: float, h: list[float]) -> np.ndarray:
+    """x(t+2) = -k1 x(t+1) - k2 x(t) + h(t) from x(0) = x0, x(1) = x1.
 
-    Raises NonFiniteState at the first t >= 2 whose state overflowed.
+    Returns x(0) .. x(len(h) + 1).  Raises NonFiniteState at the first
+    t >= 2 whose state is not finite.  Callers pass h as a list that
+    nothing else holds, so it is freed before x is copied to an array:
+    both lists are as long as the run.
     """
-    if T < 2:
-        raise RangeError(f"T must be >= 2, got {T}")
-    if len(noise.eps_bar) < T or len(noise.eta_bar) < T - 1:
-        raise IndexError("noise series do not cover the requested horizon")
-    within = ScalarNoise(noise.eps_bar[:T], noise.eta_bar[: T - 1], noise.law, noise.seed)
-    k1, k2 = model.kappa1, model.kappa2
     # Python floats step faster than numpy scalars and overflow to inf silently
     x = [float(x0), float(x1)]
-    for h in forcing_series(within, model.alpha, model.beta).tolist():
-        x.append(-k1 * x[-1] - k2 * x[-2] + h)
+    for ht in h:
+        x.append(-k1 * x[-1] - k2 * x[-2] + ht)
+    del h
     out = np.array(x)
     bad = np.flatnonzero(~np.isfinite(out[2:]))
     if bad.size:
         raise NonFiniteState(int(bad[0]) + 2)
     return out
+
+
+def simulate_cycle(
+    model: CycleModel, noise: ScalarNoise, x0: float, x1: float, T: int
+) -> np.ndarray:
+    """Iterate xbar(t+2) = -kappa1 xbar(t+1) - kappa2 xbar(t) + h(t).
+
+    Raises RangeError for a non-finite x0 or x1, and NonFiniteState at
+    the first t >= 2 whose state overflowed.
+    """
+    if T < 2:
+        raise RangeError(f"T must be >= 2, got {T}")
+    if not (np.isfinite(x0) and np.isfinite(x1)):
+        raise RangeError(f"initial state must be finite, got x0={x0}, x1={x1}")
+    if len(noise.eps_bar) < T or len(noise.eta_bar) < T - 1:
+        raise IndexError("noise series do not cover the requested horizon")
+    within = ScalarNoise(noise.eps_bar[:T], noise.eta_bar[: T - 1], noise.seed)
+    return _recurse(model.kappa1, model.kappa2, x0, x1,
+                    forcing_series(within, model.alpha, model.beta).tolist())
 
 
 def fit_constants(model: CycleModel, x0: float, x1: float) -> tuple[float, float]:
@@ -300,48 +274,33 @@ def general_homogeneous_solution(
 
 
 def psi_weights(model: CycleModel, count: int) -> np.ndarray:
-    """Moving-average weights of the inverted lag polynomial.
+    """Moving-average weights psi_0 .. psi_count of the inverted lag
+    polynomial.
 
     psi_0 = 1, psi_1 = -kappa1, psi_s = -kappa1 psi_{s-1} - kappa2
-    psi_{s-2}: the real-coefficient expansion of the two composed
-    geometric operator inverses, valid when the roots are a complex
-    pair.
+    psi_{s-2}: the homogeneous recursion from psi_{-1} = 0, psi_0 = 1.
     """
-    psi = np.empty(count + 1)
-    psi[0] = 1.0
-    if count >= 1:
-        psi[1] = -model.kappa1
-    for s in range(2, count + 1):
-        psi[s] = -model.kappa1 * psi[s - 1] - model.kappa2 * psi[s - 2]
-    return psi
+    if count < 0:
+        raise RangeError(f"count must be >= 0, got {count}")
+    return _recurse(model.kappa1, model.kappa2, 0.0, 1.0, [0.0] * count)[1:]
 
 
-def particular_solution(
-    model: CycleModel, h: np.ndarray, trunc_tol: float = 1e-10
-) -> np.ndarray:
-    """A particular solution by truncated lag-operator inversion.
+def particular_solution(model: CycleModel, h: np.ndarray) -> np.ndarray:
+    """The particular solution by lag-operator inversion.
 
     Returns xbar_p(t) for t = 0 .. len(h) + 1 with
 
-        xbar_p(t) = sum_{s=0..K} psi_s h(t - 2 - s)
+        xbar_p(t) = sum_{s=0..t-2} psi_s h(t - 2 - s),
 
-    (terms with t - 2 - s < 0 dropped), aligned so the returned sequence
-    satisfies the full equation with forcing h(t) driving step t + 2.
-    K = ceil(log(trunc_tol) / log(|rho1|)); the dropped tail is bounded
-    geometrically, so for t >= K + 2 the per-step residual is below
-    |rho1|^K sup|h| / (1 - |rho1|) up to the root-separation constant.
+    the inverse lag polynomial applied to forcing that is zero before
+    t = 0, aligned so that h(t) drives step t + 2.  With no earlier
+    forcing the sum is exactly the recursion started from
+    xbar_p(0) = xbar_p(1) = 0, which is how it is evaluated.  Raises
+    NotInvertible unless 0 < kappa2 < 1.
     """
     if not model.invertible:
         raise NotInvertible(f"kappa2 = {model.kappa2} is outside (0, 1)")
-    if model.rho_mod <= 0.0:
-        raise DegenerateScale("zero root modulus")
-    h = np.asarray(h, dtype=float)
-    K = int(np.ceil(np.log(trunc_tol) / np.log(model.rho_mod)))
-    psi = psi_weights(model, K)
-    full = np.convolve(h, psi)[: len(h)]
-    out = np.zeros(len(h) + 2)
-    out[2:] = full
-    return out
+    return _recurse(model.kappa1, model.kappa2, 0.0, 0.0, np.asarray(h, dtype=float).tolist())
 
 
 @dataclass(frozen=True)

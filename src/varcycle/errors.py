@@ -27,10 +27,6 @@ class WrongRegime(VarcycleError):
     """Operation requires a different spectral regime."""
 
 
-class DegenerateScale(VarcycleError):
-    """Basis construction scalars are undefined (alpha*beta == 0)."""
-
-
 class NonFiniteState(VarcycleError):
     """A simulated state overflowed to a non-finite value.
 
@@ -51,10 +47,6 @@ class NonFiniteResult(VarcycleError):
 
 class RangeError(VarcycleError, ValueError):
     """A time or lag index is outside the range a formula supports."""
-
-
-class ConditionViolated(VarcycleError):
-    """The spectral-radius condition for limiting moments fails."""
 
 
 class NotInvertible(VarcycleError):

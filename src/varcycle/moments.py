@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolated, DimensionMismatch, NonFiniteResult, RangeError
+from .errors import DimensionMismatch, NonFiniteResult, RangeError
 from .model import ModelParams, NoiseSpec, build_transition_matrix
 from .simulate import _iterate, mix_seed, sample_noise_path
 from .spectral import SpectralDecomposition
@@ -230,16 +230,11 @@ def stationarity_diagnostic(
     )
 
 
-def limiting_moments(
-    inputs: MomentInputs,
-    decomposition: SpectralDecomposition,
-    allow_skip: bool = True,
-) -> LimitReport:
+def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition) -> LimitReport:
     """Limiting mean and the two limit-covariance candidates.
 
     Requires 0 < max|lambda| < 1.  When the condition fails the report
-    carries ``spectral_radius_ok=False`` with the limits skipped, or raises
-    ``ConditionViolated`` when ``allow_skip`` is false.
+    carries ``spectral_radius_ok=False`` with the limits skipped.
     """
     d = decomposition.diag
     eig = decomposition.eig
@@ -248,17 +243,15 @@ def limiting_moments(
     lam_tilde = 1.0 / (1.0 - lams)
     rho = float(np.max(np.abs(d)))
     if not 0.0 < rho < 1.0:
-        if allow_skip:
-            return LimitReport(
-                lambda_tilde=lam_tilde,
-                spectral_radius_ok=False,
-                limiting_mean=None,
-                resolvent_limit_cov=None,
-                ma_infinity_cov=None,
-                truncation_terms=None,
-                covariance_discrepancy=None,
-            )
-        raise ConditionViolated(f"max |lambda| = {rho} is not inside (0, 1)")
+        return LimitReport(
+            lambda_tilde=lam_tilde,
+            spectral_radius_ok=False,
+            limiting_mean=None,
+            resolvent_limit_cov=None,
+            ma_infinity_cov=None,
+            truncation_terms=None,
+            covariance_discrepancy=None,
+        )
 
     Q, Qinv = decomposition.Q, decomposition.Qinv
     dtilde = 1.0 / (1.0 - d)

@@ -43,6 +43,9 @@ from .model import ModelParams, TransitionMatrix
 #: Scale-relative tolerance for detecting the repeated-root boundary.
 BOUNDARY_TOL = 1e-10
 
+#: Threshold of the decomposition residuals in verify_decomposition.
+RESIDUAL_TOL = 1e-10
+
 
 class Regime(enum.Enum):
     COMPLEX_CONJUGATE = "complex_conjugate"
@@ -332,7 +335,6 @@ def verify_decomposition(
     d: np.ndarray,
     Q: np.ndarray,
     Qinv: np.ndarray,
-    tol: float = 1e-10,
 ) -> DecompositionCheck:
     """Measure ||MQ - QJ||, ||QQ^-1 - I||, and ||Q^-1 M Q - J|| in max norm,
     where J = diag(d) is the diagonal normal form.
@@ -342,7 +344,8 @@ def verify_decomposition(
     run over the nonzeros of the array Q passed in, so any perturbed
     entry of Q, structural zero or not, still counts.  J only ever
     scales columns.  The MQ - QJ and similarity residuals are compared
-    against tol * ||M||_max, the inverse residual against tol directly.
+    against RESIDUAL_TOL * ||M||_max, the inverse residual against
+    RESIDUAL_TOL directly.
     """
     if M.shape[0] < 4:
         raise DimensionMismatch("decomposition checks require n >= 2 (matrix at least 4 x 4)")
@@ -366,12 +369,13 @@ def verify_decomposition(
     _times_nonzeros(Q.T, cols[by_col], rows[by_col], QinvM_T, out=S)  # (Q^-1 M Q)^T
     S[on_diag] -= d
     r3 = float(np.max(np.abs(S, out=S)))
-    passed = (r1 < tol * m_scale) and (r2 < tol) and (r3 < tol * m_scale)
+    threshold = RESIDUAL_TOL * m_scale
+    passed = (r1 < threshold) and (r2 < RESIDUAL_TOL) and (r3 < threshold)
     return DecompositionCheck(
         residual_mq_qj=r1,
         residual_qqinv=r2,
         residual_similarity=r3,
-        threshold_mq_qj=tol * m_scale,
-        threshold_qqinv=tol,
+        threshold_mq_qj=threshold,
+        threshold_qqinv=RESIDUAL_TOL,
         passed=passed,
     )

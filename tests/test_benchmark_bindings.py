@@ -2,11 +2,14 @@
 their results; a function or field it uses that is renamed or deleted would
 fail only the traced runs."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
+import varcycle
 import varcycle.cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -25,6 +28,23 @@ def test_tracer_targets_resolve():
     for module_name, func_name in tracer.TARGETS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+def test_tracer_counter_arguments_and_fields():
+    # _residual reads verify_decomposition's M as args[0] or kwargs["M"];
+    # _mc reads mc_cross_covariance's reps as kwargs["reps"] or args[5];
+    # _limit reads LimitReport.truncation_terms
+    residual = list(inspect.signature(varcycle.verify_decomposition).parameters)
+    assert residual[0] == "M"
+    mc = list(inspect.signature(varcycle.mc_cross_covariance).parameters)
+    assert mc.index("reps") == 5
+    assert "truncation_terms" in {f.name for f in dataclasses.fields(varcycle.LimitReport)}
+
+
+def test_package_names_unique_and_resolve():
+    assert len(varcycle.__all__) == len(set(varcycle.__all__))
+    for name in varcycle.__all__:
+        assert hasattr(varcycle, name), name
 
 
 def test_traced_subcommands_fill_every_layer(capsys, tmp_path):

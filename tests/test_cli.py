@@ -268,6 +268,14 @@ BAD_INPUTS = {
                               "--out", p / "s.csv"], "ConfigError"),
     "z0-file-text": (lambda p: ["simulate", *MODEL_FLAGS, "--out", p / "s.csv", "--z0",
                                 f"csv:{text_file(p / 'z0.txt', '0,x,0,0')}"], "ConfigError"),
+    "z0-file-nan": (lambda p: ["simulate", *MODEL_FLAGS, "--out", p / "s.csv", "--z0",
+                               f"csv:{text_file(p / 'z0.txt', '0,nan,0,0')}"], "ConfigError"),
+    "run-z0-file-inf": (lambda p: ["simulate", "--config", config_with(
+        p, run={"z0": f"csv:{text_file(p / 'z0.txt', '0,0,-inf,0')}"}),
+        "--out", p / "s.csv"], "ConfigError"),
+    "cycle-x0-nan": (lambda p: ["cycle", "--x0", "nan", "--out", p / "c.csv"], "RangeError"),
+    "cycle-x0-inf": (lambda p: ["cycle", "--x0", "inf", "--out", p / "c.csv"], "RangeError"),
+    "cycle-x1-nan": (lambda p: ["cycle", "--x1", "nan", "--out", p / "c.csv"], "RangeError"),
     "t-grid-text": (lambda p: ["moments", *MODEL_FLAGS, "--t-grid", "2,x"], "ConfigError"),
     "tau-grid-text": (lambda p: ["moments", *MODEL_FLAGS, "--tau-grid", "0,x"], "ConfigError"),
     "a-flag-text": (lambda p: ["decompose", *MODEL_FLAGS, "--a", "x,0.5"], "ConfigError"),

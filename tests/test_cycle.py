@@ -11,10 +11,8 @@ from varcycle import (
     dominant_period,
     fit_constants,
     forcing_series,
-    forcing_term,
     general_homogeneous_solution,
     homogeneous_solution,
-    invertibility_region_check,
     particular_solution,
     psi_weights,
     reduce_to_cycle,
@@ -26,9 +24,38 @@ from varcycle import (
     validate_noise,
     validate_params,
 )
-from varcycle.errors import NonFiniteState, NotInvertible, TooShort, WrongRegime
+from varcycle.cycle import ScalarNoise
+from varcycle.errors import NonFiniteState, NotInvertible, RangeError, TooShort, WrongRegime
 
 BENCH_ALPHA, BENCH_BETA = 1.09804, 0.7
+
+
+def forcing_term(noise, alpha, beta, t):
+    """Oracle: h(t) = alpha*(ebar(t+1) - ebar(t)) + alpha*beta*(ebar(t) - nbar(t)),
+    one index at a time.  Raises IndexError when the series do not cover
+    index t + 1."""
+    if t < 0:
+        raise IndexError(f"t must be >= 0, got {t}")
+    if t + 1 >= len(noise.eps_bar) or t >= len(noise.eta_bar):
+        raise IndexError(f"noise series too short for forcing term at t={t}")
+    e, e1, n0 = noise.eps_bar[t], noise.eps_bar[t + 1], noise.eta_bar[t]
+    return float(alpha * (e1 - e) + alpha * beta * (e - n0))
+
+
+def invertibility_region_check(alpha, beta):
+    """Oracle: invertibility from the published region bounds.
+
+    (beta-1)/(2beta-1) < alpha < beta/(2beta-1) for beta > 1/2, with the
+    bounds swapped for beta < 1/2; undefined (None) at beta = 1/2 where
+    the direct condition 0 < kappa2 < 1 holds trivially.
+    """
+    if beta == 0.5:
+        return None
+    lo = (beta - 1.0) / (2.0 * beta - 1.0)
+    hi = beta / (2.0 * beta - 1.0)
+    if beta < 0.5:
+        lo, hi = hi, lo
+    return bool(lo < alpha < hi)
 
 
 class TestReduceToCycle:
@@ -100,23 +127,22 @@ class TestReduceToCycle:
                 assert invertibility_region_check(0.3, 0.5) is None
                 continue
             for alpha in np.linspace(-2.0, 3.0, 51):
-                direct = bool(0 < 1 - alpha - beta + 2 * alpha * beta < 1)
                 region = invertibility_region_check(alpha, beta)
-                assert region == direct, (alpha, beta)
+                assert reduce_to_cycle(alpha, beta).invertible == region, (alpha, beta)
 
 
 class TestForcingTerm:
     def test_zero_noise(self):
         noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 10, seed=0, zero_noise=True)
-        assert forcing_term(noise, 0.7, 0.3, 4) == 0.0
+        assert np.all(forcing_series(noise, 0.7, 0.3) == 0.0)
 
     def test_unit_impulse(self):
         eps = np.zeros(8)
         eps[0] = 1.0
-        from varcycle.cycle import ScalarNoise
-
-        noise = ScalarNoise(eps_bar=eps, eta_bar=np.zeros(8), law=None, seed=None)
-        assert forcing_term(noise, 1.0, 0.5, 0) == pytest.approx(-0.5, abs=1e-15)
+        noise = ScalarNoise(eps_bar=eps, eta_bar=np.zeros(8), seed=None)
+        h = forcing_series(noise, 1.0, 0.5)
+        assert h[0] == pytest.approx(-0.5, abs=1e-15)
+        assert h[1] == 0.0
 
     def test_index_error(self):
         noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 5, seed=0)
@@ -304,6 +330,17 @@ class TestGeneralHomogeneous:
         assert np.max(np.abs(values - ref)) < 1e-8 * (1.0 + np.max(np.abs(ref)))
 
 
+def psi_loop(model, count):
+    """Oracle: the psi recursion as a loop over a preallocated array."""
+    psi = np.empty(count + 1)
+    psi[0] = 1.0
+    if count >= 1:
+        psi[1] = -model.kappa1
+    for s in range(2, count + 1):
+        psi[s] = -model.kappa1 * psi[s - 1] - model.kappa2 * psi[s - 2]
+    return psi
+
+
 class TestParticularSolution:
     def setup_method(self):
         self.m = reduce_to_cycle(BENCH_ALPHA, BENCH_BETA)
@@ -313,7 +350,7 @@ class TestParticularSolution:
 
     def test_constant_forcing_steady_state(self):
         c = 0.8
-        x = particular_solution(self.m, np.full(4000, c), trunc_tol=1e-13)
+        x = particular_solution(self.m, np.full(4000, c))
         steady = c / (1 + self.m.kappa1 + self.m.kappa2)
         assert steady == pytest.approx(c / (2 * BENCH_ALPHA * BENCH_BETA), rel=1e-12)
         assert x[-1] == pytest.approx(steady, rel=1e-10)
@@ -321,10 +358,27 @@ class TestParticularSolution:
     def test_random_forcing_residual(self):
         rng = np.random.default_rng(61)
         h = rng.standard_normal(600)
-        x = particular_solution(self.m, h, trunc_tol=1e-10)
-        K = int(np.ceil(np.log(1e-10) / np.log(self.m.rho_mod)))
-        resid = x[2:] + self.m.kappa1 * x[1:-1] + self.m.kappa2 * x[:-2] - h[: len(x) - 2]
-        assert np.max(np.abs(resid[K:])) < 1e-8
+        x = particular_solution(self.m, h)
+        assert x.shape == (602,) and x[0] == 0.0 and x[1] == 0.0
+        resid = x[2:] + self.m.kappa1 * x[1:-1] + self.m.kappa2 * x[:-2] - h
+        assert np.max(np.abs(resid)) <= 1e-13 * (1.0 + np.max(np.abs(x)))
+
+    def test_equals_untruncated_psi_series(self):
+        # xbar_p(t) = sum_{s <= t-2} psi_s h(t-2-s), summed in full
+        h = np.random.default_rng(62).standard_normal(600)
+        x = particular_solution(self.m, h)
+        series = np.convolve(h, psi_loop(self.m, len(h)))[: len(h)]
+        assert np.max(np.abs(x[2:] - series)) <= 1e-13 * (1.0 + np.max(np.abs(x)))
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(BENCH_ALPHA, BENCH_BETA), (0.1, 0.9), ((3 - 2 * np.sqrt(2)) * 0.7, 0.7)]
+    )
+    def test_psi_weights_bitwise_equal_loop(self, alpha, beta):
+        m = reduce_to_cycle(alpha, beta)
+        for count in (0, 1, 2, 300):
+            assert psi_weights(m, count).tobytes() == psi_loop(m, count).tobytes()
+        with pytest.raises(RangeError):
+            psi_weights(m, -1)
 
     def test_psi_weights_match_root_convolution(self):
         psi = psi_weights(self.m, 200)
@@ -372,7 +426,7 @@ class TestScalarNoise:
         T = 25
         noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), T, seed=1)
         assert len(noise.eps_bar) == T + 2 and len(noise.eta_bar) == T + 2
-        forcing_term(noise, 0.5, 0.5, T)  # needs index T + 1
+        assert len(forcing_series(noise, 0.5, 0.5)) == T + 1  # h(T) needs ebar(T + 1)
 
     def test_from_vector_path(self):
         params = validate_params(

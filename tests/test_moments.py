@@ -22,7 +22,7 @@ from varcycle import (
     validate_noise,
     validate_params,
 )
-from varcycle.errors import ConditionViolated, NonFiniteResult, RangeError, WrongRegime
+from varcycle.errors import NonFiniteResult, RangeError, WrongRegime
 import varcycle.moments as moments_mod
 from varcycle.simulate import NoisePath, _iterate
 
@@ -333,8 +333,7 @@ class TestLimitingMoments:
         inputs = moment_inputs(params, spec)
         report = limiting_moments(inputs, dec)
         assert not report.spectral_radius_ok and report.limiting_mean is None
-        with pytest.raises(ConditionViolated):
-            limiting_moments(inputs, dec, allow_skip=False)
+        assert report.ma_infinity_cov is None and report.covariance_discrepancy is None
 
     def test_long_run_mc_matches_mean_and_ma_covariance(self):
         params, spec = setup_model(n=2, mu=[0.4, -0.2, 0.3, 0.1], sigma=[1.0, 0.5, 0.8, 1.2])
