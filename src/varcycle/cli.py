@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import tempfile
 import time
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, BinaryIO, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -142,14 +144,118 @@ def _model_from_args(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def atomic_write(path: str, text: str) -> None:
+#: Rows formatted together; the parts a CSV is split into between
+#: processes are whole runs of these blocks.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_rows(rows: int, parts: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of at most `parts` contiguous runs of whole blocks."""
+    blocks = -(-rows // _CSV_BLOCK_ROWS)
+    k = max(1, min(parts, blocks))
+    edges = [min(rows, i * blocks // k * _CSV_BLOCK_ROWS) for i in range(k + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV held as its columns and formatted while it is written.
+
+    Each column is a 1-D array or a 2-D array with one row per CSV row.
+    Numbers are written as shortest round-trip decimals (the repr of a
+    Python float); with ``index`` each row starts with its row number.
+    """
+
+    header: str | None
+    columns: tuple[np.ndarray, ...]
+    index: bool
+
+    def _format(self, lo: int, hi: int) -> bytes:
+        # tolist() yields Python floats, whose repr is the shortest
+        # round-trip decimal
+        rows = np.column_stack([c[lo:hi] for c in self.columns]).tolist()
+        if self.index:
+            lines = [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(rows, lo)]
+        else:
+            lines = [",".join(map(repr, row)) for row in rows]
+        lines.append("")
+        return "\n".join(lines).encode()
+
+    def _blocks(self, lo: int, hi: int) -> Iterator[bytes]:
+        for start in range(lo, hi, _CSV_BLOCK_ROWS):
+            yield self._format(start, min(start + _CSV_BLOCK_ROWS, hi))
+
+    def _format_in_child(self, fd: int, lo: int, hi: int) -> NoReturn:
+        # the whole part is formatted before the first write, so that a
+        # full pipe does not stall the child while the parent is busy
+        code = 1
+        try:
+            data = list(self._blocks(lo, hi))
+            with open(fd, "wb") as out:
+                out.writelines(data)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def write(self, fh: BinaryIO) -> None:
+        """Write the CSV to the binary file `fh`.
+
+        The rows are split at block boundaries into one contiguous part
+        per usable CPU.  Forked children format parts 2..k into pipes
+        while this process formats part 1; the parts reach `fh` in row
+        order, so the bytes do not depend on the number of parts.  Raises
+        OSError if a child fails.
+        """
+        parts = _split_rows(len(self.columns[0]), _usable_cpus())
+        reads: list[int] = []
+        pids: list[int] = []
+        try:
+            for lo, hi in parts[1:]:
+                r, w = os.pipe()
+                reads.append(r)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        self._format_in_child(w, lo, hi)
+                finally:
+                    os.close(w)
+                pids.append(pid)
+            if self.header is not None:
+                fh.write(f"{self.header}\n".encode())
+            fh.writelines(self._blocks(*parts[0]))
+            for (lo, hi), r in zip(parts[1:], reads):
+                while chunk := os.read(r, 1 << 16):
+                    fh.write(chunk)
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+                if code != 0:
+                    raise OSError(f"formatting CSV rows {lo}..{hi - 1} failed in a "
+                                  f"child process (exit status {code})")
+        finally:
+            for r in reads:
+                os.close(r)
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def atomic_write(path: str, content: str | CsvTable) -> None:
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            if isinstance(content, CsvTable):
+                content.write(fh)
+            else:
+                fh.write(content.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -157,20 +263,11 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    # repr of a Python float is the shortest round-trip decimal
-    return repr(float(value))
+def matrix_csv(matrix: np.ndarray) -> CsvTable:
+    return CsvTable(None, (np.atleast_2d(matrix),), index=False)
 
 
-def matrix_csv(matrix: np.ndarray) -> str:
-    return "\n".join(",".join(_fmt(v) for v in row) for row in np.atleast_2d(matrix)) + "\n"
-
-
-#: Rows of a trajectory CSV formatted together.
-_CSV_BLOCK_ROWS = 1024
-
-
-def trajectory_csv(traj_z: np.ndarray, params: ModelParams) -> str:
+def trajectory_csv(traj_z: np.ndarray, params: ModelParams) -> CsvTable:
     n = params.n
     header = (
         "t,"
@@ -181,22 +278,11 @@ def trajectory_csv(traj_z: np.ndarray, params: ModelParams) -> str:
     )
     xbar = traj_z[:, :n] @ params.b
     ybar = traj_z[:, n:] @ params.a
-    # tolist() yields Python floats, whose repr is what _fmt writes; a block
-    # of rows at a time keeps few of them alive at once
-    blocks = [header]
-    for lo in range(0, traj_z.shape[0], _CSV_BLOCK_ROWS):
-        hi = lo + _CSV_BLOCK_ROWS
-        rows = np.column_stack([traj_z[lo:hi], xbar[lo:hi], ybar[lo:hi]]).tolist()
-        blocks.append("\n".join([f"{lo + k}," + ",".join(map(repr, row))
-                                 for k, row in enumerate(rows)]))
-    return "\n".join(blocks) + "\n"
+    return CsvTable(header, (traj_z, xbar, ybar), index=True)
 
 
-def cycle_csv(xbar: np.ndarray, h: np.ndarray) -> str:
-    lines = ["t,xbar,h"]
-    for t in range(len(xbar)):
-        lines.append(f"{t},{_fmt(xbar[t])},{_fmt(h[t])}")
-    return "\n".join(lines) + "\n"
+def cycle_csv(xbar: np.ndarray, h: np.ndarray) -> CsvTable:
+    return CsvTable("t,xbar,h", (xbar, h), index=True)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -651,8 +737,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except VarcycleError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # reading a config or input file, or writing an output
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

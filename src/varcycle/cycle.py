@@ -242,37 +242,6 @@ def homogeneous_solution(model: CycleModel, c1: float, c2: float, t_max: int) ->
     return CycleSolution(c1=c1, c2=c2, values=values)
 
 
-def general_homogeneous_solution(
-    model: CycleModel, x0: float, x1: float, t_max: int
-) -> np.ndarray:
-    """Homogeneous solution fitted from (x0, x1) in any regime.
-
-    Oscillatory: the fitted damped cosine.  Distinct real roots:
-    c1 rho1^t + c2 rho2^t.  Repeated root: (c0 + c1 t) rho^t, with the
-    degenerate rho = 0 case (both roots zero) handled directly since
-    every solution then vanishes from step 2 on.
-    """
-    t = np.arange(t_max + 1, dtype=float)
-    if model.regime is CycleRegime.COMPLEX_OSCILLATORY:
-        c1, c2 = fit_constants(model, x0, x1)
-        return homogeneous_solution(model, c1, c2, t_max).values
-    if model.regime is CycleRegime.DISTINCT_REAL:
-        r1, r2 = model.rho1.real, model.rho2.real
-        c1 = (x1 - r2 * x0) / (r1 - r2)
-        c2 = x0 - c1
-        return c1 * r1**t + c2 * r2**t
-    r = model.rho1.real
-    if r == 0.0:
-        out = np.zeros(t_max + 1)
-        out[0] = x0
-        if t_max >= 1:
-            out[1] = x1
-        return out
-    c0 = x0
-    c1 = x1 / r - x0
-    return (c0 + c1 * t) * r**t
-
-
 def psi_weights(model: CycleModel, count: int) -> np.ndarray:
     """Moving-average weights psi_0 .. psi_count of the inverted lag
     polynomial.

@@ -1,12 +1,17 @@
+import io
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from varcycle import BOUNDARY_TOL, validate_params
-from varcycle.cli import main, trajectory_csv
+import varcycle
+from varcycle import BOUNDARY_TOL, cli, validate_params
+from varcycle.cli import _CSV_BLOCK_ROWS, atomic_write, cycle_csv, main, matrix_csv, trajectory_csv
 
 
 @pytest.fixture
@@ -212,6 +217,11 @@ def text_file(path, text):
     return path
 
 
+def directory(path):
+    path.mkdir()
+    return path
+
+
 def config_with(tmp_path, **overrides):
     doc = {"n": 2, "alpha": 0.1, "beta": 0.9, "a": [0.5, 0.5], "b": [0.5, 0.5]}
     doc.update(overrides)
@@ -306,6 +316,23 @@ BAD_INPUTS = {
                                  "--out", p / "s.csv"], "ConfigError"),
     "run-seed-boolean": (lambda p: ["verify", "--config", config_with(p, run={"seed": False})],
                          "ConfigError"),
+    "config-missing": (lambda p: ["verify", "--config", p / "missing.json"],
+                       "FileNotFoundError"),
+    "config-is-directory": (lambda p: ["decompose", "--config", directory(p / "cfg")],
+                            "IsADirectoryError"),
+    "cycle-out-under-regular-file": (lambda p: ["cycle", "--T", "100", "--out",
+                                                text_file(p / "f", "x") / "c.csv"],
+                                     "FileExistsError"),
+    "cycle-out-is-directory": (lambda p: ["cycle", "--T", "100", "--out", directory(p / "d")],
+                               "IsADirectoryError"),
+    "simulate-out-is-directory": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "5",
+                                             "--out", directory(p / "d")],
+                                  "IsADirectoryError"),
+    "dump-matrices-under-regular-file": (lambda p: ["decompose", *MODEL_FLAGS,
+                                                    "--dump-matrices", text_file(p / "f", "x")],
+                                         "FileExistsError"),
+    "report-out-is-directory": (lambda p: ["decompose", *MODEL_FLAGS,
+                                           "--out", directory(p / "d")], "IsADirectoryError"),
 }
 
 
@@ -320,7 +347,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
-    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.rglob("*.csv"))
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 class TestCycleCommand:
@@ -471,6 +499,34 @@ def per_cell_trajectory_csv(traj_z, params):
     return "\n".join(lines) + "\n"
 
 
+def per_cell_cycle_csv(xbar, h):
+    """Oracle: the cycle writer formatting one row at a time."""
+    lines = ["t,xbar,h"]
+    for t in range(len(xbar)):
+        lines.append(f"{t},{repr(float(xbar[t]))},{repr(float(h[t]))}")
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_matrix_csv(matrix):
+    """Oracle: the matrix writer formatting one cell at a time."""
+    return "\n".join(",".join(repr(float(v)) for v in row)
+                     for row in np.atleast_2d(matrix)) + "\n"
+
+
+def csv_text(table):
+    buf = io.BytesIO()
+    table.write(buf)
+    return buf.getvalue().decode()
+
+
+def assert_same_lines(got, want):
+    got, want = got.split("\n"), want.split("\n")
+    # compared line by line: pytest's diff of two long strings is very slow
+    assert len(got) == len(want)
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, f"line {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"
+
+
 def test_trajectory_csv_is_byte_identical_to_per_cell_writer():
     params = validate_params({"n": 4, "alpha": 0.1, "beta": 0.9,
                               "a": [0.1, 0.2, 0.3, 0.4], "b": [0.4, 0.3, 0.2, 0.1]})
@@ -478,9 +534,117 @@ def test_trajectory_csv_is_byte_identical_to_per_cell_writer():
     # 2,500 rows span several blocks of the writer, the last one partial
     z = rng.standard_normal((2500, 8)) * 10.0 ** rng.integers(-150, 150, (2500, 8))
     z[0] = [0.0, -0.0, 5e-324, 1.0, 3.0, -2.5, 1e16, 0.1]
-    got = trajectory_csv(z, params).split("\n")
-    want = per_cell_trajectory_csv(z, params).split("\n")
-    # compared line by line: pytest's diff of two long strings is very slow
-    assert len(got) == len(want)
-    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
-    assert not bad, f"line {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"
+    assert_same_lines(csv_text(trajectory_csv(z, params)), per_cell_trajectory_csv(z, params))
+
+
+def awkward_values(rows, cols, seed):
+    """Values over 300 decades whose leading entries are -0.0, 5e-324,
+    1e16 and other exactly representable numbers."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-150, 150, (rows, cols))
+    special = [-0.0, 5e-324, 1e16, 0.0, 1.0, 3.0, -2.5, 0.1]
+    k = min(values.size, len(special))
+    values.flat[:k] = special[:k]
+    return values
+
+
+SIZES = [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 17]
+
+
+class TestRowWriter:
+    """The shared CSV row writer, formatting parts of the rows in forked
+    children, against the per-cell oracles."""
+
+    params = validate_params({"n": 2, "alpha": 0.1, "beta": 0.9,
+                              "a": [0.3, 0.7], "b": [0.6, 0.4]})
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows", SIZES)
+    def test_byte_identical_to_per_cell_writers(self, monkeypatch, cpus, rows):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        z = awkward_values(rows, 4, rows)
+        assert_same_lines(csv_text(trajectory_csv(z, self.params)),
+                          per_cell_trajectory_csv(z, self.params))
+        xbar, h = awkward_values(rows, 2, rows + 1).T
+        assert_same_lines(csv_text(cycle_csv(xbar, h)), per_cell_cycle_csv(xbar, h))
+        if rows:  # the CLI dumps only 2n x 2n matrices
+            m = awkward_values(rows, 3, rows + 2)
+            assert_same_lines(csv_text(matrix_csv(m)), per_cell_matrix_csv(m))
+
+    @pytest.mark.parametrize("n", [3, 700])
+    def test_dump_matrices_byte_identical(self, capsys, tmp_path, n):
+        out = tmp_path / "mats"
+        code, _, _ = run_cli(capsys, "decompose", "--n", n, "--alpha", "0.1", "--beta", "0.9",
+                             "--dump-matrices", out)
+        assert code == 0
+        params = validate_params({"n": n, "alpha": 0.1, "beta": 0.9,
+                                  "a": [1.0 / n] * n, "b": [1.0 / n] * n})
+        dec = varcycle.decompose(params)
+        matrices = {"M": varcycle.build_transition_matrix(params).entries,
+                    "Q": dec.Q, "Qinv": dec.Qinv}
+        for name, matrix in matrices.items():
+            assert (out / f"{name}.csv").read_bytes() == per_cell_matrix_csv(matrix).encode()
+
+    def test_failing_child_exits_2_and_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        format_rows = cli.CsvTable._format
+
+        def fail_past_first_block(table, lo, hi):
+            if lo >= _CSV_BLOCK_ROWS:  # only the child formats these rows
+                raise MemoryError
+            return format_rows(table, lo, hi)
+
+        monkeypatch.setattr(cli.CsvTable, "_format", fail_past_first_block)
+        out = tmp_path / "c.csv"
+        code, report, err = run_cli(capsys, "cycle", "--T", 3000, "--out", out)
+        assert code == 2 and report is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: OSError: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_are_reaped(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        z = awkward_values(5 * _CSV_BLOCK_ROWS, 4, 1)
+        csv_text(trajectory_csv(z, self.params))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        class FailingFile(io.BytesIO):
+            def write(self, data):
+                raise OSError("disk full")
+
+        # the parent fails while its children still wait to hand over their parts
+        with pytest.raises(OSError, match="disk full"):
+            trajectory_csv(z, self.params).write(FailingFile())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_writes_same_bytes_and_forks_nothing(self, monkeypatch, tmp_path):
+        script = """
+import os, sys
+import numpy as np
+from varcycle.cli import atomic_write, cycle_csv
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+xbar, h = np.random.default_rng(4).standard_normal((2, 5000))
+atomic_write(sys.argv[1], cycle_csv(xbar, h))
+print(len(forks))
+"""
+        pinned = tmp_path / "pinned.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(varcycle.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(pinned)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        xbar, h = np.random.default_rng(4).standard_normal((2, 5000))
+        here = tmp_path / "here.csv"
+        atomic_write(str(here), cycle_csv(xbar, h))
+        assert pinned.read_bytes() == here.read_bytes()

@@ -11,7 +11,6 @@ from varcycle import (
     dominant_period,
     fit_constants,
     forcing_series,
-    general_homogeneous_solution,
     homogeneous_solution,
     particular_solution,
     psi_weights,
@@ -314,6 +313,35 @@ class TestHomogeneousSolution:
         v = sol.values
         resid = v[2:] + m.kappa1 * v[1:-1] + m.kappa2 * v[:-2]
         assert np.max(np.abs(resid)) < 1e-9 * max(1.0, np.max(np.abs(v)))
+
+
+def general_homogeneous_solution(model, x0, x1, t_max):
+    """Oracle: the homogeneous solution fitted from (x0, x1) in any regime.
+
+    Oscillatory: the fitted damped cosine.  Distinct real roots:
+    c1 rho1^t + c2 rho2^t.  Repeated root: (c0 + c1 t) rho^t, with the
+    degenerate rho = 0 case (both roots zero) handled directly since
+    every solution then vanishes from step 2 on.
+    """
+    t = np.arange(t_max + 1, dtype=float)
+    if model.regime is CycleRegime.COMPLEX_OSCILLATORY:
+        c1, c2 = fit_constants(model, x0, x1)
+        return homogeneous_solution(model, c1, c2, t_max).values
+    if model.regime is CycleRegime.DISTINCT_REAL:
+        r1, r2 = model.rho1.real, model.rho2.real
+        c1 = (x1 - r2 * x0) / (r1 - r2)
+        c2 = x0 - c1
+        return c1 * r1**t + c2 * r2**t
+    r = model.rho1.real
+    if r == 0.0:
+        out = np.zeros(t_max + 1)
+        out[0] = x0
+        if t_max >= 1:
+            out[1] = x1
+        return out
+    c0 = x0
+    c1 = x1 / r - x0
+    return (c0 + c1 * t) * r**t
 
 
 class TestGeneralHomogeneous:

@@ -2,6 +2,12 @@
 drawn within a relative distance of 1e-8 .. 1e-2 of the regime boundaries
 d1 = (3 - 2 sqrt 2) beta and d2 = (3 + 2 sqrt 2) beta, on both sides."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,6 +29,7 @@ from varcycle import (
     validate_params,
     verify_decomposition,
 )
+from varcycle.cli import main
 
 BOUNDARY_FACTORS = {"d1": 3.0 - 2.0 * np.sqrt(2.0), "d2": 3.0 + 2.0 * np.sqrt(2.0)}
 SPECTRAL_TO_CYCLE = {
@@ -123,3 +130,44 @@ def test_particular_solution_meets_its_equation(pair, seed):
     x = particular_solution(model, h)
     resid = x[2:] + model.kappa1 * x[1:-1] + model.kappa2 * x[:-2] - h
     assert np.max(np.abs(resid)) <= 1e-13 * (1.0 + np.max(np.abs(x)))
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def cli_calls(params, workdir):
+    config = workdir / "config.json"
+    config.write_text(json.dumps({
+        "n": params.n, "alpha": params.alpha, "beta": params.beta,
+        "a": params.a.tolist(), "b": params.b.tolist(), "run": {"T": 40, "seed": 1},
+    }))
+    # "--alpha=-1e-05": argparse takes a separate "-1e-05" for an option
+    pair = [f"--alpha={params.alpha!r}", f"--beta={params.beta!r}"]
+    return [
+        ["decompose", "--config", config],
+        ["verify", "--config", config],
+        ["simulate", "--config", config, "--method", "both", "--out", workdir / "traj.csv"],
+        ["moments", "--config", config, "--mc-reps", "3"],
+        ["cycle", *pair, "--T", "100", "--analyze", "--out", workdir / "cycle.csv"],
+    ]
+
+
+@PROPERTY
+@given(params=models())
+def test_every_report_is_strict_json(params):
+    # exit 0 or 1 (verify) prints one strict-JSON report; exit 2 prints one
+    # error line and nothing on stdout; nothing ends in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in cli_calls(params, Path(tmp)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(a) for a in argv])
+            assert "Traceback" not in err.getvalue(), argv
+            if code == 2:
+                assert out.getvalue() == "", argv
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), argv
+            else:
+                assert code == 0 or (code == 1 and argv[0] == "verify"), (argv, code)
+                json.loads(out.getvalue(), parse_constant=reject_constant)
