@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import signal
+import stat
 import sys
 import tempfile
 import time
@@ -179,12 +181,14 @@ class CsvTable:
 
     def _format(self, lo: int, hi: int) -> bytes:
         # tolist() yields Python floats, whose repr is the shortest
-        # round-trip decimal
-        rows = np.column_stack([c[lo:hi] for c in self.columns]).tolist()
+        # round-trip decimal.  zip over one iterator repeated per column
+        # takes the row-major cells a row at a time.
+        block = np.column_stack([c[lo:hi] for c in self.columns])
+        cells = iter(list(map(repr, block.ravel().tolist())))
+        fields = [cells] * block.shape[1]
         if self.index:
-            lines = [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(rows, lo)]
-        else:
-            lines = [",".join(map(repr, row)) for row in rows]
+            fields.insert(0, map(str, range(lo, hi)))
+        lines = list(map(",".join, zip(*fields)))
         lines.append("")
         return "\n".join(lines).encode()
 
@@ -249,9 +253,18 @@ def atomic_write(path: str, content: str | CsvTable) -> None:
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    # mkstemp creates the file 0600; give it the mode open(path, "w")
+    # would leave: the old file's, else 0o666 less the umask
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, mode)
             if isinstance(content, CsvTable):
                 content.write(fh)
             else:
@@ -388,10 +401,6 @@ def _run_int(run: dict, key: str) -> int:
         raise ConfigError(f"run.{key} must be an integer: {exc}") from exc
 
 
-def _run_ints(run: dict) -> tuple[int, int]:
-    return _run_int(run, "T"), _run_int(run, "seed")
-
-
 def _resolve_z0(spec: str, n: int) -> np.ndarray:
     if spec == "zeros":
         return np.zeros(2 * n)
@@ -421,7 +430,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("simulate requires an output path (--out or output.path)")
     timer.mark("validate")
 
-    T, seed = _run_ints(run)
+    T, seed = _run_int(run, "T"), _run_int(run, "seed")
     z0 = _resolve_z0(str(run["z0"]), params.n)
     noises = sample_noise_path(noise, params, T, seed, zero_noise=args.zero_noise)
     M = build_transition_matrix(params)
@@ -435,17 +444,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     timer.mark("compute")
 
     base = str(output["path"])
+    stem, ext = os.path.splitext(base)
     files: dict[str, str] = {}
-    if run["method"] == "both":
-        stem, ext = os.path.splitext(base)
-        for name, traj in trajectories.items():
-            path = f"{stem}_{name}{ext or '.csv'}"
-            atomic_write(path, trajectory_csv(traj.z, params))
-            files[name] = path
-    else:
-        only = next(iter(trajectories.values()))
-        atomic_write(base, trajectory_csv(only.z, params))
-        files[run["method"]] = base
+    for name, traj in trajectories.items():
+        files[name] = f"{stem}_{name}{ext or '.csv'}" if run["method"] == "both" else base
+        atomic_write(files[name], trajectory_csv(traj.z, params))
     timer.mark("write")
 
     payload: dict[str, Any] = {
@@ -617,7 +620,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         record("decomposition_residuals", "skipped", "no explicit basis in this regime")
 
-    T, seed = _run_ints(run)
+    T, seed = _run_int(run, "T"), _run_int(run, "seed")
     noises = sample_noise_path(noise, params, T, seed)
     traj = simulate_recursive(params, M, np.zeros(2 * params.n), noises)
     if dec.Q is not None:
@@ -729,9 +732,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with each negative number after a long option joined to it as
+    --flag=value, since argparse takes -1e-05, -2E+3 or -inf for an option."""
+    out: list[str] = []
+    for token in argv:
+        negative = re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE)
+        if negative and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except VarcycleError as exc:

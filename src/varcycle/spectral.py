@@ -220,7 +220,8 @@ def jordan_diag(eig: EigenStructure) -> np.ndarray:
     ])
 
 
-def _basis(params: ModelParams, eig: EigenStructure) -> tuple[np.ndarray, np.ndarray]:
+def _basis(params: ModelParams, eig: EigenStructure,
+           gap: float) -> tuple[np.ndarray, np.ndarray]:
     """The diagonalizing basis Q and its inverse, both in closed form.
 
     Callers guarantee the diagonalizable regime, n >= 2 and
@@ -236,10 +237,16 @@ def _basis(params: ModelParams, eig: EigenStructure) -> tuple[np.ndarray, np.nda
     b.x = w3 + w4 and a.y = c3 w3 + c4 w4, row 2n reads
     w4 = (-c3 b.x + a.y)/mix and row n reads w3 = b.x - w4, that is
     (c4 b, -a)/mix, where mix = c4 - c3.
+    For the root within O(alpha) of lambda1 (lambda3 when beta > alpha,
+    else lambda4) lam - lambda1 cancels, so that scalar is taken as
+    -beta/(lam - lambda2) = -beta*tau, tau = 2/(beta - alpha +- gap).
     """
-    n, a, b = params.n, params.a, params.b
-    c3 = (float(np.real(eig.lambda3)) - eig.lambda1) / params.alpha
-    c4 = (float(np.real(eig.lambda4)) - eig.lambda1) / params.alpha
+    n, a, b, alpha, beta = params.n, params.a, params.b, params.alpha, params.beta
+    c3, c4 = ((float(np.real(lam)) - eig.lambda1) / alpha for lam in (eig.lambda3, eig.lambda4))
+    if beta > alpha:
+        c3 = -beta * (2.0 / (beta - alpha + gap))
+    else:
+        c4 = -beta * (2.0 / (beta - alpha - gap))
     mix = c4 - c3  # -sqrt(Delta)/alpha, nonzero off the repeated-root boundary
     m = 2 * n
     Q = np.zeros((m, m))
@@ -282,7 +289,7 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
             tau_plus = 2.0 / den_plus
             tau_tilde = params.alpha * (tau_minus - tau_plus)
         if params.n >= 2 and params.alpha != 0.0 and params.beta != 0.0:
-            Q, Qinv = _basis(params, eig)
+            Q, Qinv = _basis(params, eig, gap)
 
     return SpectralDecomposition(
         regime=regime,

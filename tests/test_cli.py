@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,8 @@ import pytest
 
 import varcycle
 from varcycle import BOUNDARY_TOL, cli, validate_params
-from varcycle.cli import _CSV_BLOCK_ROWS, atomic_write, cycle_csv, main, matrix_csv, trajectory_csv
+from varcycle.cli import (_CSV_BLOCK_ROWS, CsvTable, atomic_write, cycle_csv, main, matrix_csv,
+                          trajectory_csv)
 
 
 @pytest.fixture
@@ -286,6 +289,24 @@ BAD_INPUTS = {
     "cycle-x0-nan": (lambda p: ["cycle", "--x0", "nan", "--out", p / "c.csv"], "RangeError"),
     "cycle-x0-inf": (lambda p: ["cycle", "--x0", "inf", "--out", p / "c.csv"], "RangeError"),
     "cycle-x1-nan": (lambda p: ["cycle", "--x1", "nan", "--out", p / "c.csv"], "RangeError"),
+    # negative numbers argparse does not read as numbers reach validation
+    "cycle-alpha-minus-inf": (lambda p: ["cycle", "--alpha", "-inf", "--out", p / "c.csv"],
+                              "ParameterError"),
+    "cycle-beta-minus-inf": (lambda p: ["cycle", "--beta", "-inf", "--out", p / "c.csv"],
+                             "ParameterError"),
+    "cycle-x0-minus-inf": (lambda p: ["cycle", "--x0", "-inf", "--out", p / "c.csv"],
+                           "RangeError"),
+    "cycle-x1-minus-inf": (lambda p: ["cycle", "--x1", "-inf", "--out", p / "c.csv"],
+                           "RangeError"),
+    "cycle-eps-sd-minus-inf": (lambda p: ["cycle", "--eps-sd", "-inf", "--out", p / "c.csv"],
+                               "RangeError"),
+    "cycle-eta-sd-exponent": (lambda p: ["cycle", "--eta-sd", "-1e-05", "--out", p / "c.csv"],
+                              "RangeError"),
+    "alpha-flag-minus-inf": (lambda p: ["decompose", "--n", "2", "--alpha", "-inf",
+                                        "--beta", "0.9"], "ParameterError"),
+    "simulate-beta-flag-minus-inf": (lambda p: ["simulate", "--n", "2", "--alpha", "0.1",
+                                                "--beta", "-inf", "--out", p / "s.csv"],
+                                     "ParameterError"),
     "t-grid-text": (lambda p: ["moments", *MODEL_FLAGS, "--t-grid", "2,x"], "ConfigError"),
     "tau-grid-text": (lambda p: ["moments", *MODEL_FLAGS, "--tau-grid", "0,x"], "ConfigError"),
     "a-flag-text": (lambda p: ["decompose", *MODEL_FLAGS, "--a", "x,0.5"], "ConfigError"),
@@ -351,7 +372,69 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert not list(tmp_path.rglob(".tmp-*"))
 
 
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def file_mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestOutputMode:
+    """Outputs get the mode open(path, "w") would give them."""
+
+    def test_new_files_follow_the_umask(self, capsys, tmp_path, umask_022):
+        runs = [["cycle", "--T", 30, "--out", tmp_path / "c.csv"],
+                ["simulate", *MODEL_FLAGS, "--T", 5, "--method", "both",
+                 "--out", tmp_path / "s.csv"],
+                ["decompose", *MODEL_FLAGS, "--dump-matrices", tmp_path / "mats",
+                 "--out", tmp_path / "report.json"]]
+        for argv in runs:
+            assert run_cli(capsys, *argv)[0] == 0
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(written) == 7
+        assert {p.name: file_mode(p) for p in written} == {p.name: 0o644 for p in written}
+
+    def test_rewrite_keeps_the_old_mode(self, capsys, tmp_path, umask_022):
+        out = tmp_path / "c.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert run_cli(capsys, "cycle", "--T", 30, "--out", out)[0] == 0
+        assert out.read_text().startswith("t,xbar,h\n")
+        assert file_mode(out) == 0o640
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["cycle", "--alpha", "-1e-05"], "alpha", -1e-05),
+    (["cycle", "--beta", "-2E-1"], "beta", -0.2),
+    (["cycle", "--x0", "-1e-05"], "x0", -1e-05),
+    (["cycle", "--x1", "-2E+3"], "x1", -2000.0),
+    (["decompose", "--n", "2", "--beta", "0.9", "--alpha", "-1e-05"], "alpha", -1e-05),
+    (["decompose", "--n", "2", "--alpha", "1", "--beta", "-2E+3"], "beta", -2000.0),
+])
+def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path, argv, key, value):
+    # argparse alone reads -1e-05 as an option and stops with a usage error
+    if argv[0] == "cycle":
+        argv = argv + ["--T", "30", "--out", tmp_path / "c.csv"]
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert report["config_echo"][key] == value
+
+
 class TestCycleCommand:
+    def test_csv_bytes_match_recorded_hash(self, capsys, tmp_path):
+        # recorded with the per-row writer; the values come from a
+        # Python-float recursion and elementwise numpy, and each cell is
+        # the repr of a Python float, so the bytes are the same everywhere
+        out = tmp_path / "c.csv"
+        code, _, _ = run_cli(capsys, "cycle", "--T", 20000, "--seed", 3, "--out", out)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "47bf9056e5949d959a48429d7504cc99122de54c64573940c2f81737b17232e3")
+
     def test_default_run_reproduces_benchmark(self, capsys, tmp_path):
         out = tmp_path / "fig.csv"
         code, report, _ = run_cli(capsys, "cycle", "--out", out, "--analyze")
@@ -570,6 +653,19 @@ class TestRowWriter:
         if rows:  # the CLI dumps only 2n x 2n matrices
             m = awkward_values(rows, 3, rows + 2)
             assert_same_lines(csv_text(matrix_csv(m)), per_cell_matrix_csv(m))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows", SIZES[1:])
+    def test_one_column_and_no_index(self, monkeypatch, cpus, rows):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        x = awkward_values(rows, 1, rows + 3)[:, 0]
+        indexed = "t,x\n" + "".join(f"{t},{float(v)!r}\n" for t, v in enumerate(x))
+        assert_same_lines(csv_text(CsvTable("t,x", (x,), index=True)), indexed)
+        assert_same_lines(csv_text(CsvTable(None, (x,), index=False)),
+                          per_cell_matrix_csv(x[:, None]))
+        z = awkward_values(rows, 3, rows + 4)
+        assert_same_lines(csv_text(CsvTable("u,v,w", (z[:, :2], z[:, 2]), index=False)),
+                          "u,v,w\n" + per_cell_matrix_csv(z))
 
     @pytest.mark.parametrize("n", [3, 700])
     def test_dump_matrices_byte_identical(self, capsys, tmp_path, n):

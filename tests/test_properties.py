@@ -89,14 +89,33 @@ def test_decomposition_passes_wherever_a_basis_exists(params):
     assert check.passed, check
 
 
+SMALL_ALPHA = [(1e-8, 1.0), (-1e-7, 0.3), (2.2004343959725833e-287, 1.0), (1e-8, -1.0)]
+
+
+def small_alpha_params(alpha, beta):
+    return validate_params({"n": 3, "alpha": alpha, "beta": beta,
+                            "a": [0.2, 0.3, 0.5], "b": [0.5, 0.2, 0.3]})
+
+
+@pytest.mark.parametrize("alpha,beta", SMALL_ALPHA)
+def test_root_near_lambda1_column_is_exact_at_small_alpha(alpha, beta):
+    # for the quadratic root within O(alpha) of lambda1, c = (lam -
+    # lambda1)/alpha cancels; its column takes the form -beta*tau instead
+    params = small_alpha_params(alpha, beta)
+    dec = decompose(params)
+    M = build_transition_matrix(params).entries
+    j = 2 if beta > alpha else 5  # lambda3's column, else lambda4's
+    q = dec.Q[:, j]
+    assert np.max(np.abs(M @ q - dec.diag[j] * q)) < 1e-15  # a few ulps of 1
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the basis scalars c3, c4 = (lambda - lambda1) / alpha "
-                   "cancel as alpha -> 0, so MQ - QJ exceeds its bound")
-@pytest.mark.parametrize("alpha,beta", [(1e-8, 1.0), (-1e-7, 0.3), (2.2004343959725833e-287, 1.0)])
+                   reason="the column (1, c) of the root near lambda2 has |c| ~ |beta/alpha|, "
+                   "so the rounding of that eigenvalue and of sum(a) = 1 scaled by |c| "
+                   "exceeds the residual bound")
+@pytest.mark.parametrize("alpha,beta", SMALL_ALPHA)
 def test_decomposition_passes_at_small_alpha(alpha, beta):
-    params = validate_params({"n": 3, "alpha": alpha, "beta": beta,
-                              "a": [0.2, 0.3, 0.5], "b": [0.5, 0.2, 0.3]})
-    check = decomposition_check(params)
+    check = decomposition_check(small_alpha_params(alpha, beta))
     assert check.passed, check
 
 
