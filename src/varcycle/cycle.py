@@ -157,8 +157,9 @@ def sample_scalar_noise(
         eta = np.full(T + 2, eta_law[0])
     else:
         rng = np.random.default_rng(seed)
-        eps = rng.normal(eps_law[0], eps_law[1], T + 2)
-        eta = rng.normal(eta_law[0], eta_law[1], T + 2)
+        # abs: a zero sd written as -0.0 draws as 0.0 does
+        eps = rng.normal(eps_law[0], abs(eps_law[1]), T + 2)
+        eta = rng.normal(eta_law[0], abs(eta_law[1]), T + 2)
     return ScalarNoise(eps_bar=eps, eta_bar=eta, seed=seed)
 
 

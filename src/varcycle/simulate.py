@@ -1,5 +1,5 @@
 """Stochastic simulation: noise paths, the step recursion, and the
-explicit solution evaluated in transformed coordinates.
+explicit solution evaluated in block-basis coordinates.
 
 Both trajectory generators consume the same pre-drawn noise path, so a
 recursive run and an explicit run with a shared seed are directly
@@ -144,7 +144,7 @@ def _iterate(
 
     z0 has shape (..., m) and gamma (..., T, m); returns the states
     z_0..z_T as (..., T + 1, m).  This is the one loop over time steps
-    behind every vector recursion in the package.  Overflow is left in
+    behind every recursion on numpy state vectors.  Overflow is left in
     the states (callers that care use :func:`_check_finite`), not
     raised as a numpy warning.
     """
@@ -152,8 +152,8 @@ def _iterate(
     z = np.empty((g.shape[0] + 1,) + g.shape[1:])
     z[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(g.shape[0]):
-            np.add(step(z[t]), g[t], out=z[t + 1])
+        for zt, gt, znext in zip(z, g, z[1:]):
+            np.add(step(zt), gt, out=znext)
     return np.moveaxis(z, 0, -2)
 
 
@@ -194,6 +194,20 @@ def simulate_recursive(
     return Trajectory(z=z, noises=noises, seed=noises.seed, method=METHOD_RECURSIVE)
 
 
+def _aggregate_path(A: np.ndarray, v0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(xbar, ybar)_{t+1} = A (xbar, ybar)_t + g_t from v0, for g of shape
+    (T, 2); returns the T + 1 states.  Python floats step faster than
+    numpy scalars and overflow to inf silently."""
+    (a11, a12), (a21, a22) = A.tolist()
+    x, y = v0.tolist()
+    xs, ys = [x], [y]
+    for gx, gy in zip(g[:, 0].tolist(), g[:, 1].tolist()):
+        x, y = a11 * x + a12 * y + gx, a21 * x + a22 * y + gy
+        xs.append(x)
+        ys.append(y)
+    return np.column_stack([xs, ys])
+
+
 def simulate_explicit(
     params: ModelParams,
     decomposition: SpectralDecomposition,
@@ -202,19 +216,20 @@ def simulate_explicit(
 ) -> Trajectory:
     """Evaluate the closed-form solution
 
-        z_{t+1} = Q J^{t+1} Q^-1 z_0 + sum_{i=0..t} Q J^i Q^-1 gamma_{t-i}
+        z_{t+1} = R J_R^{t+1} R^-1 z_0 + sum_{i=0..t} R J_R^i R^-1 gamma_{t-i}
 
-    in transformed coordinates: ztilde accumulates blockwise through
-    scalar eigenvalue multiplications (the running form of the moving-
-    average sum), and the basis maps every requested step back at the
-    end.  Raises WrongRegime when no explicit basis exists.
+    in the coordinates of the block basis R, in every regime: each
+    deviation accumulates through its scalar rate (the running form of
+    the moving-average sum), the aggregate pair through the 2x2 map A,
+    and R maps every step back at the end, all in O(n) per step.
     """
-    Q, Qinv = decomposition.Q, decomposition.Qinv
-    d = decomposition.diag
-    z0 = _initial_state(params, z0)
-    ztilde = _iterate(lambda z: d * z, Qinv @ z0, noises.gamma @ Qinv.T)
+    R = decomposition.R
+    # rows R^-1 z_0, R^-1 gamma_0, ...; each column block's path overwrites them
+    w = R.solve(np.vstack([_initial_state(params, z0), noises.gamma]))
+    w[:, :-2] = _iterate(lambda u: R.rates * u, w[0, :-2], w[1:, :-2])
+    w[:, -2:] = _aggregate_path(R.A, w[0, -2:], w[1:, -2:])
     with np.errstate(over="ignore", invalid="ignore"):
-        z = ztilde @ Q.T
+        z = R.apply(w)
     _check_finite(z)
     return Trajectory(z=z, noises=noises, seed=noises.seed, method=METHOD_EXPLICIT)
 

@@ -21,13 +21,15 @@ three regimes:
 * Delta = 0 — lam3 is a double root carrying a single 2 x 2 Jordan
   block; only the block structure is reported (no explicit basis).
 
-The basis column for a simple root lam of g is (1_n, c * 1_n) with
-c = (lam - lam1) / alpha, which solves both block rows of the eigen
-equation because g(lam) = 0.  Q and Q^-1 come from the same two
-projections, x = x_perp + (b.x) 1 and y = y_perp + (a.y) 1: the dual
-rows e_{i+1} - b and e_{i+1} - a read off the deviation coordinates,
-and a 2x2 inverse over the two quadratic roots mixes the aggregates
-(b.x, a.y).  Both are written in closed form, never by a dense solver.
+One real block basis R serves every regime: its columns span the
+deviations from the weighted aggregates, x = x_perp + (b.x) 1 and
+y = y_perp + (a.y) 1, plus the two aggregate directions, so
+M R = R J_R with the scalar rates 1 - alpha and 1 - beta on the
+deviations and the 2x2 aggregate map A = [[1-alpha, alpha],
+[-beta, 1-beta]].  R and R^-1 apply in O(n) and need no root of g and
+no division by alpha.  Where M is diagonalizable the paper's basis is
+Q = R blockdiag(I, V), with V the eigenvectors of A: only a 2x2 matrix
+depends on the regime.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ BOUNDARY_TOL = 1e-10
 
 #: Threshold of the decomposition residuals in verify_decomposition.
 RESIDUAL_TOL = 1e-10
+
+#: Rows and seed of the probe block that verify_block_basis multiplies.
+PROBE_WIDTH, PROBE_SEED = 4, 0
 
 
 class Regime(enum.Enum):
@@ -88,10 +93,57 @@ class EigenStructure:
 
 
 @dataclass(frozen=True)
+class BlockBasis:
+    """The real block basis R, with M R = R J_R in every regime.
+
+    w = R^-1 z holds the deviations x_{i+1} - b.x (i = 1..n-1), then
+    y_{i+1} - a.y, then the aggregates b.x and a.y: R's columns are
+    e_{i+1} - (b_{i+1}/b_1) e_1 in the x block (likewise with a in the
+    y block), (1_n, 0) and (0, 1_n).  J_R scales the deviations by
+    ``rates`` (1-alpha, then 1-beta) and maps the aggregate pair by
+    ``A``.  ``apply`` and ``solve`` act over the last axis, with any
+    leading batch axes, in O(n) per row.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    rates: np.ndarray
+    A: np.ndarray
+
+    def apply(self, W: np.ndarray) -> np.ndarray:
+        """z = R w for each w on the last axis of W."""
+        n = len(self.a)
+        Z = np.empty(W.shape)
+        for k, w in enumerate((self.b, self.a)):
+            dev, agg = W[..., k * (n - 1):(k + 1) * (n - 1)], W[..., 2 * n - 2 + k]
+            np.add(dev, agg[..., None], out=Z[..., k * n + 1:(k + 1) * n])
+            Z[..., k * n] = agg - dev @ (w[1:] / w[0])
+        return Z
+
+    def solve(self, Z: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """w = R^-1 z for each z on the last axis of Z; Z @ R^-1 with
+        ``transpose``, which sums the rows (e_{i+1} - w, 0) and (w, 0)."""
+        n = len(self.a)
+        W = np.empty(Z.shape)
+        for k, w in enumerate((self.b, self.a)):
+            dev, half = slice(k * (n - 1), (k + 1) * (n - 1)), slice(k * n, (k + 1) * n)
+            if transpose:
+                agg = Z[..., 2 * n - 2 + k, None] - Z[..., dev].sum(axis=-1, keepdims=True)
+                np.multiply(agg, w, out=W[..., half])
+                W[..., k * n + 1:(k + 1) * n] += Z[..., dev]
+            else:
+                agg = W[..., 2 * n - 2 + k, None]
+                np.matmul(Z[..., half], w, out=agg[..., 0])
+                np.subtract(Z[..., half][..., 1:], agg, out=W[..., dev])
+        return W
+
+
+@dataclass(frozen=True)
 class SpectralDecomposition:
-    """Regime, eigenvalues, Jordan block layout, and (when the matrix is
-    diagonalizable, n >= 2 and alpha*beta != 0) the explicit basis Q and
-    its closed-form inverse; ``diag`` is the gate to them.
+    """Regime, eigenvalues, Jordan block layout, the block basis R (in
+    every regime), and (when the matrix is diagonalizable, n >= 2 and
+    alpha*beta != 0) the paper's basis Q and its closed-form inverse;
+    ``diag`` is the gate to them.
 
     ``blocks`` lists (eigenvalue, block size) pairs in basis-column
     order; ``None`` in the complex regime where no real normal form is
@@ -105,6 +157,7 @@ class SpectralDecomposition:
     boundaries: RegimeBoundaries
     eig: EigenStructure
     blocks: tuple[tuple[float, int], ...] | None
+    R: BlockBasis
     Q: np.ndarray | None
     Qinv: np.ndarray | None
     tau_minus: float | None
@@ -112,21 +165,20 @@ class SpectralDecomposition:
     tau_tilde: float | None
 
     @property
-    def n(self) -> int:
-        return self.eig.n
-
-    @property
     def diag(self) -> np.ndarray:
-        """Diagonal d of the normal form, so that M Q = Q diag(d).
+        """Diagonal d of the normal form, so that M Q = Q diag(d): lambda1
+        n-1 times, lambda3, lambda2 n-1 times, lambda4.
 
-        The one gate for every computation that uses the explicit basis:
-        raises WrongRegime whenever Q is None, which covers the complex
-        and repeated-root regimes, n < 2 and alpha*beta == 0.
+        The one gate for every computation that uses Q: raises
+        WrongRegime whenever Q is None, which covers the complex and
+        repeated-root regimes, n < 2 and alpha*beta == 0.
         """
+        eig = self.eig
         if self.Q is None:
-            raise WrongRegime(f"no explicit basis in regime {self.regime.value} with n={self.n}: "
+            raise WrongRegime(f"no explicit basis in regime {self.regime.value} with n={eig.n}: "
                               "it needs diagonalizable_real, n >= 2 and alpha*beta != 0")
-        return jordan_diag(self.eig)
+        return np.repeat([eig.lambda1, eig.lambda3, eig.lambda2, eig.lambda4],
+                         [eig.n - 1, 1, eig.n - 1, 1])
 
 
 def _trichotomy(delta: float, alpha: float, beta: float) -> int:
@@ -164,138 +216,87 @@ def characteristic_polynomial_eval(params: ModelParams, lam: float) -> float:
     return (lam - 1.0 + beta) ** (n - 1) * (lam - 1.0 + alpha) ** (n - 1) * g
 
 
-def eigen_structure(
-    params: ModelParams, boundaries: RegimeBoundaries, regime: Regime
-) -> EigenStructure:
-    """Eigenvalues in the given regime.
+def _basis(params: ModelParams, lam3: float, lam4: float, gap: float) -> np.ndarray:
+    """V = [[1, 1], [c3, c4]], the eigenvectors of the aggregate map A
+    for the quadratic roots lambda3 and lambda4.
 
-    The quadratic-factor roots are 1 - (alpha + beta)/2 +- sqrt(Delta)/2,
-    real when Delta >= 0 and a conjugate pair with imaginary part
-    sqrt(|Delta|)/2 otherwise; on the boundary they coincide at
-    1 - (alpha + beta)/2.
-    """
-    alpha, beta = params.alpha, params.beta
-    lam1, lam2 = 1.0 - alpha, 1.0 - beta
-    mid = 1.0 - (alpha + beta) / 2.0
-    if regime is Regime.COMPLEX_CONJUGATE:
-        half = np.sqrt(abs(boundaries.delta)) / 2.0
-        lam3: float | complex = complex(mid, half)
-        lam4: float | complex = complex(mid, -half)
-    elif regime is Regime.REPEATED_ROOT_JORDAN:
-        lam3 = lam4 = mid
-    else:
-        half = np.sqrt(boundaries.delta) / 2.0
-        lam3, lam4 = mid + half, mid - half
-    return EigenStructure(n=params.n, lambda1=lam1, lambda2=lam2, lambda3=lam3, lambda4=lam4)
-
-
-def jordan_blocks(eig: EigenStructure, regime: Regime) -> tuple[tuple[float, int], ...] | None:
-    """Block layout of the real normal form, or None in the complex regime.
-
-    Diagonalizable: (n-1) 1-blocks of lambda1, one of lambda3, (n-1) of
-    lambda2, one of lambda4 — matching the basis column order.  On the
-    boundary: the lambda1 and lambda2 blocks followed by a single
-    2-block at the double root.
-    """
-    if regime is Regime.COMPLEX_CONJUGATE:
-        return None
-    n = eig.n
-    if regime is Regime.REPEATED_ROOT_JORDAN:
-        blocks = [(eig.lambda1, 1)] * (n - 1) + [(eig.lambda2, 1)] * (n - 1)
-        blocks.append((float(np.real(eig.lambda3)), 2))
-        return tuple(blocks)
-    blocks = [(eig.lambda1, 1)] * (n - 1) + [(float(np.real(eig.lambda3)), 1)]
-    blocks += [(eig.lambda2, 1)] * (n - 1) + [(float(np.real(eig.lambda4)), 1)]
-    return tuple(blocks)
-
-
-def jordan_diag(eig: EigenStructure) -> np.ndarray:
-    """Diagonal vector of the normal form in the diagonalizable regime."""
-    n = eig.n
-    return np.concatenate([
-        np.full(n - 1, eig.lambda1),
-        [float(np.real(eig.lambda3))],
-        np.full(n - 1, eig.lambda2),
-        [float(np.real(eig.lambda4))],
-    ])
-
-
-def _basis(params: ModelParams, eig: EigenStructure,
-           gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonalizing basis Q and its inverse, both in closed form.
-
-    Callers guarantee the diagonalizable regime, n >= 2 and
-    alpha*beta != 0.  Each half of the state splits as
-    x = x_perp + (b.x) 1 and y = y_perp + (a.y) 1.  Columns 1..n-1 of Q
-    span the lambda1 deviations, (-b_{i+1}/b_1, e_i, 0_n), and rows
-    1..n-1 of Q^-1 read them off as (e_{i+1} - b, 0); columns and rows
-    n+1..2n-1 do the same for lambda2 with a.  Columns n and 2n carry
-    the aggregates, (1_n, c*1_n) with c = (lam - lambda1)/alpha for the
-    quadratic roots lambda3 and lambda4, the scalar that solves the top
-    block row (1-alpha) + alpha*c = lam (g(lam) = 0 makes the bottom row
-    hold too).  Rows n and 2n of Q^-1 invert that 2x2 mixing: with
-    b.x = w3 + w4 and a.y = c3 w3 + c4 w4, row 2n reads
-    w4 = (-c3 b.x + a.y)/mix and row n reads w3 = b.x - w4, that is
-    (c4 b, -a)/mix, where mix = c4 - c3.
-    For the root within O(alpha) of lambda1 (lambda3 when beta > alpha,
-    else lambda4) lam - lambda1 cancels, so that scalar is taken as
+    c = (lam - lambda1)/alpha solves the top row (1-alpha) + alpha*c =
+    lam, and g(lam) = 0 makes the bottom row hold too.  For the root
+    within O(alpha) of lambda1 (lambda3 when beta > alpha, else lambda4)
+    lam - lambda1 cancels, so that scalar is taken as
     -beta/(lam - lambda2) = -beta*tau, tau = 2/(beta - alpha +- gap).
     """
-    n, a, b, alpha, beta = params.n, params.a, params.b, params.alpha, params.beta
-    c3, c4 = ((float(np.real(lam)) - eig.lambda1) / alpha for lam in (eig.lambda3, eig.lambda4))
+    alpha, beta = params.alpha, params.beta
+    c3, c4 = ((lam - (1.0 - alpha)) / alpha for lam in (lam3, lam4))
     if beta > alpha:
         c3 = -beta * (2.0 / (beta - alpha + gap))
     else:
         c4 = -beta * (2.0 / (beta - alpha - gap))
-    mix = c4 - c3  # -sqrt(Delta)/alpha, nonzero off the repeated-root boundary
-    m = 2 * n
-    Q = np.zeros((m, m))
-    Qinv = np.zeros((m, m))
-    k = np.arange(n - 1)
-    for top, w in ((0, b), (n, a)):
-        Q[top, top + k] = -w[1:] / w[0]
-        Q[top + 1 + k, top + k] = 1.0
-        Qinv[top + k, top:top + n] = -w
-        Qinv[top + k, top + 1 + k] += 1.0
-    Q[:n, [n - 1, m - 1]] = 1.0
-    Q[n:, n - 1] = c3
-    Q[n:, m - 1] = c4
-    Qinv[m - 1, :n] = (-c3 / mix) * b
-    Qinv[m - 1, n:] = a / mix
-    Qinv[n - 1, :n] = b - Qinv[m - 1, :n]
-    Qinv[n - 1, n:] = -Qinv[m - 1, n:]
-    return Q, Qinv
+    return np.array([[1.0, 1.0], [c3, c4]])
+
+
+def _eigenbasis(R: BlockBasis, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q = R blockdiag(I, V) and Q^-1 = blockdiag(I, V^-1) R^-1 as dense
+    arrays, with Q's columns in the order of ``diag``: the x deviations,
+    lambda3's column, the y deviations, lambda4's column."""
+    n, m = len(R.a), 2 * len(R.a)
+    pos = np.r_[0:n - 1, n:m - 1, n - 1, m - 1]  # where each of R's columns sits in Q
+    QT, Qinv = np.empty((m, m)), np.empty((m, m))
+    for lo in range(0, m, 128):  # unit rows a block at a time: no third m x m array
+        E = np.eye(min(128, m - lo), m, lo)
+        QT[pos[lo:lo + 128]] = R.apply(E)
+        Qinv[pos[lo:lo + 128]] = R.solve(E, transpose=True)
+    mixed, (c3, c4) = [n - 1, m - 1], V[1]
+    QT[mixed] = V.T @ QT[mixed]
+    Qinv[mixed] = np.array([[c4, -1.0], [-c3, 1.0]]) @ Qinv[mixed] / (c4 - c3)
+    return QT.T, Qinv
 
 
 def decompose(params: ModelParams) -> SpectralDecomposition:
     """Classify the regime and build every artifact available in it.
 
-    Q and its inverse are populated only in the diagonalizable regime
-    with n >= 2 and alpha*beta != 0; elsewhere they are None and the
-    eigenvalue report still stands.
+    The quadratic-factor roots are 1 - (alpha + beta)/2 +- sqrt(Delta)/2:
+    real when Delta > 0, a conjugate pair with imaginary part
+    sqrt(|Delta|)/2 when Delta < 0, and one double root on the boundary,
+    which carries a single 2-block.  The blocks follow Q's column order,
+    (n-1) 1-blocks of lambda1, lambda3's, (n-1) of lambda2, lambda4's;
+    there are none in the complex regime.  R is built in every regime;
+    Q and its inverse only in the diagonalizable regime with n >= 2 and
+    alpha*beta != 0, elsewhere they are None.
     """
-    boundaries, regime = classify_regime(params.alpha, params.beta)
-    eig = eigen_structure(params, boundaries, regime)
-    blocks = jordan_blocks(eig, regime)
-
-    Q = Qinv = None
+    n, alpha, beta = params.n, params.alpha, params.beta
+    boundaries, regime = classify_regime(alpha, beta)
+    lam1, lam2 = 1.0 - alpha, 1.0 - beta
+    mid = 1.0 - (alpha + beta) / 2.0
+    half = np.sqrt(abs(boundaries.delta)) / 2.0
+    R = BlockBasis(a=params.a, b=params.b, rates=np.repeat([lam1, lam2], n - 1),
+                   A=np.array([[lam1, alpha], [-beta, lam2]]))
+    Q = Qinv = blocks = None
     tau_minus = tau_plus = tau_tilde = None
-    if regime is Regime.DIAGONALIZABLE_REAL:
+    if regime is Regime.COMPLEX_CONJUGATE:
+        lam3: float | complex = complex(mid, half)
+        lam4: float | complex = complex(mid, -half)
+    elif regime is Regime.REPEATED_ROOT_JORDAN:
+        lam3 = lam4 = mid
+        blocks = ((lam1, 1),) * (n - 1) + ((lam2, 1),) * (n - 1) + ((mid, 2),)
+    else:
+        lam3, lam4 = mid + half, mid - half
+        blocks = (((lam1, 1),) * (n - 1) + ((float(lam3), 1),)
+                  + ((lam2, 1),) * (n - 1) + ((float(lam4), 1),))
         gap = np.sqrt(boundaries.delta)
-        den_minus = params.beta - params.alpha - gap
-        den_plus = params.beta - params.alpha + gap
+        den_minus, den_plus = beta - alpha - gap, beta - alpha + gap
         if den_minus != 0.0 and den_plus != 0.0:
-            tau_minus = 2.0 / den_minus
-            tau_plus = 2.0 / den_plus
-            tau_tilde = params.alpha * (tau_minus - tau_plus)
-        if params.n >= 2 and params.alpha != 0.0 and params.beta != 0.0:
-            Q, Qinv = _basis(params, eig, gap)
+            tau_minus, tau_plus = 2.0 / den_minus, 2.0 / den_plus
+            tau_tilde = alpha * (tau_minus - tau_plus)
+        if n >= 2 and alpha != 0.0 and beta != 0.0:
+            Q, Qinv = _eigenbasis(R, _basis(params, lam3, lam4, gap))
 
     return SpectralDecomposition(
         regime=regime,
         boundaries=boundaries,
-        eig=eig,
+        eig=EigenStructure(n=n, lambda1=lam1, lambda2=lam2, lambda3=lam3, lambda4=lam4),
         blocks=blocks,
+        R=R,
         Q=Q,
         Qinv=Qinv,
         tau_minus=tau_minus,
@@ -386,3 +387,17 @@ def verify_decomposition(
         threshold_qqinv=RESIDUAL_TOL,
         passed=passed,
     )
+
+
+def verify_block_basis(M: TransitionMatrix, R: BlockBasis) -> tuple[float, float, bool]:
+    """Freivalds (1977) probe residuals max|M(RX) - R(J_R X)| and
+    max|R(R^-1 X) - X| on a fixed-seed standard-normal X of PROBE_WIDTH
+    rows, through the O(n) operators, and whether they are below
+    RESIDUAL_TOL * max|M| * max|X| and RESIDUAL_TOL * max|X|."""
+    X = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_WIDTH, M.shape[0]))
+    x_scale = float(np.max(np.abs(X)))
+    m_scale = float(max(np.max(np.abs(M.s)), np.max(np.abs(M.V))))
+    JX = np.concatenate([X[:, :-2] * R.rates, X[:, -2:] @ R.A.T], axis=1)
+    r1 = float(np.max(np.abs(M.apply(R.apply(X)) - R.apply(JX))))
+    r2 = float(np.max(np.abs(R.apply(R.solve(X)) - X)))
+    return r1, r2, r1 < RESIDUAL_TOL * m_scale * x_scale and r2 < RESIDUAL_TOL * x_scale

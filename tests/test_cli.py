@@ -456,6 +456,16 @@ class TestCycleCommand:
             assert code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--eps-sd", "--eta-sd"])
+    def test_negative_zero_sd_draws_as_zero(self, capsys, tmp_path, flag):
+        # -0.0 passes sd >= 0; numpy's normal() rejects its sign bit
+        outs = {}
+        for sd in ("0", "-0.0"):
+            outs[sd] = tmp_path / f"c{sd}.csv"
+            code, _, err = run_cli(capsys, "cycle", "--T", 30, f"{flag}={sd}", "--out", outs[sd])
+            assert code == 0, err
+        assert outs["0"].read_bytes() == outs["-0.0"].read_bytes()
+
     def test_short_run_downgrades_analysis_to_warning(self, capsys, tmp_path):
         out = tmp_path / "short.csv"
         code, report, err = run_cli(
@@ -531,6 +541,16 @@ class TestMoments:
         assert mat.shape == (6, 6)
 
 
+#: models without the paper's basis Q: the benchmark (complex regime), the
+#: repeated-root boundary d1, n = 1 and alpha = 0
+BASIS_FREE_MODELS = {
+    "benchmark": (2, 1.09804, 0.7),
+    "d1": (3, (3.0 - 2.0 * np.sqrt(2.0)) * 0.7, 0.7),
+    "n1": (1, 0.1, 0.9),
+    "alpha0": (3, 0.0, 0.8),
+}
+
+
 class TestVerify:
     def test_diagonalizable_config_passes(self, capsys, diag_config):
         config_path, _ = diag_config
@@ -555,15 +575,34 @@ class TestVerify:
             if name != "passed":
                 assert figures[name] == f"{value:.3e}"
 
-    def test_complex_config_skips_basis_checks(self, capsys, tmp_path):
+    @pytest.mark.parametrize("n, alpha, beta", BASIS_FREE_MODELS.values(),
+                             ids=BASIS_FREE_MODELS.keys())
+    def test_block_basis_checks_pass_where_q_does_not_exist(self, capsys, tmp_path,
+                                                            n, alpha, beta):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"n": 2, "alpha": 1.09804, "beta": 0.7,
-                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
+        cfg.write_text(json.dumps({"n": n, "alpha": alpha, "beta": beta,
+                                   "a": [1.0 / n] * n, "b": [1.0 / n] * n}))
         code, report, _ = run_cli(capsys, "verify", "--config", cfg)
-        assert code == 0
+        assert code == 0 and report["payload"]["all_passed"] is True
         checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
         assert checks["decomposition_residuals"] == "skipped"
+        assert checks["block_basis_residuals"] == "pass"
+        assert checks["explicit_equals_recursive"] == "pass"
         assert checks["cycle_reduction"] == "pass"
+        for method in ("explicit", "both"):
+            code, report, err = run_cli(capsys, "simulate", "--config", cfg, "--T", 300,
+                                        "--method", method, "--out", tmp_path / "s.csv")
+            assert code == 0, err
+        assert report["payload"]["max_method_deviation_relative"] < 1e-8
+
+    def test_block_detail_names_both_figures(self, capsys, diag_config):
+        config_path, _ = diag_config
+        _, report, _ = run_cli(capsys, "verify", "--config", config_path)
+        detail = next(c["detail"] for c in report["payload"]["checks"]
+                      if c["name"] == "block_basis_residuals")
+        figures = dict(item.split("=") for item in detail.split())
+        assert sorted(figures) == ["mr_rj", "rrinv"]
+        assert all(float(v) < 1e-14 for v in figures.values())
 
 
 

@@ -1,6 +1,8 @@
 """Invariants as properties over (alpha, beta, n, weights), with alpha also
 drawn within a relative distance of 1e-8 .. 1e-2 of the regime boundaries
-d1 = (3 - 2 sqrt 2) beta and d2 = (3 + 2 sqrt 2) beta, on both sides."""
+d1 = (3 - 2 sqrt 2) beta and d2 = (3 + 2 sqrt 2) beta, on both sides.  The
+block basis properties reach down to 1e-12, inside the repeated-root
+tolerance, and take n = 1 and alpha*beta = 0 too."""
 
 import contextlib
 import io
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from varcycle import (
     CycleRegime,
@@ -24,12 +26,14 @@ from varcycle import (
     reduce_to_cycle,
     sample_noise_path,
     scalar_noise_from_vector,
+    simulate_explicit,
     simulate_recursive,
     validate_noise,
     validate_params,
     verify_decomposition,
 )
 from varcycle.cli import main
+from varcycle.spectral import verify_block_basis
 
 BOUNDARY_FACTORS = {"d1": 3.0 - 2.0 * np.sqrt(2.0), "d2": 3.0 + 2.0 * np.sqrt(2.0)}
 SPECTRAL_TO_CYCLE = {
@@ -41,14 +45,18 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
-def pairs(draw):
-    """alpha in [-3, 3] and beta in [-2, 2], or alpha at d1 or d2 times 1 -+ delta."""
+def pairs(draw, closest=-8.0, axes=False):
+    """alpha in [-3, 3] and beta in [-2, 2], or alpha at d1 or d2 times
+    1 -+ delta with delta in 10^closest .. 1e-2; with ``axes`` also
+    alpha = 0 or beta = 0."""
     beta = draw(st.floats(-2.0, 2.0))
-    near = draw(st.sampled_from([None, "d1", "d2"]))
+    near = draw(st.sampled_from([None, "d1", "d2"] + (["axis"] if axes else [])))
     if near is None:
         alpha = draw(st.floats(-3.0, 3.0))
+    elif near == "axis":
+        alpha, beta = draw(st.sampled_from([(0.0, beta), (beta, 0.0)]))
     else:
-        delta = 10.0 ** draw(st.floats(-8.0, -2.0))
+        delta = 10.0 ** draw(st.floats(closest, -2.0))
         side = draw(st.sampled_from([-1.0, 1.0]))
         alpha = BOUNDARY_FACTORS[near] * beta * (1.0 + side * delta)
     assume((alpha, beta) not in ((0.0, 0.0), (1.0, 1.0)))
@@ -56,9 +64,9 @@ def pairs(draw):
 
 
 @st.composite
-def models(draw):
-    alpha, beta = draw(pairs())
-    n = draw(st.integers(2, 8))
+def models(draw, n_min=2, closest=-8.0, axes=False):
+    alpha, beta = draw(pairs(closest, axes))
+    n = draw(st.integers(n_min, 8))
     weights = [draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)) for _ in "ab"]
     a, b = (np.array(w) / sum(w) for w in weights)
     return validate_params({"n": n, "alpha": alpha, "beta": beta, "a": a, "b": b})
@@ -117,6 +125,49 @@ def test_root_near_lambda1_column_is_exact_at_small_alpha(alpha, beta):
 def test_decomposition_passes_at_small_alpha(alpha, beta):
     check = decomposition_check(small_alpha_params(alpha, beta))
     assert check.passed, check
+
+
+def example_params(n, alpha, beta):
+    return validate_params({"n": n, "alpha": alpha, "beta": beta,
+                            "a": np.linspace(1, 2, n) / np.linspace(1, 2, n).sum(),
+                            "b": np.full(n, 1.0 / n)})
+
+
+#: the paper's benchmark (complex regime), the d1 boundary, n = 1, alpha = 0, beta = 0
+REGIME_EXAMPLES = [(4, 1.09804, 0.7), (3, BOUNDARY_FACTORS["d1"] * 0.7, 0.7),
+                   (1, 0.1, 0.9), (3, 0.0, 0.8), (3, 0.1, 0.0)]
+BLOCK_MODELS = models(n_min=1, closest=-12.0, axes=True)
+
+
+def regime_examples(**others):
+    def add(test):
+        for n, alpha, beta in REGIME_EXAMPLES:
+            test = example(params=example_params(n, alpha, beta), **others)(test)
+        return test
+    return add
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=BLOCK_MODELS, seed=st.integers(0, 2**32 - 1))
+@regime_examples(seed=0)
+def test_explicit_equals_recursive_property(params, seed):
+    # acceptance criterion c03's bound, in every regime: the explicit
+    # solution runs through the block basis R, which needs no eigenbasis
+    n = params.n
+    spec = validate_noise({"mu": [0.0] * (2 * n), "sigma": [1.0] * (2 * n)}, n)
+    path = sample_noise_path(spec, params, 200, seed=seed)
+    z0 = np.random.default_rng(seed).uniform(-1, 1, 2 * n)
+    rec = simulate_recursive(params, build_transition_matrix(params), z0, path)
+    exp = simulate_explicit(params, decompose(params), z0, path)
+    assert np.max(np.abs(rec.z - exp.z)) < 1e-8 * (1.0 + np.max(np.abs(rec.z)))
+
+
+@PROPERTY
+@given(params=BLOCK_MODELS)
+@regime_examples()
+def test_block_basis_residuals_pass(params):
+    r1, r2, passed = verify_block_basis(build_transition_matrix(params), decompose(params).R)
+    assert passed, (r1, r2)
 
 
 @PROPERTY

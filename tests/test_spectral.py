@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,13 +11,11 @@ from varcycle import (
     characteristic_polynomial_eval,
     classify_regime,
     decompose,
-    eigen_structure,
-    jordan_blocks,
-    jordan_diag,
     validate_params,
     verify_decomposition,
 )
 from varcycle.errors import DimensionMismatch, WrongRegime
+from varcycle.spectral import verify_block_basis
 
 D1_FACTOR = 3.0 - 2.0 * np.sqrt(2.0)
 
@@ -122,8 +123,7 @@ class TestCharacteristicPolynomial:
 class TestEigenStructure:
     def test_real_pair_example(self):
         p = make_params(alpha=0.1, beta=0.9)
-        boundaries, regime = classify_regime(0.1, 0.9)
-        eig = eigen_structure(p, boundaries, regime)
+        eig = decompose(p).eig
         assert eig.lambda1 == 0.9 and abs(eig.lambda2 - 0.1) < 1e-15
         assert_allclose(eig.lambda3, 0.7645751311, atol=1e-9)
         assert_allclose(eig.lambda4, 0.2354248689, atol=1e-9)
@@ -134,17 +134,16 @@ class TestEigenStructure:
 
     def test_complex_pair(self):
         p = make_params(alpha=0.5, beta=0.5)
-        boundaries, regime = classify_regime(0.5, 0.5)
-        assert regime is Regime.COMPLEX_CONJUGATE
-        eig = eigen_structure(p, boundaries, regime)
+        dec = decompose(p)
+        assert dec.regime is Regime.COMPLEX_CONJUGATE
+        eig = dec.eig
         assert_allclose(eig.lambda3, 0.5 + 0.5j, atol=1e-12)
         assert_allclose(eig.lambda4, 0.5 - 0.5j, atol=1e-12)
 
     def test_double_root_on_boundary(self):
         alpha = D1_FACTOR * 0.7
         p = make_params(alpha=alpha, beta=0.7)
-        boundaries, regime = classify_regime(alpha, 0.7)
-        eig = eigen_structure(p, boundaries, regime)
+        eig = decompose(p).eig
         assert eig.lambda3 == eig.lambda4 == 1 - (alpha + 0.7) / 2
 
     def test_trace_and_det(self):
@@ -152,8 +151,7 @@ class TestEigenStructure:
         for _ in range(25):
             n = int(rng.choice([2, 3, 5, 10, 20]))
             p = random_diagonalizable(rng, n)
-            boundaries, regime = classify_regime(p.alpha, p.beta)
-            eig = eigen_structure(p, boundaries, regime)
+            eig = decompose(p).eig
             M = build_transition_matrix(p).entries
             tr = sum(np.real(v) * m for v, m in eig.eigenvalues_with_multiplicity())
             assert abs(tr - np.trace(M)) < 1e-10 * max(1.0, abs(np.trace(M)))
@@ -180,7 +178,7 @@ class TestEigenStructure:
             boundaries, regime = classify_regime(alpha, beta)
             assert regime is Regime.DIAGONALIZABLE_REAL
             p = make_params(alpha=alpha, beta=beta)
-            eig = eigen_structure(p, boundaries, regime)
+            eig = decompose(p).eig
             gaps.append(eig.lambda3 - eig.lambda4)
         assert all(g > 0 for g in gaps)
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -280,6 +278,81 @@ class TestBasisInverse:
             assert np.max(np.abs(dec.Qinv - brute)) < 1e-8
 
 
+def dense_block_basis(p):
+    """Oracle: R, R^-1 and J_R written out entry by entry."""
+    n, m = p.n, 2 * p.n
+    R, Rinv, J = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
+    for half, w, rate in ((0, p.b, 1.0 - p.alpha), (1, p.a, 1.0 - p.beta)):
+        for i in range(n - 1):
+            col = half * (n - 1) + i
+            R[half * n, col] = -w[i + 1] / w[0]
+            R[half * n + i + 1, col] = 1.0
+            Rinv[col, half * n:(half + 1) * n] = -w
+            Rinv[col, half * n + i + 1] += 1.0
+            J[col, col] = rate
+        R[half * n:(half + 1) * n, m - 2 + half] = 1.0
+        Rinv[m - 2 + half, half * n:(half + 1) * n] = w
+    J[m - 2:, m - 2:] = [[1.0 - p.alpha, p.alpha], [-p.beta, 1.0 - p.beta]]
+    return R, Rinv, J
+
+
+def random_weights_params(n, alpha, beta, seed=0):
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, (2, n))
+    return make_params(n=n, alpha=alpha, beta=beta, a=w[0] / w[0].sum(), b=w[1] / w[1].sum())
+
+
+#: one model per regime, plus n = 1, alpha = 0 and beta = 0
+BLOCK_CASES = [(3, 0.1, 0.9), (4, 1.09804, 0.7), (5, D1_FACTOR * 0.7, 0.7),
+               (1, 0.3, 0.6), (3, 0.0, 0.8), (3, 0.4, 0.0)]
+
+
+class TestBlockBasis:
+    @pytest.mark.parametrize("n, alpha, beta", BLOCK_CASES)
+    def test_operators_match_dense_oracle(self, n, alpha, beta):
+        p = random_weights_params(n, alpha, beta, seed=n)
+        R = decompose(p).R
+        dense, dense_inv, _ = dense_block_basis(p)
+        X = np.random.default_rng(1).standard_normal((2, 3, 2 * n))  # two batch axes
+        solve_t = functools.partial(R.solve, transpose=True)
+        for op, oracle in ((R.apply, dense), (R.solve, dense_inv), (solve_t, dense_inv.T)):
+            assert_allclose(op(X), X @ oracle.T, rtol=0, atol=1e-14)
+            assert_allclose(op(X[0, 0]), oracle @ X[0, 0], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, alpha, beta", BLOCK_CASES)
+    def test_similarity_holds_in_every_regime(self, n, alpha, beta):
+        p = random_weights_params(n, alpha, beta, seed=n)
+        dense, dense_inv, J = dense_block_basis(p)
+        M = build_transition_matrix(p).entries
+        assert np.max(np.abs(M @ dense - dense @ J)) < 1e-15 * 4
+        assert np.max(np.abs(dense @ dense_inv - np.eye(2 * n))) < 1e-15 * 4
+        r1, r2, passed = verify_block_basis(build_transition_matrix(p), decompose(p).R)
+        assert passed and r1 < 1e-14 and r2 < 1e-14
+
+    def test_q_is_r_times_blockdiag_v(self):
+        # the deviation columns of Q (rows of Q^-1) are R's (R^-1's) exactly;
+        # the aggregate columns are (1_n, c 1_n) = R's aggregate pair times V
+        p = random_diagonalizable(np.random.default_rng(8), 4)
+        dec = decompose(p)
+        dense, dense_inv, _ = dense_block_basis(p)
+        n, m = p.n, 2 * p.n
+        Q_dev = np.r_[0:n - 1, n:m - 1]
+        assert np.array_equal(dec.Q[:, Q_dev], dense[:, :m - 2])
+        assert np.array_equal(dec.Qinv[Q_dev], dense_inv[:m - 2])
+        V = np.array([[1.0, 1.0], dec.Q[n, [n - 1, m - 1]]])
+        assert np.array_equal(dec.Q[:, [n - 1, m - 1]], dense[:, m - 2:] @ V)
+        assert_allclose(dec.Qinv[[n - 1, m - 1]], np.linalg.solve(V, dense_inv[m - 2:]),
+                        rtol=0, atol=1e-14 * np.max(np.abs(dec.Qinv)))
+
+    @pytest.mark.parametrize("field, delta", [("A", [[0.0, 1e-6], [0.0, 0.0]]),
+                                              ("rates", 1e-6), ("b", 1e-6)])
+    def test_perturbed_basis_fails(self, field, delta):
+        p = random_weights_params(4, 1.09804, 0.7)
+        R = decompose(p).R
+        bad = dataclasses.replace(R, **{field: getattr(R, field) + np.asarray(delta)})
+        r1, r2, passed = verify_block_basis(build_transition_matrix(p), bad)
+        assert not passed and max(r1, r2) > 1e-8
+
+
 def dense_residuals(M, d, Q, Qinv):
     """Oracle: the three residuals from dense products as written, each
     with the largest gap that rounding can open between it and the
@@ -359,11 +432,10 @@ class TestVerifyDecomposition:
 class TestJordanPieces:
     def test_diag_layout(self):
         p = make_params(n=3, alpha=0.1, beta=0.9)
-        boundaries, regime = classify_regime(0.1, 0.9)
-        eig = eigen_structure(p, boundaries, regime)
-        d = jordan_diag(eig)
+        dec = decompose(p)
+        eig, d = dec.eig, dec.diag
         assert_allclose(d, [0.9, 0.9, eig.lambda3, 0.1, 0.1, eig.lambda4], rtol=0, atol=1e-15)
-        blocks = jordan_blocks(eig, regime)
+        blocks = dec.blocks
         assert [b for _, b in blocks] == [1] * 6
 
     @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (3, 0.1, 0.0), (3, 0.0, 0.8)])
