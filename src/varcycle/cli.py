@@ -493,11 +493,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     timer.mark("compute")
 
     grid_payload = []
-    for (t, tau) in sorted(report.gamma_tilde):
+    for (t, tau) in sorted(report.gamma):
         entry: dict[str, Any] = {
             "t": t,
             "tau_prime": tau,
-            "gamma_tilde": report.gamma_tilde[(t, tau)],
+            "gamma_tilde": None if report.gamma_tilde is None else report.gamma_tilde[(t, tau)],
             "gamma": report.gamma[(t, tau)],
         }
         if report.mc_estimate is not None:

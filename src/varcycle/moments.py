@@ -1,17 +1,21 @@
-"""Second moments: exact cross-covariances in transformed coordinates,
-the nonstationarity diagnostic, limiting moments, and the Monte Carlo
-estimators that back them.
+"""Second moments: exact cross-covariances, the nonstationarity
+diagnostic, limiting moments, and the Monte Carlo estimators that back
+them, computed in the coordinates of the block basis R in every regime.
 
-With G the covariance of z_0 and Sigma0 the (diagonal) covariance of
-the stacked shock, the transformed cross-covariance for t >= 2 is
+With G the covariance of z_0, Sigma0 the (diagonal) covariance of the
+stacked shock and w = R^-1 z, the covariance of w_t steps as
 
-    Gamma~(t + tau', t) = J^(t+tau') G~ J^t + sum_{i=0..t-1} J^(tau'+i) Sigma0~ J^i
+    P_0 = G~,    P_{s+1} = J_R P_s J_R^T + Sigma0~,    X~ = R^-1 X R^-T,
 
-where X~ = Q^-1 X Q^-T.  The sum includes the i = 0 innovation term of
-the most recent shock, as the moving-average expansion of the explicit
-solution requires; both the symbolic expansion and the Monte Carlo
-estimator pin this down.  J is diagonal in the supported regime, so
-each J^a X J^b is an entrywise scaling.
+so that P_t = J_R^t G~ (J_R^t)^T + sum_{i=0..t-1} J_R^i Sigma0~ (J_R^i)^T,
+including the i = 0 innovation term of the most recent shock, as the
+moving-average expansion of the explicit solution requires; both the
+symbolic expansion and the Monte Carlo estimator pin this down.  The
+cross-covariance of (z_{t+tau'}, z_t) is R J_R^tau' P_t R^T.  J_R scales
+the deviations by their rates and maps the aggregate pair by the 2x2 A,
+and R, R^-1 apply in O(n) per row, so no step needs a dense basis.
+Where the paper's eigenbasis Q exists, the same results are also
+reported in its coordinates, Q^-1 R P R^T Q^-T.
 
 The lag-0 covariance depends on t whenever Sigma0 != 0 and some
 eigenvalue is nonzero, which is the nonstationarity certificate the
@@ -21,13 +25,14 @@ diagnostic reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteResult, RangeError
+from .errors import DimensionMismatch, NonFiniteResult, ParameterError, RangeError
 from .model import ModelParams, NoiseSpec, build_transition_matrix
 from .simulate import _iterate, mix_seed, sample_noise_path
-from .spectral import SpectralDecomposition
+from .spectral import BlockBasis, SpectralDecomposition, apply_blockdiag, eigen_coordinates
 
 #: Replications that mc_long_run simulates together; bounds the states held.
 _LONG_RUN_BATCH = 64
@@ -50,9 +55,10 @@ class MomentInputs:
 
 @dataclass(frozen=True)
 class CrossCovariance:
-    """One cross-covariance matrix in both coordinate systems."""
+    """One cross-covariance matrix in the original coordinates and in
+    those of the paper's basis Q (None where Q does not exist)."""
 
-    gamma_tilde: np.ndarray
+    gamma_tilde: np.ndarray | None
     gamma: np.ndarray
 
 
@@ -71,15 +77,17 @@ class CovarianceReport:
     """Cross-covariance grids over (t, tau') plus the stationarity gap.
 
     The gap is the largest max-norm difference between same-lag
-    covariances at different times, reported in transformed and original
-    coordinates (either is nonzero exactly when the other is, since the
-    basis is nonsingular).  ``mc_estimate`` maps (t, tau') to a
-    (sample cross-covariance, standard error) pair when requested.
+    covariances at different times, reported in original coordinates and
+    in those of the paper's basis Q (either is nonzero exactly when the
+    other is, since the basis is nonsingular).  ``gamma_tilde`` and
+    ``stationarity_gap`` are None where Q does not exist.
+    ``mc_estimate`` maps (t, tau') to a (sample cross-covariance,
+    standard error) pair when requested.
     """
 
-    gamma_tilde: dict[tuple[int, int], np.ndarray]
+    gamma_tilde: dict[tuple[int, int], np.ndarray] | None
     gamma: dict[tuple[int, int], np.ndarray]
-    stationarity_gap: float
+    stationarity_gap: float | None
     stationarity_gap_original: float
     mc_estimate: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None
 
@@ -88,18 +96,20 @@ class CovarianceReport:
 class LimitReport:
     """Limiting moments under the spectral-radius condition.
 
-    ``resolvent_limit_cov`` applies the resolvent-style map
-    Q diag{1/(1-lam)} Q^-1 to the shock on both sides;
-    ``ma_infinity_cov`` is the moving-average series
-    sum_i (Q J^i Q^-1) Sigma0 (Q J^i Q^-1)^T in closed form: the
-    solution of the Stein equation Sigma = M Sigma M^T + Sigma0, which
-    in transformed coordinates is S~_jk / (1 - d_j d_k).
+    ``lambda_tilde`` holds 1/(1 - lam) for lambda1 .. lambda4: complex
+    for the conjugate pair, None for an eigenvalue equal to 1 (which
+    happens exactly where alpha*beta == 0).
+    ``resolvent_limit_cov`` applies the resolvent (I - M)^-1 =
+    R (I - J_R)^-1 R^-1 to the shock on both sides; ``ma_infinity_cov``
+    is the moving-average series sum_i M^i Sigma0 M^i^T in closed form:
+    the solution of the Stein equation Sigma = M Sigma M^T + Sigma0,
+    solved in R's coordinates block by block.
     The two differ in general; both are reported with their gap, and the
     long-run Monte Carlo oracle matches the moving-average form.
     ``truncation_terms`` is always None: no series is truncated.
     """
 
-    lambda_tilde: np.ndarray
+    lambda_tilde: tuple[float | complex | None, ...]
     spectral_radius_ok: bool
     limiting_mean: np.ndarray | None
     resolvent_limit_cov: np.ndarray | None
@@ -126,7 +136,8 @@ def moment_inputs(
     Sigma0 = diag(alpha^2 sigma_1^2 .. alpha^2 sigma_n^2,
     beta^2 sigma_{n+1}^2 .. beta^2 sigma_{2n}^2) and
     mu_gamma = (alpha mu_1 .. alpha mu_n, -beta mu_{n+1} .. -beta mu_{2n}).
-    G defaults to zero (deterministic z_0) and must be symmetric PSD.
+    G defaults to zero (deterministic z_0) and must be finite, symmetric
+    and PSD; ParameterError otherwise.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
     var = np.concatenate([alpha**2 * spec.sigma[:n] ** 2, beta**2 * spec.sigma[n:] ** 2])
@@ -137,22 +148,19 @@ def moment_inputs(
         G = np.asarray(G, dtype=float)
         if G.shape != (2 * n, 2 * n):
             raise DimensionMismatch(f"G must be 2n x 2n = {2*n} x {2*n}, got {G.shape}")
+        if not np.all(np.isfinite(G)):
+            raise ParameterError("G must be finite")
         scale = max(1.0, float(np.max(np.abs(G))))
         if np.max(np.abs(G - G.T)) > 1e-12 * scale:
-            raise ValueError("G must be symmetric")
+            raise ParameterError("G must be symmetric")
         if np.min(np.linalg.eigvalsh((G + G.T) / 2.0)) < -1e-12 * scale:
-            raise ValueError("G must be positive semidefinite")
+            raise ParameterError("G must be positive semidefinite")
     return MomentInputs(G=G, Sigma0=np.diag(var), mu_gamma=mu_gamma, n=n)
 
 
-def transformed_inputs(
-    inputs: MomentInputs, decomposition: SpectralDecomposition
-) -> tuple[np.ndarray, np.ndarray]:
-    """G and Sigma0 mapped to transformed coordinates: X~ = Q^-1 X Q^-T.
-    Raises WrongRegime when no explicit basis exists."""
-    decomposition.diag  # the basis gate
-    Qinv = decomposition.Qinv
-    return Qinv @ inputs.G @ Qinv.T, Qinv @ inputs.Sigma0 @ Qinv.T
+def _congruence(f, X: np.ndarray) -> np.ndarray:
+    """F X F^T, for the linear map F that f applies over one axis."""
+    return f(f(X).T).T
 
 
 def cross_covariance(
@@ -163,24 +171,28 @@ def cross_covariance(
 ) -> CrossCovariance:
     """Cross-covariance of the states at times t + tau' and t, for t >= 2.
 
-    Returned in transformed coordinates together with the original-
-    coordinate matrix Q Gamma~ Q^T.
+    Stepped in R's coordinates in every regime and returned in the
+    original coordinates, and in the paper's Q coordinates where Q
+    exists.
     """
     if t < 2:
         raise RangeError(f"cross-covariance formula holds for t >= 2, got t={t}")
     if tau_prime < 0:
         raise RangeError(f"tau_prime must be >= 0, got {tau_prime}")
-    d = decomposition.diag
-    Gt, S0t = transformed_inputs(inputs, decomposition)
-    Q = decomposition.Q
+    R, V = decomposition.R, decomposition.V
+    J = partial(apply_blockdiag, R.rates, R.A)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.outer(d ** (t + tau_prime), d**t) * Gt
-        for i in range(t):
-            out = out + np.outer(d ** (tau_prime + i), d**i) * S0t
-        gamma = Q @ out @ Q.T
-    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(gamma))):
+        S = _congruence(R.solve, inputs.Sigma0)  # X~ = R^-1 X R^-T
+        P = _congruence(R.solve, inputs.G)
+        for _ in range(t):
+            P = _congruence(J, P) + S
+        for _ in range(tau_prime):
+            P = J(P.T).T
+        gamma = _congruence(R.apply, P)
+        gamma_tilde = None if V is None else _congruence(partial(eigen_coordinates, V), P)
+    if not all(np.all(np.isfinite(x)) for x in (gamma, gamma_tilde) if x is not None):
         raise NonFiniteResult(f"cross-covariance at t={t}, tau'={tau_prime} is not finite")
-    return CrossCovariance(gamma_tilde=out, gamma=gamma)
+    return CrossCovariance(gamma_tilde=gamma_tilde, gamma=gamma)
 
 
 def stationarity_diagnostic(
@@ -198,13 +210,14 @@ def stationarity_diagnostic(
     """
     if not t_grid or not tau_grid:
         raise RangeError("t_grid and tau_grid must be nonempty")
-    grid_t: dict[tuple[int, int], np.ndarray] = {}
+    grid_t: dict[tuple[int, int], np.ndarray] | None = None if decomposition.V is None else {}
     grid_o: dict[tuple[int, int], np.ndarray] = {}
     for t in t_grid:
         for tau in tau_grid:
             cc = cross_covariance(inputs, decomposition, t, tau)
-            grid_t[(t, tau)] = cc.gamma_tilde
             grid_o[(t, tau)] = cc.gamma
+            if grid_t is not None:
+                grid_t[(t, tau)] = cc.gamma_tilde
 
     def gap(grid: dict[tuple[int, int], np.ndarray]) -> float:
         # the largest pairwise |difference| over t is the spread max - min
@@ -214,7 +227,7 @@ def stationarity_diagnostic(
     mc_estimate = None
     if mc is not None:
         mc_estimate = {}
-        for key_index, (t, tau) in enumerate(sorted(grid_t)):
+        for key_index, (t, tau) in enumerate(sorted(grid_o)):
             est, se = mc_cross_covariance(
                 mc.params, mc.noise_spec, inputs.G, t, tau,
                 reps=mc.reps, seed=mix_seed(mc.seed, key_index),
@@ -224,24 +237,41 @@ def stationarity_diagnostic(
     return CovarianceReport(
         gamma_tilde=grid_t,
         gamma=grid_o,
-        stationarity_gap=gap(grid_t),
+        stationarity_gap=None if grid_t is None else gap(grid_t),
         stationarity_gap_original=gap(grid_o),
         mc_estimate=mc_estimate,
     )
 
 
+def _stein(R: BlockBasis, S: np.ndarray) -> np.ndarray:
+    """The solution X of X = J_R X J_R^T + S for a symmetric S in R's
+    coordinates, under spectral radius < 1, in three pieces: the
+    deviation block entrywise S_jk / (1 - r_j r_k); each deviation row of
+    the deviation-aggregate block from (I - r_j A) x = s, one 2x2 solve
+    per row; the aggregate block from the 4x4 (I - A kron A) vec X = vec S.
+    """
+    r, A, k = R.rates, R.A, len(R.rates)
+    X = np.empty(S.shape)
+    X[:k, :k] = S[:k, :k] / (1.0 - np.outer(r, r))
+    X[:k, k:] = np.linalg.solve(np.eye(2) - r[:, None, None] * A, S[:k, k:, None])[..., 0]
+    X[k:, :k] = X[:k, k:].T
+    X[k:, k:] = np.linalg.solve(np.eye(4) - np.kron(A, A), S[k:, k:].ravel()).reshape(2, 2)
+    return X
+
+
 def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition) -> LimitReport:
     """Limiting mean and the two limit-covariance candidates.
 
-    Requires 0 < max|lambda| < 1.  When the condition fails the report
-    carries ``spectral_radius_ok=False`` with the limits skipped.
+    Requires 0 < rho < 1, where rho is the spectral radius of J_R: the
+    largest modulus among the deviation rates and the eigenvalues of the
+    aggregate map A.  When the condition fails the report carries
+    ``spectral_radius_ok=False`` with the limits skipped.
     """
-    d = decomposition.diag
-    eig = decomposition.eig
-    lams = np.array([eig.lambda1, eig.lambda2, np.real(eig.lambda3), np.real(eig.lambda4)])
-    # no eigenvalue is 1 once a basis exists: that needs alpha * beta = 0
-    lam_tilde = 1.0 / (1.0 - lams)
-    rho = float(np.max(np.abs(d)))
+    R, eig = decomposition.R, decomposition.eig
+    lam_tilde = tuple(None if lam == 1.0 else 1.0 / (1.0 - lam)
+                      for lam in (eig.lambda1, eig.lambda2, eig.lambda3, eig.lambda4))
+    rho = float(max(np.max(np.abs(R.rates), initial=0.0),
+                    np.max(np.abs(np.linalg.eigvals(R.A)))))
     if not 0.0 < rho < 1.0:
         return LimitReport(
             lambda_tilde=lam_tilde,
@@ -253,15 +283,12 @@ def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition)
             covariance_discrepancy=None,
         )
 
-    Q, Qinv = decomposition.Q, decomposition.Qinv
-    dtilde = 1.0 / (1.0 - d)
-    resolvent = Q @ (dtilde[:, None] * Qinv)
-
-    mean = resolvent @ inputs.mu_gamma
-    claimed = resolvent @ inputs.Sigma0 @ resolvent.T
-
-    _, S0t = transformed_inputs(inputs, decomposition)
-    ma_cov = Q @ (S0t / (1.0 - np.outer(d, d))) @ Q.T
+    # the resolvent (I - M)^-1 = R (I - J_R)^-1 R^-1
+    resolvent = partial(apply_blockdiag, 1.0 / (1.0 - R.rates), np.linalg.inv(np.eye(2) - R.A))
+    S = _congruence(R.solve, inputs.Sigma0)
+    mean = R.apply(resolvent(R.solve(inputs.mu_gamma)))
+    claimed = _congruence(R.apply, _congruence(resolvent, S))
+    ma_cov = _congruence(R.apply, _stein(R, S))
 
     return LimitReport(
         lambda_tilde=lam_tilde,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,12 +139,20 @@ class BlockBasis:
         return W
 
 
+def apply_blockdiag(r: np.ndarray, F: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """blockdiag(diag(r), F) w for each w on the last axis of W, in R's
+    coordinate order: the deviations scaled entrywise by r, the aggregate
+    pair mapped by the 2x2 F.  With R's ``rates`` and ``A`` this is J_R."""
+    return np.concatenate([W[..., :-2] * r, W[..., -2:] @ F.T], axis=-1)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Regime, eigenvalues, Jordan block layout, the block basis R (in
     every regime), and (when the matrix is diagonalizable, n >= 2 and
-    alpha*beta != 0) the paper's basis Q and its closed-form inverse;
-    ``diag`` is the gate to them.
+    alpha*beta != 0) the eigenvectors V of the aggregate map, from which
+    the paper's basis Q and its closed-form inverse are built on first
+    read; ``diag`` is the gate to them.
 
     ``blocks`` lists (eigenvalue, block size) pairs in basis-column
     order; ``None`` in the complex regime where no real normal form is
@@ -158,11 +167,21 @@ class SpectralDecomposition:
     eig: EigenStructure
     blocks: tuple[tuple[float, int], ...] | None
     R: BlockBasis
-    Q: np.ndarray | None
-    Qinv: np.ndarray | None
+    V: np.ndarray | None
     tau_minus: float | None
     tau_plus: float | None
     tau_tilde: float | None
+
+    @cached_property
+    def Q(self) -> np.ndarray | None:
+        """Q = R blockdiag(I, V) in the column order of ``diag``, or None
+        where V is."""
+        return None if self.V is None else _eigenbasis(self.R, self.V)
+
+    @cached_property
+    def Qinv(self) -> np.ndarray | None:
+        """Q^-1 = blockdiag(I, V^-1) R^-1, row-major, or None where V is."""
+        return None if self.V is None else _eigenbasis(self.R, self.V, inverse=True)
 
     @property
     def diag(self) -> np.ndarray:
@@ -174,7 +193,7 @@ class SpectralDecomposition:
         repeated-root regimes, n < 2 and alpha*beta == 0.
         """
         eig = self.eig
-        if self.Q is None:
+        if self.V is None:
             raise WrongRegime(f"no explicit basis in regime {self.regime.value} with n={eig.n}: "
                               "it needs diagonalizable_real, n >= 2 and alpha*beta != 0")
         return np.repeat([eig.lambda1, eig.lambda3, eig.lambda2, eig.lambda4],
@@ -235,21 +254,46 @@ def _basis(params: ModelParams, lam3: float, lam4: float, gap: float) -> np.ndar
     return np.array([[1.0, 1.0], [c3, c4]])
 
 
-def _eigenbasis(R: BlockBasis, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q = R blockdiag(I, V) and Q^-1 = blockdiag(I, V^-1) R^-1 as dense
-    arrays, with Q's columns in the order of ``diag``: the x deviations,
-    lambda3's column, the y deviations, lambda4's column."""
+def _eigen_order(n: int) -> np.ndarray:
+    """Where each of R's columns sits in Q: the x deviations, lambda3's
+    column, the y deviations, lambda4's column (the order of ``diag``)."""
+    m = 2 * n
+    return np.r_[0:n - 1, n:m - 1, n - 1, m - 1]
+
+
+def _unmix(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """V^-1 X for the two rows of X that hold the aggregate pair."""
+    c3, c4 = V[1]
+    return np.array([[c4, -1.0], [-c3, 1.0]]) @ X / (c4 - c3)
+
+
+def eigen_coordinates(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Q^-1 R W = P blockdiag(I, V^-1) W for a 2n-row W in R's coordinate
+    order: the aggregate pair of rows mixed by V^-1, then every row moved
+    to its place in Q's column order (P)."""
+    pos = _eigen_order(W.shape[0] // 2)
+    out = np.empty(W.shape)
+    out[pos] = W
+    out[pos[-2:]] = _unmix(V, out[pos[-2:]])
+    return out
+
+
+def _eigenbasis(R: BlockBasis, V: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Q = R blockdiag(I, V), or with ``inverse`` Q^-1 = blockdiag(I, V^-1)
+    R^-1 (row-major, as verify_decomposition's row gathers need), as a
+    dense array with Q's columns in the order of ``diag``."""
     n, m = len(R.a), 2 * len(R.a)
-    pos = np.r_[0:n - 1, n:m - 1, n - 1, m - 1]  # where each of R's columns sits in Q
-    QT, Qinv = np.empty((m, m)), np.empty((m, m))
-    for lo in range(0, m, 128):  # unit rows a block at a time: no third m x m array
+    pos = _eigen_order(n)
+    out = np.empty((m, m))  # the rows of Q^T, or of Q^-1
+    for lo in range(0, m, 128):  # unit rows a block at a time: no second m x m array
         E = np.eye(min(128, m - lo), m, lo)
-        QT[pos[lo:lo + 128]] = R.apply(E)
-        Qinv[pos[lo:lo + 128]] = R.solve(E, transpose=True)
-    mixed, (c3, c4) = [n - 1, m - 1], V[1]
-    QT[mixed] = V.T @ QT[mixed]
-    Qinv[mixed] = np.array([[c4, -1.0], [-c3, 1.0]]) @ Qinv[mixed] / (c4 - c3)
-    return QT.T, Qinv
+        out[pos[lo:lo + 128]] = R.solve(E, transpose=True) if inverse else R.apply(E)
+    mixed = pos[-2:]
+    if inverse:
+        out[mixed] = _unmix(V, out[mixed])
+        return out
+    out[mixed] = V.T @ out[mixed]
+    return out.T
 
 
 def decompose(params: ModelParams) -> SpectralDecomposition:
@@ -261,8 +305,10 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
     which carries a single 2-block.  The blocks follow Q's column order,
     (n-1) 1-blocks of lambda1, lambda3's, (n-1) of lambda2, lambda4's;
     there are none in the complex regime.  R is built in every regime;
-    Q and its inverse only in the diagonalizable regime with n >= 2 and
-    alpha*beta != 0, elsewhere they are None.
+    V (and so Q and its inverse) only in the diagonalizable regime with
+    n >= 2 and alpha*beta != 0, elsewhere it is None.  Where
+    alpha*beta == 0 one quadratic root is exactly 1 and the other
+    1 - alpha - beta.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
     boundaries, regime = classify_regime(alpha, beta)
@@ -271,7 +317,7 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
     half = np.sqrt(abs(boundaries.delta)) / 2.0
     R = BlockBasis(a=params.a, b=params.b, rates=np.repeat([lam1, lam2], n - 1),
                    A=np.array([[lam1, alpha], [-beta, lam2]]))
-    Q = Qinv = blocks = None
+    V = blocks = None
     tau_minus = tau_plus = tau_tilde = None
     if regime is Regime.COMPLEX_CONJUGATE:
         lam3: float | complex = complex(mid, half)
@@ -281,6 +327,8 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
         blocks = ((lam1, 1),) * (n - 1) + ((lam2, 1),) * (n - 1) + ((mid, 2),)
     else:
         lam3, lam4 = mid + half, mid - half
+        if alpha * beta == 0.0:  # g(lam) = (lam - 1)(lam - 1 + alpha + beta), exactly
+            lam3, lam4 = max(1.0, 1.0 - alpha - beta), min(1.0, 1.0 - alpha - beta)
         blocks = (((lam1, 1),) * (n - 1) + ((float(lam3), 1),)
                   + ((lam2, 1),) * (n - 1) + ((float(lam4), 1),))
         gap = np.sqrt(boundaries.delta)
@@ -289,7 +337,7 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
             tau_minus, tau_plus = 2.0 / den_minus, 2.0 / den_plus
             tau_tilde = alpha * (tau_minus - tau_plus)
         if n >= 2 and alpha != 0.0 and beta != 0.0:
-            Q, Qinv = _eigenbasis(R, _basis(params, lam3, lam4, gap))
+            V = _basis(params, lam3, lam4, gap)
 
     return SpectralDecomposition(
         regime=regime,
@@ -297,8 +345,7 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
         eig=EigenStructure(n=n, lambda1=lam1, lambda2=lam2, lambda3=lam3, lambda4=lam4),
         blocks=blocks,
         R=R,
-        Q=Q,
-        Qinv=Qinv,
+        V=V,
         tau_minus=tau_minus,
         tau_plus=tau_plus,
         tau_tilde=tau_tilde,
@@ -397,7 +444,7 @@ def verify_block_basis(M: TransitionMatrix, R: BlockBasis) -> tuple[float, float
     X = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_WIDTH, M.shape[0]))
     x_scale = float(np.max(np.abs(X)))
     m_scale = float(max(np.max(np.abs(M.s)), np.max(np.abs(M.V))))
-    JX = np.concatenate([X[:, :-2] * R.rates, X[:, -2:] @ R.A.T], axis=1)
+    JX = apply_blockdiag(R.rates, R.A, X)
     r1 = float(np.max(np.abs(M.apply(R.apply(X)) - R.apply(JX))))
     r2 = float(np.max(np.abs(R.apply(R.solve(X)) - X)))
     return r1, r2, r1 < RESIDUAL_TOL * m_scale * x_scale and r2 < RESIDUAL_TOL * x_scale

@@ -52,6 +52,7 @@ def test_traced_subcommands_fill_every_layer(capsys, tmp_path):
     config.write_text(json.dumps({"n": 3, "alpha": 0.1, "beta": 0.9,
                                   "a": [0.2, 0.3, 0.5], "b": [0.4, 0.4, 0.2],
                                   "run": {"T": 50, "seed": 3}}))
+    benchmark = ["--n", "3", "--alpha", "1.09804", "--beta", "0.7"]
     calls = [
         ["decompose", "--n", "3", "--alpha", "0.1", "--beta", "0.9",
          "--dump-matrices", str(tmp_path / "mats")],
@@ -60,6 +61,10 @@ def test_traced_subcommands_fill_every_layer(capsys, tmp_path):
          "--out", str(tmp_path / "traj.csv")],
         ["moments", "--config", str(config), "--mc-reps", "4"],
         ["cycle", "--analyze", "--T", "100", "--out", str(tmp_path / "cycle.csv")],
+        # the paper's benchmark: complex regime, where no Q exists to read
+        ["moments", *benchmark, "--mc-reps", "4"],
+        ["simulate", *benchmark, "--T", "50", "--method", "both",
+         "--out", str(tmp_path / "bench.csv")],
     ]
     tracer = load_tracer().Tracer(run_id="bindings")
     tracer.install()

@@ -478,6 +478,20 @@ class TestCycleCommand:
         assert "warning:" in err
 
 
+#: models without the paper's basis Q: the benchmark (complex regime), the
+#: repeated-root boundary d1, n = 1 and alpha = 0
+BASIS_FREE_MODELS = {
+    "benchmark": (2, 1.09804, 0.7),
+    "d1": (3, (3.0 - 2.0 * np.sqrt(2.0)) * 0.7, 0.7),
+    "n1": (1, 0.1, 0.9),
+    "alpha0": (3, 0.0, 0.8),
+}
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 class TestMoments:
     def test_report_structure(self, capsys, diag_config):
         config_path, _ = diag_config
@@ -492,13 +506,64 @@ class TestMoments:
         assert payload["limits"]["spectral_radius_ok"] is True
         assert payload["limits"]["covariance_discrepancy"] > 0
 
-    def test_wrong_regime_is_validation_error(self, capsys, tmp_path):
+    def run_strict(self, capsys, tmp_path, n, alpha, beta, *flags):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"n": 2, "alpha": 1.09804, "beta": 0.7,
-                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
-        code, _, err = run_cli(capsys, "moments", "--config", cfg)
-        assert code == 2
-        assert err.startswith("error: WrongRegime:") and "complex_conjugate" in err
+        cfg.write_text(json.dumps({"n": n, "alpha": alpha, "beta": beta,
+                                   "a": [1.0 / n] * n, "b": [1.0 / n] * n}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["moments", "--config", str(cfg), *map(str, flags)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        return json.loads(out, parse_constant=reject_constant)["payload"]
+
+    def test_paper_benchmark_runs(self, capsys, tmp_path):
+        payload = self.run_strict(capsys, tmp_path, *BASIS_FREE_MODELS["benchmark"])
+        assert payload["stationarity_gap"] is None
+        assert payload["stationarity_gap_original"] > 1e-3
+        assert all(e["gamma_tilde"] is None for e in payload["grid"])
+        limits = payload["limits"]
+        assert limits["spectral_radius_ok"] is True
+        lt3, lt4 = limits["lambda_tilde"][2:]
+        assert lt3["im"] > 0.0 and lt4 == {"re": lt3["re"], "im": -lt3["im"]}
+        assert limits["covariance_discrepancy"] > 0
+
+    @pytest.mark.parametrize("model", ["benchmark", "d1"])
+    def test_monte_carlo_within_four_se(self, capsys, tmp_path, model):
+        # acceptance criterion c05's bound, where no paper basis Q exists
+        payload = self.run_strict(capsys, tmp_path, *BASIS_FREE_MODELS[model],
+                                  "--mc-reps", 20000, "--seed", 12)
+        for entry in payload["grid"]:
+            gamma, est, se = (np.array(entry[k]) for k in ("gamma", "mc_estimate", "mc_se"))
+            assert np.all(np.abs(est - gamma) < 4.0 * se), (entry["t"], entry["tau_prime"])
+
+    @pytest.mark.parametrize("n, alpha, beta", BASIS_FREE_MODELS.values(),
+                             ids=BASIS_FREE_MODELS.keys())
+    def test_runs_where_q_does_not_exist(self, capsys, tmp_path, n, alpha, beta):
+        payload = self.run_strict(capsys, tmp_path, n, alpha, beta, "--mc-reps", 4)
+        assert len(payload["grid"]) == 6 and payload["stationarity_gap"] is None
+        assert all(e["gamma_tilde"] is None for e in payload["grid"])
+        limits = payload["limits"]
+        # alpha = 0 puts an eigenvalue at 1: no limits, and its lambda_tilde is null
+        assert limits["spectral_radius_ok"] == (alpha != 0.0)
+        assert (None in limits["lambda_tilde"]) == (alpha == 0.0)
+
+    def test_q_is_built_only_when_read(self, capsys, monkeypatch, diag_config):
+        # simulate's explicit path and moments need only R and the 2x2 V
+        config_path, _ = diag_config
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the dense Q or Q^-1 was built")
+
+        monkeypatch.setattr(varcycle.spectral, "_eigenbasis", unread)
+        code, report, err = run_cli(capsys, "simulate", "--config", config_path,
+                                    "--method", "both")
+        assert code == 0, err
+        assert report["payload"]["max_method_deviation_relative"] < 1e-8
+        code, report, err = run_cli(capsys, "moments", "--config", config_path)
+        assert code == 0, err
+        assert report["payload"]["stationarity_gap"] > 1e-3
+        assert all(e["gamma_tilde"] is not None for e in report["payload"]["grid"])
 
     @pytest.mark.parametrize("flags", [("--seed", 11), ()])
     def test_echoed_config_reproduces_mc(self, capsys, tmp_path, diag_config, flags):
@@ -522,11 +587,7 @@ class TestMoments:
         code = main(["moments", "--config", str(config_path), "--t-grid", "2",
                      "--tau-grid", "0", "--mc-reps", "4"])
         assert code == 0
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert report["payload"]["mc_stream_version"] == 2
 
     def test_dump_cov(self, capsys, tmp_path, diag_config):
@@ -539,16 +600,6 @@ class TestMoments:
         assert code == 0
         mat = np.loadtxt(f"{prefix}_t2_tau0.csv", delimiter=",")
         assert mat.shape == (6, 6)
-
-
-#: models without the paper's basis Q: the benchmark (complex regime), the
-#: repeated-root boundary d1, n = 1 and alpha = 0
-BASIS_FREE_MODELS = {
-    "benchmark": (2, 1.09804, 0.7),
-    "d1": (3, (3.0 - 2.0 * np.sqrt(2.0)) * 0.7, 0.7),
-    "n1": (1, 0.1, 0.9),
-    "alpha0": (3, 0.0, 0.8),
-}
 
 
 class TestVerify:

@@ -18,11 +18,10 @@ from varcycle import (
     sample_noise_path,
     simulate_recursive,
     stationarity_diagnostic,
-    transformed_inputs,
     validate_noise,
     validate_params,
 )
-from varcycle.errors import NonFiniteResult, RangeError, WrongRegime
+from varcycle.errors import NonFiniteResult, ParameterError, RangeError
 import varcycle.moments as moments_mod
 from varcycle.simulate import NoisePath, _iterate
 
@@ -37,6 +36,23 @@ def setup_model(n=3, alpha=0.1, beta=0.9, sigma=None, mu=None):
         n,
     )
     return params, spec
+
+
+def transformed_inputs(inputs, dec):
+    """Oracle: G and Sigma0 in the coordinates of the paper's basis Q,
+    X~ = Q^-1 X Q^-T.  Sigma0 is diagonal, so its product is summed
+    term by term: an entry that symmetry makes 0 comes out exactly 0."""
+    Qinv = dec.Qinv
+    return (Qinv @ inputs.G @ Qinv.T,
+            np.einsum("ik,k,jk->ij", Qinv, np.diag(inputs.Sigma0), Qinv))
+
+
+def dense_cross_cov(M, G, Sigma0, t, tau):
+    """Oracle: Cov(z_{t+tau}, z_t) from dense powers of M."""
+    def P(k):
+        return np.linalg.matrix_power(M, k)
+
+    return P(t + tau) @ G @ P(t).T + sum(P(tau + i) @ Sigma0 @ P(i).T for i in range(t))
 
 
 def brute_cross_cov(J, Gt, S0t, t, tau):
@@ -61,6 +77,22 @@ def truncated_ma_sum(inputs, dec, tail_tol=1e-12):
     for i in range(K + 1):
         acc = acc + np.outer(d**i, d**i) * S0t
     return dec.Q @ acc @ dec.Q.T
+
+
+def assert_exact_without_paper_basis(n, alpha, beta):
+    params, spec = setup_model(n=n, alpha=alpha, beta=beta,
+                               sigma=np.linspace(0.5, 2.0, 2 * n).tolist())
+    dec = decompose(params)
+    assert dec.Q is None
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((2 * n, 2 * n))
+    inputs = moment_inputs(params, spec, G=A @ A.T)
+    M = build_transition_matrix(params).entries
+    for t, tau in ((2, 0), (5, 3)):
+        cc = cross_covariance(inputs, dec, t, tau)
+        want = dense_cross_cov(M, inputs.G, inputs.Sigma0, t, tau)
+        assert cc.gamma_tilde is None
+        assert np.max(np.abs(cc.gamma - want)) < 1e-13 * np.max(np.abs(want))
 
 
 class TestCrossCovariance:
@@ -124,12 +156,17 @@ class TestCrossCovariance:
         with pytest.raises(RangeError):
             cross_covariance(inputs, dec, 3, -1)
 
-    def test_wrong_regime(self):
-        params, spec = setup_model(alpha=1.09804, beta=0.7)
-        dec = decompose(params)
-        inputs = moment_inputs(params, spec)
-        with pytest.raises(WrongRegime):
-            cross_covariance(inputs, dec, 3, 0)
+    def test_paper_benchmark(self):
+        # the complex regime has no paper basis Q: gamma is exact all the same
+        assert_exact_without_paper_basis(3, 1.09804, 0.7)
+
+    @pytest.mark.parametrize("n, alpha, beta", [
+        (3, (3.0 - 2.0 * np.sqrt(2.0)) * 0.7, 0.7),  # repeated root on d1
+        (1, 0.1, 0.9),
+        (3, 0.0, 0.8),
+    ])
+    def test_exact_without_paper_basis(self, n, alpha, beta):
+        assert_exact_without_paper_basis(n, alpha, beta)
 
     def test_coordinate_round_trip(self):
         params, spec = setup_model()
@@ -245,6 +282,29 @@ class TestReplicationNoise:
 
 
 class TestLimitingMoments:
+    def test_lambda_tilde_is_complex_in_the_complex_regime(self):
+        params, spec = setup_model(alpha=1.09804, beta=0.7)
+        dec = decompose(params)
+        report = limiting_moments(moment_inputs(params, spec), dec)
+        lt3, lt4 = report.lambda_tilde[2:]
+        assert isinstance(lt3, complex) and lt3.imag > 0.0 and lt4 == lt3.conjugate()
+        assert lt3 == 1.0 / (1.0 - dec.eig.lambda3)
+        assert report.spectral_radius_ok
+
+    @pytest.mark.parametrize("n, alpha, beta, ones", [
+        (3, 0.0, 0.8, (0, 2)), (3, 0.0, -0.6, (0, 3)), (1, 0.0, 2.5, (0, 2)),
+        (3, 0.1, 0.0, (1, 2)), (2, 3.7, 0.0, (1, 2)), (2, -0.3, 0.0, (1, 3)),
+    ])
+    def test_lambda_tilde_is_none_at_an_eigenvalue_of_one(self, n, alpha, beta, ones):
+        # alpha*beta = 0 puts an eigenvalue exactly at 1: lambda1 or lambda2,
+        # and one root of the quadratic factor
+        params, spec = setup_model(n=n, alpha=alpha, beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = limiting_moments(moment_inputs(params, spec), decompose(params))
+        assert [i for i, v in enumerate(report.lambda_tilde) if v is None] == list(ones)
+        assert not report.spectral_radius_ok and report.ma_infinity_cov is None
+
     def test_lambda_tilde_values(self):
         params, spec = setup_model()
         dec = decompose(params)
@@ -467,3 +527,17 @@ def test_moment_inputs_shapes_and_validation():
     assert_allclose(inputs.Sigma0, expected, rtol=1e-14)
     with pytest.raises(ValueError):
         moment_inputs(params, spec, G=np.triu(np.ones((4, 4))))
+
+
+@pytest.mark.parametrize("G, message", [
+    (np.where(np.eye(4) == 1, np.nan, 0.0), "finite"),
+    (np.full((4, 4), np.inf), "finite"),
+    (np.triu(np.ones((4, 4))), "symmetric"),
+    (-np.eye(4), "positive semidefinite"),
+])
+def test_bad_initial_covariance_is_parameter_error(G, message):
+    params, spec = setup_model(n=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError, match=message):
+            moment_inputs(params, spec, G=G)

@@ -20,8 +20,11 @@ from varcycle import (
     aggregates,
     build_transition_matrix,
     classify_regime,
+    cross_covariance,
     decompose,
     forcing_series,
+    limiting_moments,
+    moment_inputs,
     particular_solution,
     reduce_to_cycle,
     sample_noise_path,
@@ -168,6 +171,54 @@ def test_explicit_equals_recursive_property(params, seed):
 def test_block_basis_residuals_pass(params):
     r1, r2, passed = verify_block_basis(build_transition_matrix(params), decompose(params).R)
     assert passed, (r1, r2)
+
+
+MOMENT_MODELS = models(n_min=1, axes=True)
+
+
+def random_moment_inputs(params, seed):
+    """Unequal shock sds and a random PSD covariance G of z_0."""
+    n, rng = params.n, np.random.default_rng(seed)
+    spec = validate_noise({"mu": [0.0] * (2 * n),
+                           "sigma": rng.uniform(0.5, 2.0, 2 * n).tolist()}, n)
+    X = rng.standard_normal((2 * n, 2 * n))
+    return moment_inputs(params, spec, G=X @ X.T)
+
+
+@PROPERTY
+@given(params=MOMENT_MODELS, seed=st.integers(0, 2**32 - 1),
+       t=st.integers(2, 10), tau=st.integers(0, 3))
+@regime_examples(seed=0, t=5, tau=2)
+def test_cross_covariance_matches_dense_powers(params, seed, t, tau):
+    # stepped through R in every regime; the oracle expands the moving
+    # average with dense powers of M
+    inputs = random_moment_inputs(params, seed)
+    M = build_transition_matrix(params).entries
+
+    def P(k):
+        return np.linalg.matrix_power(M, k)
+
+    want = P(t + tau) @ inputs.G @ P(t).T + sum(P(tau + i) @ inputs.Sigma0 @ P(i).T
+                                                 for i in range(t))
+    got = cross_covariance(inputs, decompose(params), t, tau).gamma
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@PROPERTY
+@given(params=MOMENT_MODELS, seed=st.integers(0, 2**32 - 1))
+@regime_examples(seed=0)
+def test_ma_limit_matches_lyapunov_solver(params, seed):
+    from scipy.linalg import solve_discrete_lyapunov
+
+    inputs = random_moment_inputs(params, seed)
+    report = limiting_moments(inputs, decompose(params))
+    M = build_transition_matrix(params).entries
+    stable = np.max(np.abs(np.linalg.eigvals(M))) < 1.0
+    assert report.spectral_radius_ok == stable
+    if stable:
+        want = solve_discrete_lyapunov(M, inputs.Sigma0)
+        got = report.ma_infinity_cov
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @PROPERTY

@@ -343,6 +343,11 @@ class TestBlockBasis:
         assert_allclose(dec.Qinv[[n - 1, m - 1]], np.linalg.solve(V, dense_inv[m - 2:]),
                         rtol=0, atol=1e-14 * np.max(np.abs(dec.Qinv)))
 
+    def test_q_is_built_once_on_first_read(self):
+        dec = decompose(make_params())
+        assert "Q" not in vars(dec) and "Qinv" not in vars(dec)
+        assert dec.Q is dec.Q and dec.Qinv is dec.Qinv
+
     @pytest.mark.parametrize("field, delta", [("A", [[0.0, 1e-6], [0.0, 0.0]]),
                                               ("rates", 1e-6), ("b", 1e-6)])
     def test_perturbed_basis_fails(self, field, delta):
