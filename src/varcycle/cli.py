@@ -365,12 +365,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "tau_minus": dec.tau_minus,
         "tau_plus": dec.tau_plus,
         "tau_tilde": dec.tau_tilde,
-        "basis_available": dec.Q is not None,
+        "basis_available": dec.V is not None,
         "residuals": None,
         "lint": lint_params(params),
     }
-    if dec.Q is not None:
-        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
+    if dec.V is not None:
+        check = verify_decomposition(M, dec.R, dec.V, (dec.eig.lambda3, dec.eig.lambda4))
         payload["residuals"] = {
             "mq_qj": check.residual_mq_qj,
             "qqinv": check.residual_qqinv,
@@ -381,7 +381,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
     if args.dump_matrices:
         atomic_write(os.path.join(args.dump_matrices, "M.csv"), matrix_csv(M.entries))
-        if dec.Q is not None:
+        if dec.V is not None:
             atomic_write(os.path.join(args.dump_matrices, "Q.csv"), matrix_csv(dec.Q))
             atomic_write(os.path.join(args.dump_matrices, "Qinv.csv"), matrix_csv(dec.Qinv))
     timer.mark("write")
@@ -597,20 +597,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     M = build_transition_matrix(params)
     n, alpha, beta = params.n, params.alpha, params.beta
-    dense = M.entries
+    # M's factors hold every entry of its blocks: the diagonals 1-alpha and
+    # 1-beta, the rows alpha*a and -beta*b, and zeros elsewhere
+    zeros = np.zeros(n)
     blocks_ok = (
-        np.array_equal(dense[:n, :n], (1 - alpha) * np.eye(n))
-        and np.array_equal(dense[n:, n:], (1 - beta) * np.eye(n))
-        and np.array_equal(dense[:n, n:], alpha * np.outer(np.ones(n), params.a))
-        and np.array_equal(dense[n:, :n], -beta * np.outer(np.ones(n), params.b))
+        np.array_equal(M.s, np.repeat([1 - alpha, 1 - beta], n))
+        and np.array_equal(M.V, np.column_stack([np.r_[zeros, alpha * params.a],
+                                                 np.r_[-beta * params.b, zeros]]))
+        and np.array_equal(M.U, np.kron(np.eye(2), np.ones(n)))
     )
-    del dense  # no later check needs the dense M
     record("transition_blocks", "pass" if blocks_ok else "fail", "block structure exact")
 
     dec = decompose(params)
     record("regime", "pass", dec.regime.value)
-    if dec.Q is not None:
-        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
+    if dec.V is not None:
+        check = verify_decomposition(M, dec.R, dec.V, (dec.eig.lambda3, dec.eig.lambda4))
         record(
             "decomposition_residuals",
             "pass" if check.passed else "fail",

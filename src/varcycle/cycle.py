@@ -113,9 +113,13 @@ def reduce_to_cycle(alpha: float, beta: float) -> CycleModel:
         rho_mod = abs(rho1.real)
     else:
         regime = CycleRegime.DISTINCT_REAL
-        half = np.sqrt(delta1) / 2.0
-        rho1 = complex(-kappa1 / 2.0 + half, 0.0)
-        rho2 = complex(-kappa1 / 2.0 - half, 0.0)
+        if alpha == 0.0 or beta == 0.0:  # the roots are 1 and 1 - alpha - beta exactly
+            other = 1.0 - alpha - beta
+            rho1, rho2 = complex(max(1.0, other)), complex(min(1.0, other))
+        else:
+            half = np.sqrt(delta1) / 2.0
+            rho1 = complex(-kappa1 / 2.0 + half, 0.0)
+            rho2 = complex(-kappa1 / 2.0 - half, 0.0)
         rho_mod = abs(rho1.real)
     return CycleModel(
         alpha=alpha,

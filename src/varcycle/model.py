@@ -83,8 +83,8 @@ class TransitionMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The dense matrix, built anew on every access.  It is the oracle
-        for tests, ``decompose --dump-matrices`` and ``verify``'s block
-        check; nothing that steps or checks the model needs it."""
+        for tests and what ``decompose --dump-matrices`` writes; nothing
+        that steps or checks the model needs it."""
         n = self.n
         top = np.hstack([self.s[0] * np.eye(n), np.outer(np.ones(n), self.V[n:, 0])])
         bottom = np.hstack([np.outer(np.ones(n), self.V[:n, 1]), self.s[n] * np.eye(n)])

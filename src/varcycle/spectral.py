@@ -35,6 +35,7 @@ depends on the regime.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,18 +155,19 @@ class SpectralDecomposition:
     the paper's basis Q and its closed-form inverse are built on first
     read; ``diag`` is the gate to them.
 
-    ``blocks`` lists (eigenvalue, block size) pairs in basis-column
-    order; ``None`` in the complex regime where no real normal form is
-    constructed.  tau_minus, tau_plus, and tau_tilde are the reported
-    inverse-gap scalars 2/(beta - alpha -+ sqrt(Delta)) and
-    alpha*(tau_minus - tau_plus); they are populated whenever Delta > 0
-    and both denominators are nonzero.
+    ``blocks`` lists runs (eigenvalue, block size, count) of equal Jordan
+    blocks in basis-column order, at most four; ``None`` in the complex
+    regime where no real normal form is constructed.  tau_minus,
+    tau_plus, and tau_tilde are the reported inverse-gap scalars
+    2/(beta - alpha -+ sqrt(Delta)) and alpha*(tau_minus - tau_plus); they
+    are populated whenever Delta > 0, alpha*beta != 0 and both
+    denominators are nonzero.
     """
 
     regime: Regime
     boundaries: RegimeBoundaries
     eig: EigenStructure
-    blocks: tuple[tuple[float, int], ...] | None
+    blocks: tuple[tuple[float, int, int], ...] | None
     R: BlockBasis
     V: np.ndarray | None
     tau_minus: float | None
@@ -202,7 +204,12 @@ class SpectralDecomposition:
 
 def _trichotomy(delta: float, alpha: float, beta: float) -> int:
     """Sign of the discriminant under the scale-relative boundary tolerance:
-    -1 complex pair, 0 repeated root, +1 distinct real pair."""
+    -1 complex pair, 0 repeated root, +1 distinct real pair.  Where
+    alpha or beta is 0 the quadratic factor is exactly (lam - 1)(lam - 1 +
+    alpha + beta), with the distinct roots 1 and 1 - alpha - beta, however
+    small Delta = (alpha - beta)^2 is."""
+    if alpha == 0.0 or beta == 0.0:
+        return 1
     scale = max(1.0, alpha * alpha + beta * beta)
     if abs(delta) <= BOUNDARY_TOL * scale:
         return 0
@@ -280,8 +287,7 @@ def eigen_coordinates(V: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _eigenbasis(R: BlockBasis, V: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Q = R blockdiag(I, V), or with ``inverse`` Q^-1 = blockdiag(I, V^-1)
-    R^-1 (row-major, as verify_decomposition's row gathers need), as a
-    dense array with Q's columns in the order of ``diag``."""
+    R^-1, as a dense array with Q's columns in the order of ``diag``."""
     n, m = len(R.a), 2 * len(R.a)
     pos = _eigen_order(n)
     out = np.empty((m, m))  # the rows of Q^T, or of Q^-1
@@ -296,6 +302,12 @@ def _eigenbasis(R: BlockBasis, V: np.ndarray, inverse: bool = False) -> np.ndarr
     return out.T
 
 
+def _runs(*runs: tuple[float, int, int]) -> tuple[tuple[float, int, int], ...]:
+    """The runs (eigenvalue, block size, count) that hold a block: n = 1
+    leaves the deviation runs empty."""
+    return tuple(run for run in runs if run[2] > 0)
+
+
 def decompose(params: ModelParams) -> SpectralDecomposition:
     """Classify the regime and build every artifact available in it.
 
@@ -303,8 +315,9 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
     real when Delta > 0, a conjugate pair with imaginary part
     sqrt(|Delta|)/2 when Delta < 0, and one double root on the boundary,
     which carries a single 2-block.  The blocks follow Q's column order,
-    (n-1) 1-blocks of lambda1, lambda3's, (n-1) of lambda2, lambda4's;
-    there are none in the complex regime.  R is built in every regime;
+    (n-1) 1-blocks of lambda1, lambda3's, (n-1) of lambda2, lambda4's,
+    listed as runs (eigenvalue, size, count) without empty runs; there
+    are none in the complex regime.  R is built in every regime;
     V (and so Q and its inverse) only in the diagonalizable regime with
     n >= 2 and alpha*beta != 0, elsewhere it is None.  Where
     alpha*beta == 0 one quadratic root is exactly 1 and the other
@@ -324,16 +337,16 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
         lam4: float | complex = complex(mid, -half)
     elif regime is Regime.REPEATED_ROOT_JORDAN:
         lam3 = lam4 = mid
-        blocks = ((lam1, 1),) * (n - 1) + ((lam2, 1),) * (n - 1) + ((mid, 2),)
+        blocks = _runs((lam1, 1, n - 1), (lam2, 1, n - 1), (mid, 2, 1))
     else:
         lam3, lam4 = mid + half, mid - half
         if alpha * beta == 0.0:  # g(lam) = (lam - 1)(lam - 1 + alpha + beta), exactly
             lam3, lam4 = max(1.0, 1.0 - alpha - beta), min(1.0, 1.0 - alpha - beta)
-        blocks = (((lam1, 1),) * (n - 1) + ((float(lam3), 1),)
-                  + ((lam2, 1),) * (n - 1) + ((float(lam4), 1),))
+        blocks = _runs((lam1, 1, n - 1), (float(lam3), 1, 1),
+                       (lam2, 1, n - 1), (float(lam4), 1, 1))
         gap = np.sqrt(boundaries.delta)
         den_minus, den_plus = beta - alpha - gap, beta - alpha + gap
-        if den_minus != 0.0 and den_plus != 0.0:
+        if alpha * beta != 0.0 and den_minus != 0.0 and den_plus != 0.0:
             tau_minus, tau_plus = 2.0 / den_minus, 2.0 / den_plus
             tau_tilde = alpha * (tau_minus - tau_plus)
         if n >= 2 and alpha != 0.0 and beta != 0.0:
@@ -368,62 +381,75 @@ class DecompositionCheck:
     passed: bool
 
 
-def _times_nonzeros(A: np.ndarray, rows: np.ndarray, cols: np.ndarray, X: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """out = A @ X, where (rows, cols) are the nonzeros of A sorted by row.
+def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
+                         lam: tuple[float, float]) -> DecompositionCheck:
+    """Measure ||MQ - QJ||, ||QQ^-1 - I||, and ||Q^-1 M Q - J|| in max norm
+    for the paper's basis Q = R blockdiag(I, V) and Q^-1 = blockdiag(I, V^-1)
+    R^-1, from the factors alone, in O(n) time and memory: no m x m array.
 
-    Row i sums over the nonzeros of row i only, so the cost is
-    O(nnz(A) * width).  A row that is at least half nonzero is multiplied
-    whole, which is no more work than gathering its rows of X.
+    J = diag(d) holds R's ``rates`` on the deviation columns and
+    ``lam`` = (lambda3, lambda4) on V's two columns.  M is diag(s) plus,
+    in every row of its x block (y block), column 0 (1) of its factor V,
+    as U marks them.  A deviation column of Q is e_p - rho e_f, with f
+    the block's first agent (R's pivot) and p the column's own agent, so
+    each deviation column of a residual takes one value at the first
+    agent, one at its own agent and one on the other agents of each
+    block; the two aggregate columns are computed whole.  Every entry is
+    computed, so a perturbed factor counts as it would in the dense
+    products, and the terms that Q's aggregate entries (up to
+    |beta/alpha|) scale are formed without cancellation, so the residuals
+    are those of the factors rather than rounding of the check.  R's map
+    A enters none of Q, Q^-1 and J: verify_block_basis checks it.  The
+    MQ - QJ and similarity residuals are compared against RESIDUAL_TOL *
+    ||M||_max, the inverse residual against RESIDUAL_TOL directly.
     """
-    bounds = np.searchsorted(rows, np.arange(A.shape[0] + 1)).tolist()
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if 2 * (hi - lo) < A.shape[1]:
-            np.matmul(A[i, cols[lo:hi]], X[cols[lo:hi]], out=out[i])
-        else:
-            np.matmul(A[i], X, out=out[i])
-    return out
-
-
-def verify_decomposition(
-    M: TransitionMatrix,
-    d: np.ndarray,
-    Q: np.ndarray,
-    Qinv: np.ndarray,
-) -> DecompositionCheck:
-    """Measure ||MQ - QJ||, ||QQ^-1 - I||, and ||Q^-1 M Q - J|| in max norm,
-    where J = diag(d) is the diagonal normal form.
-
-    Every entry of each residual is computed, in O(n^2): MQ and Q^-1 M
-    come from M's diagonal-plus-rank-two form, and the products with Q
-    run over the nonzeros of the array Q passed in, so any perturbed
-    entry of Q, structural zero or not, still counts.  J only ever
-    scales columns.  The MQ - QJ and similarity residuals are compared
-    against RESIDUAL_TOL * ||M||_max, the inverse residual against
-    RESIDUAL_TOL directly.
-    """
-    if M.shape[0] < 4:
+    n = M.n
+    if n < 2:
         raise DimensionMismatch("decomposition checks require n >= 2 (matrix at least 4 x 4)")
     # bitwise the dense max|M|: each entry of M is one entry of s or V, or 0
     m_scale = float(max(np.max(np.abs(M.s)), np.max(np.abs(M.V))))
-    rows, cols = np.nonzero(Q)
-    by_col = np.argsort(cols, kind="stable")
-    on_diag = np.diag_indices_from(Q)
-    # MQ = (Q^T M^T)^T, and the similarity residual is formed transposed so
-    # that the products over the nonzeros read rows (the max norm is the
-    # same); subtracting on the diagonal alone equals subtracting diag(d) or I
-    R = M.apply(Q.T).T  # MQ
-    R -= Q * d
-    r1 = float(np.max(np.abs(R, out=R)))
-    _times_nonzeros(Q, rows, cols, Qinv, out=R)
-    R[on_diag] -= 1.0
-    r2 = float(np.max(np.abs(R, out=R)))
-    del R  # at most two m x m arrays are alive at any time
-    S = M.apply(Qinv, transpose=True)  # Q^-1 M
-    QinvM_T = np.ascontiguousarray(S.T)
-    _times_nonzeros(Q.T, cols[by_col], rows[by_col], QinvM_T, out=S)  # (Q^-1 M Q)^T
-    S[on_diag] -= d
-    r3 = float(np.max(np.abs(S, out=S)))
+    s, F, lam = M.s, M.V, np.asarray(lam, dtype=float)
+    Vinv = _unmix(V, np.eye(2))
+    # V V^-1 - I in closed form: V^-1 is the inverse of V only if V's top row is ones
+    c3, c4 = V[1]
+    VVinv_I = np.array([[(V[0, 0] - 1.0) * c4 - (V[0, 1] - 1.0) * c3, V[0, 1] - V[0, 0]],
+                        [0.0, 0.0]]) / (c4 - c3)
+    weights = (R.b, R.a)  # R's x block pivots on b, its y block on a
+    # 1 - sum(w), correctly rounded: Q's large aggregate entries scale it
+    gaps = np.array([math.fsum(np.r_[1.0, -w].tolist()) for w in weights])
+    # S[g, k]: the rank-two part of M's block-g rows times Q's aggregate column k
+    S = np.array([F[:n].sum(axis=0), F[n:].sum(axis=0)]).T @ V
+    # the aggregate rows and columns of R^-1 M Q: w_g . (M Q)_g on block g
+    agg = V * np.array([w @ s[g * n:(g + 1) * n] for g, w in enumerate(weights)])[:, None]
+    agg += S * (1.0 - gaps)[:, None]
+    r1, r2, r3 = [], [], [np.ravel(Vinv @ agg - np.diag(lam))]
+    for k, w in enumerate(weights):
+        f, own, other = k * n, slice(k * n + 1, (k + 1) * n), 1 - k
+        sk, rho = s[f:f + n], w[1:] / w[0]
+        rate = R.rates[k * (n - 1):(k + 1) * (n - 1)]
+        T = F[own] - rho[:, None] * F[f]  # M's rank-two part on each deviation column, per block
+        # MQ - QJ: the deviation columns of block k (own agent, first agent,
+        # other block), then the aggregate columns on block k's rows
+        r1 += [T[:, k] + (s[own] - rate), T[:, k] - rho * (s[f] - rate), T[:, other],
+               np.ravel((sk[:, None] - lam) * V[k] + S[k])]
+        # QQ^-1 - I on block k's columns: the first agent's row, the other
+        # agents' rows, the other block's rows
+        r2 += [w * (rho.sum() + 1.0 + VVinv_I[k, k]) - np.r_[1.0, rho], VVinv_I[k, k] * w,
+               VVinv_I[other, k] * w]
+        # Q^-1 M Q - J: the deviation columns of block k (own row, the other
+        # block's rows, the aggregate rows), then the aggregate columns on
+        # block k's deviation rows, where s_p - w.s = ds_p + s_1 (1 - sum(w)) - w.ds
+        c = w[1:] * s[own] - rho * (w[0] * s[f])
+        E = T * gaps
+        K = T * (1.0 - gaps)
+        K[:, k] += c
+        ds = sk - sk[0]
+        r3 += [s[own] - rate + E[:, k] - c, E[:, other], np.ravel(K @ Vinv.T),
+               np.ravel((ds[1:] + (sk[0] * gaps[k] - w @ ds))[:, None] * V[k] + S[k] * gaps[k])]
+        if n >= 3:  # agents besides the pivot and the own agent
+            r1.append(T[:, k])
+            r3.append(E[:, k] - c)
+    r1, r2, r3 = (float(np.max(np.abs(np.concatenate(r)))) for r in (r1, r2, r3))
     threshold = RESIDUAL_TOL * m_scale
     passed = (r1 < threshold) and (r2 < RESIDUAL_TOL) and (r3 < threshold)
     return DecompositionCheck(

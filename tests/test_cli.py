@@ -60,6 +60,28 @@ class TestDecompose:
         assert res["passed"] is True
         assert res["mq_qj"] < 1e-12 and res["qqinv"] < 1e-12
 
+    def test_zero_alpha_keeps_the_eigenvalue_one(self, capsys):
+        # alpha*beta == 0 factors the quadratic exactly into (lam - 1)(lam - 1 + beta):
+        # two distinct roots however small beta is, not a double root at 1 - beta/2
+        code, report, _ = run_cli(capsys, "decompose", "--n", "2", "--alpha", "0",
+                                  "--beta", "1e-6")
+        assert code == 0
+        payload = report["payload"]
+        assert payload["regime"] == "diagonalizable_real"
+        assert [e["value"] for e in payload["eigenvalues"]] == [1.0, 1.0 - 1e-6, 1.0, 1.0 - 1e-6]
+        assert payload["blocks"] == [[1.0, 1, 1], [1.0, 1, 1], [1.0 - 1e-6, 1, 1],
+                                     [1.0 - 1e-6, 1, 1]]
+        assert payload["basis_available"] is False
+
+    def test_blocks_are_runs(self, capsys):
+        code, report, _ = run_cli(capsys, "decompose", "--n", "50", "--alpha", "0.1",
+                                  "--beta", "0.9")
+        assert code == 0
+        blocks = report["payload"]["blocks"]
+        assert [(size, count) for _, size, count in blocks] == [(1, 49), (1, 1), (1, 49), (1, 1)]
+        eig = [e["value"] for e in report["payload"]["eigenvalues"]]
+        assert [value for value, _, _ in blocks] == [eig[0], eig[2], eig[1], eig[3]]
+
     def test_boundary_tolerance_is_not_an_option(self, capsys):
         # a looser tolerance once reported a double root where the
         # quadratic factor has two distinct real roots
@@ -537,6 +559,14 @@ class TestMoments:
             gamma, est, se = (np.array(entry[k]) for k in ("gamma", "mc_estimate", "mc_se"))
             assert np.all(np.abs(est - gamma) < 4.0 * se), (entry["t"], entry["tau_prime"])
 
+    def test_lambda_tilde_at_zero_alpha(self, capsys, tmp_path):
+        # the quadratic roots are 1 and 1 - beta, not a double root between them
+        payload = self.run_strict(capsys, tmp_path, 2, 0.0, 1e-6)
+        limits = payload["limits"]
+        assert limits["spectral_radius_ok"] is False
+        lt = 1.0 / (1.0 - (1.0 - 1e-6))
+        assert limits["lambda_tilde"] == [None, lt, None, lt]
+
     @pytest.mark.parametrize("n, alpha, beta", BASIS_FREE_MODELS.values(),
                              ids=BASIS_FREE_MODELS.keys())
     def test_runs_where_q_does_not_exist(self, capsys, tmp_path, n, alpha, beta):
@@ -549,13 +579,22 @@ class TestMoments:
         assert (None in limits["lambda_tilde"]) == (alpha == 0.0)
 
     def test_q_is_built_only_when_read(self, capsys, monkeypatch, diag_config):
-        # simulate's explicit path and moments need only R and the 2x2 V
+        # decompose without --dump-matrices and verify check Q through R and
+        # the 2x2 V; simulate's explicit path and moments need only those too
         config_path, _ = diag_config
 
         def unread(*args, **kwargs):
-            raise AssertionError("the dense Q or Q^-1 was built")
+            raise AssertionError("a dense M, Q or Q^-1 was built")
 
         monkeypatch.setattr(varcycle.spectral, "_eigenbasis", unread)
+        monkeypatch.setattr(varcycle.model.TransitionMatrix, "entries", property(unread))
+        code, report, err = run_cli(capsys, "decompose", "--config", config_path)
+        assert code == 0, err
+        assert report["payload"]["residuals"]["passed"] is True
+        code, report, err = run_cli(capsys, "verify", "--config", config_path)
+        assert code == 0, err
+        checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
+        assert checks["decomposition_residuals"] == checks["transition_blocks"] == "pass"
         code, report, err = run_cli(capsys, "simulate", "--config", config_path,
                                     "--method", "both")
         assert code == 0, err
@@ -646,6 +685,17 @@ class TestVerify:
             assert code == 0, err
         assert report["payload"]["max_method_deviation_relative"] < 1e-8
 
+    def test_zero_alpha_regimes_agree(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 2, "alpha": 0.0, "beta": 1e-6,
+                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
+        code, report, _ = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and report["payload"]["all_passed"] is True
+        checks = {c["name"]: c for c in report["payload"]["checks"]}
+        assert checks["regime_agreement"]["status"] == "pass"
+        assert checks["regime_agreement"]["detail"] == \
+            "spectral=diagonalizable_real cycle=distinct_real"
+
     def test_block_detail_names_both_figures(self, capsys, diag_config):
         config_path, _ = diag_config
         _, report, _ = run_cli(capsys, "verify", "--config", config_path)
@@ -655,6 +705,45 @@ class TestVerify:
         assert sorted(figures) == ["mr_rj", "rrinv"]
         assert all(float(v) < 1e-14 for v in figures.values())
 
+
+
+LARGE_N_SCRIPT = """
+import contextlib, io, json, resource, sys
+import numpy as np
+from varcycle.cli import main
+
+n, work = 100_000, sys.argv[1]
+w = np.random.default_rng(3).uniform(0.5, 1.5, (2, n))
+with open(work + "/c.json", "w") as fh:
+    json.dump({"n": n, "alpha": 0.1, "beta": 0.9, "a": (w[0] / w[0].sum()).tolist(),
+               "b": (w[1] / w[1].sum()).tolist(), "run": {"T": 20, "seed": 1}}, fh)
+reports = []
+for argv in (["decompose"], ["verify"],
+             ["simulate", "--method", "both", "--out", work + "/t.csv"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--config", work + "/c.json"])
+    reports.append([code, json.loads(out.getvalue())["payload"]])
+peak_kb = max(resource.getrusage(who).ru_maxrss
+              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+print(json.dumps({"reports": reports, "peak_kb": peak_kb}))
+"""
+
+
+def test_decompose_verify_simulate_at_n_1e5_under_1gb(tmp_path):
+    # no 2n x 2n array: one dense M, Q or Q^-1 alone would take 320 GB
+    env = dict(os.environ, PYTHONPATH=str(Path(varcycle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LARGE_N_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    (dec_code, dec), (ver_code, ver), (sim_code, sim) = result["reports"]
+    assert dec_code == ver_code == sim_code == 0
+    assert dec["residuals"]["passed"] is True and len(dec["blocks"]) == 4
+    assert ver["all_passed"] is True
+    assert {c["name"]: c["status"] for c in ver["checks"]}["decomposition_residuals"] == "pass"
+    assert sim["max_method_deviation_relative"] < 1e-8
+    assert result["peak_kb"] < 1024 * 1024
 
 
 def per_cell_trajectory_csv(traj_z, params):

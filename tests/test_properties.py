@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,8 @@ from varcycle import (
 )
 from varcycle.cli import main
 from varcycle.spectral import verify_block_basis
+
+from test_spectral import assert_matches_dense, factors
 
 BOUNDARY_FACTORS = {"d1": 3.0 - 2.0 * np.sqrt(2.0), "d2": 3.0 + 2.0 * np.sqrt(2.0)}
 SPECTRAL_TO_CYCLE = {
@@ -85,9 +88,9 @@ def test_spectral_and_scalar_trichotomies_agree(pair):
 def decomposition_check(params):
     """verify_decomposition's verdict, or None where decompose gives no basis."""
     dec = decompose(params)
-    if dec.Q is None:
+    if dec.V is None:
         return None
-    return verify_decomposition(build_transition_matrix(params), dec.diag, dec.Q, dec.Qinv)
+    return verify_decomposition(**factors(dec, build_transition_matrix(params)))
 
 
 @PROPERTY
@@ -128,6 +131,70 @@ def test_root_near_lambda1_column_is_exact_at_small_alpha(alpha, beta):
 def test_decomposition_passes_at_small_alpha(alpha, beta):
     check = decomposition_check(small_alpha_params(alpha, beta))
     assert check.passed, check
+
+
+@PROPERTY
+@given(params=models(n_min=2, axes=True))
+def test_decomposition_check_matches_dense_oracle(params):
+    # the O(n) check against dense products of the arrays Q and Q^-1
+    # built from the same factors, within the rounding those products allow
+    dec = decompose(params)
+    assume(dec.V is not None)
+    args = factors(dec, build_transition_matrix(params))
+    assert_matches_dense(verify_decomposition(**args), **args)
+
+
+def exact_residuals(M, R, V, lam):
+    """The three residuals of the factors in rational arithmetic: Q's
+    deviation columns e_p - fl(w_p/w_1) e_1, R^-1's rows e_p - w and w,
+    and V^-1 exactly."""
+    n, m = M.n, 2 * M.n
+    F = [Fraction(float(x)) for x in np.ravel(np.diag(M.s) + M.U.T @ M.V.T)]
+    Mx = [F[i * m:(i + 1) * m] for i in range(m)]
+    Vx = [[Fraction(float(x)) for x in row] for row in V]
+    det = Vx[0][0] * Vx[1][1] - Vx[0][1] * Vx[1][0]
+    Vinv = [[Vx[1][1] / det, -Vx[0][1] / det], [-Vx[1][0] / det, Vx[0][0] / det]]
+    Q = [[Fraction(0)] * m for _ in range(m)]
+    Qinv = [[Fraction(0)] * m for _ in range(m)]
+    for k, w in enumerate((R.b, R.a)):
+        wx = [Fraction(float(x)) for x in w]
+        for p in range(1, n):
+            col = k * (n - 1) + p - 1
+            Q[k * n + p][col], Q[k * n][col] = Fraction(1), -Fraction(float(w[p] / w[0]))
+            for j in range(n):
+                Qinv[col][k * n + j] = (j == p) - wx[j]
+        for i in range(n):
+            for g in (0, 1):
+                Q[k * n + i][m - 2 + g] = Vx[k][g]
+                Qinv[m - 2 + g][k * n + i] = Vinv[g][k] * wx[i]
+    d = [Fraction(float(x)) for x in np.r_[R.rates, lam]]
+
+    def mul(A, B):
+        return [[sum(A[i][j] * B[j][k] for j in range(m)) for k in range(m)] for i in range(m)]
+
+    MQ, QQinv = mul(Mx, Q), mul(Q, Qinv)
+    S = mul(Qinv, MQ)
+    cells = [(i, j) for i in range(m) for j in range(m)]
+    return (float(max(abs(MQ[i][j] - Q[i][j] * d[j]) for i, j in cells)),
+            float(max(abs(QQinv[i][j] - (i == j)) for i, j in cells)),
+            float(max(abs(S[i][j] - (i == j) * d[j]) for i, j in cells)))
+
+
+NEAR_D1 = (BOUNDARY_FACTORS["d1"] * 0.7 * (1 - 1e-6), 0.7)
+
+
+@pytest.mark.parametrize("alpha,beta", SMALL_ALPHA + [(0.1, 0.9), NEAR_D1])
+def test_check_is_exact_where_q_is_large(alpha, beta):
+    # where Q's aggregate entries reach |beta/alpha| the dense products
+    # round at that scale; the check stays within a few ulps of 1 of the
+    # factors' own residuals, so it fails the small-alpha models for what
+    # the factors are, not for its own rounding
+    params = small_alpha_params(alpha, beta)
+    args = factors(decompose(params), build_transition_matrix(params))
+    check = verify_decomposition(**args)
+    got = (check.residual_mq_qj, check.residual_qqinv, check.residual_similarity)
+    want = exact_residuals(**args)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-14, (got, want)
 
 
 def example_params(n, alpha, beta):

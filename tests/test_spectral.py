@@ -15,7 +15,7 @@ from varcycle import (
     verify_decomposition,
 )
 from varcycle.errors import DimensionMismatch, WrongRegime
-from varcycle.spectral import verify_block_basis
+from varcycle.spectral import _eigen_order, _eigenbasis, verify_block_basis
 
 D1_FACTOR = 3.0 - 2.0 * np.sqrt(2.0)
 
@@ -162,12 +162,14 @@ class TestEigenStructure:
     def test_multiplicity_completeness(self):
         p = make_params(n=5, alpha=0.1, beta=0.9, a=[0.2] * 5, b=[0.2] * 5)
         dec = decompose(p)
-        assert sum(size for _, size in dec.blocks) == 10
+        assert sum(size * count for _, size, count in dec.blocks) == 10
         alpha = D1_FACTOR * 0.7
         pj = make_params(n=5, alpha=alpha, beta=0.7, a=[0.2] * 5, b=[0.2] * 5)
         decj = decompose(pj)
-        sizes = [size for _, size in decj.blocks]
-        assert sizes.count(1) == 8 and sizes.count(2) == 1
+        counts = {1: 0, 2: 0}
+        for _, size, count in decj.blocks:
+            counts[size] += count
+        assert counts == {1: 8, 2: 1}
 
     def test_boundary_gap_shrinks(self):
         beta = 0.7
@@ -372,10 +374,44 @@ def dense_residuals(M, d, Q, Qinv):
     )
 
 
-def assert_matches_dense(check, M, d, Q, Qinv):
+def factor_residuals(M, R, V, lam):
+    """dense_residuals on M, Q, Q^-1 and J built densely from the same
+    factors: J holds R's rates on the deviations and lam on V's columns."""
+    n = M.n
+    d = np.empty(2 * n)
+    d[_eigen_order(n)] = np.r_[R.rates, lam]
+    dense_M = np.diag(M.s) + M.U.T @ M.V.T
+    return dense_residuals(dense_M, d, _eigenbasis(R, V), _eigenbasis(R, V, inverse=True))
+
+
+def assert_matches_dense(check, M, R, V, lam):
     got = (check.residual_mq_qj, check.residual_qqinv, check.residual_similarity)
-    for value, (want, bound) in zip(got, dense_residuals(M, d, Q, Qinv)):
+    for value, (want, bound) in zip(got, factor_residuals(M, R, V, lam)):
         assert abs(value - want) <= bound
+
+
+def factors(dec, M):
+    return {"M": M, "R": dec.R, "V": dec.V, "lam": (dec.eig.lambda3, dec.eig.lambda4)}
+
+
+def factor(args, name):
+    """The factor ``name`` of ``args``: "R.a", "V", "M.s", ..."""
+    owner, _, field = name.rpartition(".")
+    return np.asarray(getattr(args[owner], field) if owner else args[name], dtype=float)
+
+
+def perturb(args, name, index, delta=1e-6):
+    """The factors with one entry of ``name`` moved by delta."""
+    owner, _, field = name.rpartition(".")
+    value = factor(args, name).copy()
+    value[np.unravel_index(index, value.shape)] += delta
+    if owner:
+        return {**args, owner: dataclasses.replace(args[owner], **{field: value})}
+    return {**args, name: value}
+
+
+#: every factor the check reads, with R.A left out: it enters none of Q, Q^-1 and J
+FACTORS = ["R.a", "R.b", "R.rates", "V", "lam", "M.s", "M.V"]
 
 
 class TestVerifyDecomposition:
@@ -384,7 +420,7 @@ class TestVerifyDecomposition:
         dec = decompose(p)
         M = build_transition_matrix(p)
         scale = np.max(np.abs(M.entries))
-        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
+        check = verify_decomposition(**factors(dec, M))
         assert check.passed
         assert check.threshold_mq_qj == 1e-10 * scale
         assert check.residual_mq_qj < 1e-10 * scale
@@ -393,45 +429,49 @@ class TestVerifyDecomposition:
 
     def test_perturbed_basis_fails(self):
         p = make_params(n=3, alpha=0.1, beta=0.9)
-        dec = decompose(p)
-        M = build_transition_matrix(p)
-        Q = dec.Q.copy()
-        Q[0, 0] += 1e-3
-        check = verify_decomposition(M, dec.diag, Q, dec.Qinv)
+        args = factors(decompose(p), build_transition_matrix(p))
+        check = verify_decomposition(**perturb(args, "V", 2, delta=1e-3))  # c3
         assert not check.passed
         assert 1e-5 < check.residual_mq_qj < 1e-1
         assert 1e-5 < check.residual_similarity < 1e-1
 
-    @pytest.mark.parametrize("which", ["Q", "Qinv"])
-    @pytest.mark.parametrize("structural_zero", [True, False])
-    def test_perturbed_entry_counts(self, which, structural_zero):
-        # a perturbed structural zero must count as much as a nonzero: the
-        # products with Q run over the nonzeros of the array passed in
-        p = random_diagonalizable(np.random.default_rng(7), 5)
-        dec = decompose(p)
-        M = build_transition_matrix(p)
-        mats = {"Q": dec.Q.copy(), "Qinv": dec.Qinv.copy()}
-        target = mats[which]
-        i, j = np.argwhere((target == 0.0) if structural_zero else (target != 0.0))[-1]
-        target[i, j] += 1e-3
-        check = verify_decomposition(M, dec.diag, mats["Q"], mats["Qinv"])
-        assert not check.passed
-        assert check.residual_qqinv > 1e-6 and check.residual_similarity > 1e-6
-        assert_matches_dense(check, M.entries, dec.diag, mats["Q"], mats["Qinv"])
+    @pytest.mark.parametrize("name", FACTORS)
+    def test_perturbed_entry_counts(self, name):
+        # every entry of every factor counts, the structural zeros of M.V too
+        p = random_diagonalizable(np.random.default_rng(7), 3)
+        args = factors(decompose(p), build_transition_matrix(p))
+        for index in range(factor(args, name).size):
+            bad = perturb(args, name, index)
+            check = verify_decomposition(**bad)
+            assert not check.passed, (name, index)
+            assert max(check.residual_mq_qj, check.residual_qqinv,
+                       check.residual_similarity) > 1e-8, (name, index)
+            assert_matches_dense(check, **bad)
+
+    def test_aggregate_map_is_left_to_the_block_check(self):
+        p = random_diagonalizable(np.random.default_rng(7), 3)
+        args = factors(decompose(p), build_transition_matrix(p))
+        bad = perturb(args, "R.A", 1)
+        assert verify_decomposition(**bad) == verify_decomposition(**args)
+        assert not verify_block_basis(args["M"], bad["R"])[2]
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_residuals_match_dense_oracle(self, n):
-        p = random_diagonalizable(np.random.default_rng(n), n)
-        dec = decompose(p)
-        M = build_transition_matrix(p)
-        check = verify_decomposition(M, dec.diag, dec.Q, dec.Qinv)
-        assert_matches_dense(check, M.entries, dec.diag, dec.Q, dec.Qinv)
+        rng = np.random.default_rng(n)
+        p = random_diagonalizable(rng, n)
+        args = factors(decompose(p), build_transition_matrix(p))
+        check = verify_decomposition(**args)
         assert check.passed
+        assert_matches_dense(check, **args)
+        for name in FACTORS + ["R.A"]:
+            bad = perturb(args, name, int(rng.integers(factor(args, name).size)), delta=1e-3)
+            assert_matches_dense(verify_decomposition(**bad), **bad)
 
     def test_n1_rejected(self):
-        M = build_transition_matrix(make_params(n=1, a=[1.0], b=[1.0]))
+        p = make_params(n=1, a=[1.0], b=[1.0])
+        M, R = build_transition_matrix(p), decompose(p).R
         with pytest.raises(DimensionMismatch):
-            verify_decomposition(M, np.ones(2), np.eye(2), np.eye(2))
+            verify_decomposition(M, R, np.eye(2), (0.5, 0.2))
 
 
 class TestJordanPieces:
@@ -440,8 +480,13 @@ class TestJordanPieces:
         dec = decompose(p)
         eig, d = dec.eig, dec.diag
         assert_allclose(d, [0.9, 0.9, eig.lambda3, 0.1, 0.1, eig.lambda4], rtol=0, atol=1e-15)
-        blocks = dec.blocks
-        assert [b for _, b in blocks] == [1] * 6
+        # runs of equal blocks in the order of d: no more than four
+        assert dec.blocks == ((eig.lambda1, 1, 2), (eig.lambda3, 1, 1),
+                              (eig.lambda2, 1, 2), (eig.lambda4, 1, 1))
+        assert np.array_equal(np.repeat([v for v, _, _ in dec.blocks],
+                                        [c for _, _, c in dec.blocks]), d)
+        n1 = decompose(make_params(n=1, a=[1.0], b=[1.0]))
+        assert [count for _, _, count in n1.blocks] == [1, 1]
 
     @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (3, 0.1, 0.0), (3, 0.0, 0.8)])
     def test_diag_needs_a_basis(self, n, alpha, beta):
