@@ -41,7 +41,7 @@ from .simulate import (
     simulate_explicit,
     simulate_recursive,
 )
-from .spectral import BOUNDARY_TOL, Regime, decompose, verify_block_basis, verify_decomposition
+from .spectral import BOUNDARY_TOL, decompose, verify_block_basis, verify_decomposition
 
 DEFAULT_SEED = 0
 BENCHMARK = {"alpha": 1.09804, "beta": 0.7, "T": 700, "eps_sd": 1.0, "eta_sd": 1.6}
@@ -101,13 +101,14 @@ def resolve_config(doc: dict) -> tuple[ModelParams, NoiseSpec, dict, dict]:
 
 
 def config_echo(params: ModelParams, noise: NoiseSpec, run: dict, output: dict) -> dict:
+    # the vectors stay arrays: _jsonable converts each with one tolist()
     return {
         "n": params.n,
         "alpha": params.alpha,
         "beta": params.beta,
-        "a": params.a.tolist(),
-        "b": params.b.tolist(),
-        "noise": {"mu": noise.mu.tolist(), "sigma": noise.sigma.tolist()},
+        "a": params.a,
+        "b": params.b,
+        "noise": {"mu": noise.mu, "sigma": noise.sigma},
         "run": dict(run),
         "output": dict(output),
     }
@@ -146,9 +147,10 @@ def _model_from_args(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # output helpers
 
-#: Rows formatted together; the parts a CSV is split into between
-#: processes are whole runs of these blocks.
-_CSV_BLOCK_ROWS = 1024
+#: Cells formatted together: a block holds as many rows as fit, and at
+#: least one.  The parts a CSV is split into between processes are whole
+#: runs of blocks.
+_CSV_BLOCK_CELLS = 2048
 
 
 def _usable_cpus() -> int:
@@ -158,11 +160,12 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _split_rows(rows: int, parts: int) -> list[tuple[int, int]]:
-    """[lo, hi) ranges of at most `parts` contiguous runs of whole blocks."""
-    blocks = -(-rows // _CSV_BLOCK_ROWS)
+def _split_rows(rows: int, parts: int, block: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of at most `parts` contiguous runs of whole blocks
+    of `block` rows."""
+    blocks = -(-rows // block)
     k = max(1, min(parts, blocks))
-    edges = [min(rows, i * blocks // k * _CSV_BLOCK_ROWS) for i in range(k + 1)]
+    edges = [min(rows, i * blocks // k * block) for i in range(k + 1)]
     return list(zip(edges, edges[1:]))
 
 
@@ -179,6 +182,12 @@ class CsvTable:
     columns: tuple[np.ndarray, ...]
     index: bool
 
+    @property
+    def _block_rows(self) -> int:
+        """Rows per block: as many as fit in _CSV_BLOCK_CELLS, at least one."""
+        width = sum(1 if c.ndim == 1 else c.shape[1] for c in self.columns)
+        return max(1, _CSV_BLOCK_CELLS // max(1, width))
+
     def _format(self, lo: int, hi: int) -> bytes:
         # tolist() yields Python floats, whose repr is the shortest
         # round-trip decimal.  zip over one iterator repeated per column
@@ -193,8 +202,9 @@ class CsvTable:
         return "\n".join(lines).encode()
 
     def _blocks(self, lo: int, hi: int) -> Iterator[bytes]:
-        for start in range(lo, hi, _CSV_BLOCK_ROWS):
-            yield self._format(start, min(start + _CSV_BLOCK_ROWS, hi))
+        block = self._block_rows
+        for start in range(lo, hi, block):
+            yield self._format(start, min(start + block, hi))
 
     def _format_in_child(self, fd: int, lo: int, hi: int) -> NoReturn:
         # the whole part is formatted before the first write, so that a
@@ -217,7 +227,7 @@ class CsvTable:
         order, so the bytes do not depend on the number of parts.  Raises
         OSError if a child fails.
         """
-        parts = _split_rows(len(self.columns[0]), _usable_cpus())
+        parts = _split_rows(len(self.columns[0]), _usable_cpus(), self._block_rows)
         reads: list[int] = []
         pids: list[int] = []
         try:
@@ -641,12 +651,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rr = float(np.max(np.abs(resid))) / scale
     record("cycle_reduction", "pass" if rr < 1e-10 else "fail", f"relative residual {rr:.3e}")
 
-    spectral_to_cycle = {
-        Regime.COMPLEX_CONJUGATE: cycle_mod.CycleRegime.COMPLEX_OSCILLATORY,
-        Regime.DIAGONALIZABLE_REAL: cycle_mod.CycleRegime.DISTINCT_REAL,
-        Regime.REPEATED_ROOT_JORDAN: cycle_mod.CycleRegime.REPEATED_REAL,
-    }
-    agree = spectral_to_cycle[dec.regime] is model.regime
+    agree = cycle_mod.SPECTRAL_TO_CYCLE[dec.regime] is model.regime
     record("regime_agreement", "pass" if agree else "fail",
            f"spectral={dec.regime.value} cycle={model.regime.value}")
     timer.mark("compute")

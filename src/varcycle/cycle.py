@@ -8,12 +8,13 @@ Weighting the vector model by a and b collapses it to
 
 with ebar = b . epsilon and nbar = a . eta.  The forcing term consumes
 the shock one step ahead, so the recursion at step t+2 is still causal
-in the noise indices.  The characteristic roots are
-rho_{1,2} = (-kappa1 +- sqrt(Delta1))/2 with Delta1 = kappa1^2 - 4 kappa2
-equal to the vector model's discriminant, so the scalar regime
-trichotomy coincides with the spectral one.  In the oscillatory regime
-|rho1| = sqrt(kappa2) and the homogeneous solutions are damped cosines
-c1 |rho1|^t cos(c2 + omega t).
+in the noise indices.  kappa1 = -tr A and kappa2 = det A for the vector
+model's 2x2 aggregate map A, so the characteristic roots rho1, rho2 are
+the roots lambda3, lambda4 of its quadratic factor, with the
+discriminant Delta1 = kappa1^2 - 4 kappa2 = Delta; they are taken from
+the spectral module, and the scalar regime trichotomy is the spectral
+one.  In the oscillatory regime |rho1| = sqrt(kappa2) and the
+homogeneous solutions are damped cosines c1 |rho1|^t cos(c2 + omega t).
 """
 
 from __future__ import annotations
@@ -26,13 +27,21 @@ import numpy as np
 from .errors import NonFiniteState, NotInvertible, RangeError, TooShort, WrongRegime
 from .model import ModelParams
 from .simulate import NoisePath
-from .spectral import _trichotomy
+from .spectral import Regime, _quadratic
 
 
 class CycleRegime(enum.Enum):
     COMPLEX_OSCILLATORY = "complex_oscillatory"
     DISTINCT_REAL = "distinct_real"
     REPEATED_REAL = "repeated_real"
+
+
+#: The scalar cycle's regime for each spectral regime of the vector model.
+SPECTRAL_TO_CYCLE = {
+    Regime.COMPLEX_CONJUGATE: CycleRegime.COMPLEX_OSCILLATORY,
+    Regime.DIAGONALIZABLE_REAL: CycleRegime.DISTINCT_REAL,
+    Regime.REPEATED_ROOT_JORDAN: CycleRegime.REPEATED_REAL,
+}
 
 
 @dataclass(frozen=True)
@@ -83,55 +92,36 @@ class ScalarNoise:
 def reduce_to_cycle(alpha: float, beta: float) -> CycleModel:
     """Collapse (alpha, beta) to the scalar-model coefficients and roots.
 
-    The scalar discriminant equals the vector one (asserted to 1e-12),
-    and the regime uses the same scale-relative boundary tolerance as
-    the spectral classification, so the two trichotomies agree by
-    construction.
+    The scalar equation's characteristic polynomial lam^2 + kappa1 lam +
+    kappa2 is the quadratic factor g of the vector model: kappa1 is
+    minus the trace and kappa2 the determinant of the aggregate map.  So
+    its roots, the discriminant delta1 = Delta and the regime are read
+    from the spectral solution of g, and the two trichotomies agree by
+    construction.  omega is the angle of rho1 in the oscillatory regime.
     """
     kappa1 = alpha + beta - 2.0
     kappa2 = 1.0 - alpha - beta + 2.0 * alpha * beta
-    delta1 = kappa1 * kappa1 - 4.0 * kappa2
-    delta = alpha * alpha + beta * beta - 6.0 * alpha * beta
-    scale = max(1.0, abs(delta), abs(delta1))
-    if abs(delta1 - delta) > 1e-12 * scale:
-        raise AssertionError(f"discriminant identity violated: {delta1} vs {delta}")
-
-    sign = _trichotomy(delta1, alpha, beta)
+    boundaries, regime, lam3, lam4 = _quadratic(alpha, beta)
+    rho1, rho2 = complex(lam3), complex(lam4)
     omega: float | None = None
-    if sign < 0:
-        regime = CycleRegime.COMPLEX_OSCILLATORY
-        half = np.sqrt(-delta1) / 2.0
-        rho1 = complex(-kappa1 / 2.0, half)
-        rho2 = complex(-kappa1 / 2.0, -half)
+    if regime is Regime.COMPLEX_CONJUGATE:
         rho_mod = float(np.sqrt(kappa2))
         # atan2 lands in the correct quadrant of (0, pi) even at kappa1 = 0,
         # where the principal arctan branch would need patching.
-        omega = float(np.arctan2(half, -kappa1 / 2.0))
-    elif sign == 0:
-        regime = CycleRegime.REPEATED_REAL
-        rho1 = rho2 = complex(-kappa1 / 2.0, 0.0)
-        rho_mod = abs(rho1.real)
+        omega = float(np.arctan2(rho1.imag, rho1.real))
     else:
-        regime = CycleRegime.DISTINCT_REAL
-        if alpha == 0.0 or beta == 0.0:  # the roots are 1 and 1 - alpha - beta exactly
-            other = 1.0 - alpha - beta
-            rho1, rho2 = complex(max(1.0, other)), complex(min(1.0, other))
-        else:
-            half = np.sqrt(delta1) / 2.0
-            rho1 = complex(-kappa1 / 2.0 + half, 0.0)
-            rho2 = complex(-kappa1 / 2.0 - half, 0.0)
         rho_mod = abs(rho1.real)
     return CycleModel(
         alpha=alpha,
         beta=beta,
         kappa1=kappa1,
         kappa2=kappa2,
-        delta1=delta1,
+        delta1=boundaries.delta,
         rho1=rho1,
         rho2=rho2,
         rho_mod=rho_mod,
         omega=omega,
-        regime=regime,
+        regime=SPECTRAL_TO_CYCLE[regime],
         invertible=bool(0.0 < kappa2 < 1.0),
         strictly_periodic=bool(abs(rho_mod - 1.0) <= 1e-12),
     )

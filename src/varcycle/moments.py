@@ -263,15 +263,15 @@ def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition)
     """Limiting mean and the two limit-covariance candidates.
 
     Requires 0 < rho < 1, where rho is the spectral radius of J_R: the
-    largest modulus among the deviation rates and the eigenvalues of the
-    aggregate map A.  When the condition fails the report carries
+    largest modulus among the deviation rates and the roots lambda3,
+    lambda4 of the quadratic factor, the eigenvalues of the aggregate
+    map A.  When the condition fails the report carries
     ``spectral_radius_ok=False`` with the limits skipped.
     """
     R, eig = decomposition.R, decomposition.eig
     lam_tilde = tuple(None if lam == 1.0 else 1.0 / (1.0 - lam)
                       for lam in (eig.lambda1, eig.lambda2, eig.lambda3, eig.lambda4))
-    rho = float(max(np.max(np.abs(R.rates), initial=0.0),
-                    np.max(np.abs(np.linalg.eigvals(R.A)))))
+    rho = float(max(np.max(np.abs(R.rates), initial=0.0), abs(eig.lambda3), abs(eig.lambda4)))
     if not 0.0 < rho < 1.0:
         return LimitReport(
             lambda_tilde=lam_tilde,

@@ -150,10 +150,10 @@ def apply_blockdiag(r: np.ndarray, F: np.ndarray, W: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Regime, eigenvalues, Jordan block layout, the block basis R (in
-    every regime), and (when the matrix is diagonalizable, n >= 2 and
-    alpha*beta != 0) the eigenvectors V of the aggregate map, from which
-    the paper's basis Q and its closed-form inverse are built on first
-    read; ``diag`` is the gate to them.
+    every regime), and (when the matrix is diagonalizable, n >= 2,
+    alpha*beta != 0 and V is finite) the eigenvectors V of the aggregate
+    map, from which the paper's basis Q and its closed-form inverse are
+    built on first read; ``diag`` is the gate to them.
 
     ``blocks`` lists runs (eigenvalue, block size, count) of equal Jordan
     blocks in basis-column order, at most four; ``None`` in the complex
@@ -192,46 +192,50 @@ class SpectralDecomposition:
 
         The one gate for every computation that uses Q: raises
         WrongRegime whenever Q is None, which covers the complex and
-        repeated-root regimes, n < 2 and alpha*beta == 0.
+        repeated-root regimes, n < 2, alpha*beta == 0 and a V that
+        overflows.
         """
         eig = self.eig
         if self.V is None:
             raise WrongRegime(f"no explicit basis in regime {self.regime.value} with n={eig.n}: "
-                              "it needs diagonalizable_real, n >= 2 and alpha*beta != 0")
+                              "it needs diagonalizable_real, n >= 2, alpha*beta != 0 "
+                              "and a finite V")
         return np.repeat([eig.lambda1, eig.lambda3, eig.lambda2, eig.lambda4],
                          [eig.n - 1, 1, eig.n - 1, 1])
 
 
-def _trichotomy(delta: float, alpha: float, beta: float) -> int:
-    """Sign of the discriminant under the scale-relative boundary tolerance:
-    -1 complex pair, 0 repeated root, +1 distinct real pair.  Where
-    alpha or beta is 0 the quadratic factor is exactly (lam - 1)(lam - 1 +
-    alpha + beta), with the distinct roots 1 and 1 - alpha - beta, however
-    small Delta = (alpha - beta)^2 is."""
-    if alpha == 0.0 or beta == 0.0:
-        return 1
-    scale = max(1.0, alpha * alpha + beta * beta)
-    if abs(delta) <= BOUNDARY_TOL * scale:
-        return 0
-    return -1 if delta < 0 else 1
+def _quadratic(alpha: float, beta: float) -> tuple[RegimeBoundaries, Regime,
+                                                   float | complex, float | complex]:
+    """The boundaries with Delta, the regime and the roots lambda3,
+    lambda4 of the quadratic factor g: the one place where g is solved,
+    for the vector model and the induced cycle alike.
 
-
-def classify_regime(alpha: float, beta: float) -> tuple[RegimeBoundaries, Regime]:
-    """Locate (alpha, beta) relative to the discriminant boundaries.
-
-    The repeated-root regime is detected by |Delta| <= BOUNDARY_TOL *
-    max(1, alpha^2 + beta^2); the scale-relative comparison avoids false
-    boundary hits for large parameters.
+    The roots are 1 - (alpha + beta)/2 +- sqrt(Delta)/2: a conjugate pair
+    when Delta < 0, one double root when |Delta| <= BOUNDARY_TOL *
+    max(1, alpha^2 + beta^2) (the scale-relative comparison avoids false
+    boundary hits for large parameters), and two real roots, the larger
+    first, otherwise.  Where alpha or beta is 0, g is exactly (lam - 1)(lam
+    - 1 + alpha + beta), with the distinct roots 1 and 1 - alpha - beta
+    however small Delta = (alpha - beta)^2 is.
     """
     delta = alpha * alpha + beta * beta - 6.0 * alpha * beta
     sq8 = 2.0 * np.sqrt(2.0)
-    boundaries = RegimeBoundaries(d1=(3.0 - sq8) * beta, d2=(3.0 + sq8) * beta, delta=delta)
-    sign = _trichotomy(delta, alpha, beta)
-    regime = {
-        -1: Regime.COMPLEX_CONJUGATE,
-        0: Regime.REPEATED_ROOT_JORDAN,
-        1: Regime.DIAGONALIZABLE_REAL,
-    }[sign]
+    bounds = RegimeBoundaries(d1=(3.0 - sq8) * beta, d2=(3.0 + sq8) * beta, delta=delta)
+    if alpha == 0.0 or beta == 0.0:
+        other = 1.0 - alpha - beta
+        return bounds, Regime.DIAGONALIZABLE_REAL, max(1.0, other), min(1.0, other)
+    mid, half = 1.0 - (alpha + beta) / 2.0, math.sqrt(abs(delta)) / 2.0
+    if abs(delta) <= BOUNDARY_TOL * max(1.0, alpha * alpha + beta * beta):
+        return bounds, Regime.REPEATED_ROOT_JORDAN, mid, mid
+    if delta < 0:
+        return bounds, Regime.COMPLEX_CONJUGATE, complex(mid, half), complex(mid, -half)
+    return bounds, Regime.DIAGONALIZABLE_REAL, mid + half, mid - half
+
+
+def classify_regime(alpha: float, beta: float) -> tuple[RegimeBoundaries, Regime]:
+    """Locate (alpha, beta) relative to the discriminant boundaries: the
+    boundaries, Delta and the regime of the quadratic factor's roots."""
+    boundaries, regime, _, _ = _quadratic(alpha, beta)
     return boundaries, regime
 
 
@@ -242,9 +246,10 @@ def characteristic_polynomial_eval(params: ModelParams, lam: float) -> float:
     return (lam - 1.0 + beta) ** (n - 1) * (lam - 1.0 + alpha) ** (n - 1) * g
 
 
-def _basis(params: ModelParams, lam3: float, lam4: float, gap: float) -> np.ndarray:
+def _basis(params: ModelParams, lam3: float, lam4: float, gap: float) -> np.ndarray | None:
     """V = [[1, 1], [c3, c4]], the eigenvectors of the aggregate map A
-    for the quadratic roots lambda3 and lambda4.
+    for the quadratic roots lambda3 and lambda4, or None where c3 or c4
+    is not finite (a subnormal alpha overflows the division).
 
     c = (lam - lambda1)/alpha solves the top row (1-alpha) + alpha*c =
     lam, and g(lam) = 0 makes the bottom row hold too.  For the root
@@ -253,12 +258,13 @@ def _basis(params: ModelParams, lam3: float, lam4: float, gap: float) -> np.ndar
     -beta/(lam - lambda2) = -beta*tau, tau = 2/(beta - alpha +- gap).
     """
     alpha, beta = params.alpha, params.beta
-    c3, c4 = ((lam - (1.0 - alpha)) / alpha for lam in (lam3, lam4))
-    if beta > alpha:
-        c3 = -beta * (2.0 / (beta - alpha + gap))
-    else:
-        c4 = -beta * (2.0 / (beta - alpha - gap))
-    return np.array([[1.0, 1.0], [c3, c4]])
+    with np.errstate(over="ignore", divide="ignore"):
+        c3, c4 = ((lam - (1.0 - alpha)) / alpha for lam in (lam3, lam4))
+        if beta > alpha:
+            c3 = -beta * (2.0 / (beta - alpha + gap))
+        else:
+            c4 = -beta * (2.0 / (beta - alpha - gap))
+    return np.array([[1.0, 1.0], [c3, c4]]) if math.isfinite(c3) and math.isfinite(c4) else None
 
 
 def _eigen_order(n: int) -> np.ndarray:
@@ -311,40 +317,27 @@ def _runs(*runs: tuple[float, int, int]) -> tuple[tuple[float, int, int], ...]:
 def decompose(params: ModelParams) -> SpectralDecomposition:
     """Classify the regime and build every artifact available in it.
 
-    The quadratic-factor roots are 1 - (alpha + beta)/2 +- sqrt(Delta)/2:
-    real when Delta > 0, a conjugate pair with imaginary part
-    sqrt(|Delta|)/2 when Delta < 0, and one double root on the boundary,
-    which carries a single 2-block.  The blocks follow Q's column order,
-    (n-1) 1-blocks of lambda1, lambda3's, (n-1) of lambda2, lambda4's,
-    listed as runs (eigenvalue, size, count) without empty runs; there
-    are none in the complex regime.  R is built in every regime;
-    V (and so Q and its inverse) only in the diagonalizable regime with
-    n >= 2 and alpha*beta != 0, elsewhere it is None.  Where
-    alpha*beta == 0 one quadratic root is exactly 1 and the other
-    1 - alpha - beta.
+    The quadratic-factor roots come from ``_quadratic``; the double root
+    on the boundary carries a single 2-block.  The blocks follow Q's
+    column order, (n-1) 1-blocks of lambda1, lambda3's, (n-1) of lambda2,
+    lambda4's, listed as runs (eigenvalue, size, count) without empty
+    runs; there are none in the complex regime.  R is built in every
+    regime; V (and so Q and its inverse) only in the diagonalizable
+    regime with n >= 2 and alpha*beta != 0, and where its entries are
+    finite (a subnormal alpha overflows them); elsewhere it is None.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
-    boundaries, regime = classify_regime(alpha, beta)
+    boundaries, regime, lam3, lam4 = _quadratic(alpha, beta)
     lam1, lam2 = 1.0 - alpha, 1.0 - beta
-    mid = 1.0 - (alpha + beta) / 2.0
-    half = np.sqrt(abs(boundaries.delta)) / 2.0
     R = BlockBasis(a=params.a, b=params.b, rates=np.repeat([lam1, lam2], n - 1),
                    A=np.array([[lam1, alpha], [-beta, lam2]]))
     V = blocks = None
     tau_minus = tau_plus = tau_tilde = None
-    if regime is Regime.COMPLEX_CONJUGATE:
-        lam3: float | complex = complex(mid, half)
-        lam4: float | complex = complex(mid, -half)
-    elif regime is Regime.REPEATED_ROOT_JORDAN:
-        lam3 = lam4 = mid
-        blocks = _runs((lam1, 1, n - 1), (lam2, 1, n - 1), (mid, 2, 1))
-    else:
-        lam3, lam4 = mid + half, mid - half
-        if alpha * beta == 0.0:  # g(lam) = (lam - 1)(lam - 1 + alpha + beta), exactly
-            lam3, lam4 = max(1.0, 1.0 - alpha - beta), min(1.0, 1.0 - alpha - beta)
-        blocks = _runs((lam1, 1, n - 1), (float(lam3), 1, 1),
-                       (lam2, 1, n - 1), (float(lam4), 1, 1))
-        gap = np.sqrt(boundaries.delta)
+    if regime is Regime.REPEATED_ROOT_JORDAN:
+        blocks = _runs((lam1, 1, n - 1), (lam2, 1, n - 1), (lam3, 2, 1))
+    elif regime is Regime.DIAGONALIZABLE_REAL:
+        blocks = _runs((lam1, 1, n - 1), (lam3, 1, 1), (lam2, 1, n - 1), (lam4, 1, 1))
+        gap = math.sqrt(boundaries.delta)
         den_minus, den_plus = beta - alpha - gap, beta - alpha + gap
         if alpha * beta != 0.0 and den_minus != 0.0 and den_plus != 0.0:
             tau_minus, tau_plus = 2.0 / den_minus, 2.0 / den_plus

@@ -13,8 +13,11 @@ import pytest
 
 import varcycle
 from varcycle import BOUNDARY_TOL, cli, validate_params
-from varcycle.cli import (_CSV_BLOCK_ROWS, CsvTable, atomic_write, cycle_csv, main, matrix_csv,
+from varcycle.cli import (_CSV_BLOCK_CELLS, CsvTable, atomic_write, cycle_csv, main, matrix_csv,
                           trajectory_csv)
+
+#: Rows in one block of a two-column table such as the cycle CSV.
+_CSV_BLOCK_ROWS = _CSV_BLOCK_CELLS // 2
 
 
 @pytest.fixture
@@ -72,6 +75,18 @@ class TestDecompose:
         assert payload["blocks"] == [[1.0, 1, 1], [1.0, 1, 1], [1.0 - 1e-6, 1, 1],
                                      [1.0 - 1e-6, 1, 1]]
         assert payload["basis_available"] is False
+
+    @pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
+    def test_subnormal_alpha_reports_no_basis(self, capsys, alpha):
+        # (lam - lambda1)/alpha overflows there: no basis, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, report, err = run_cli(capsys, "decompose", "--n", "2", f"--alpha={alpha}",
+                                        "--beta", "1")
+        assert code == 0, err
+        assert report["payload"]["regime"] == "diagonalizable_real"
+        assert report["payload"]["basis_available"] is False
+        assert report["payload"]["residuals"] is None
 
     def test_blocks_are_runs(self, capsys):
         code, report, _ = run_cli(capsys, "decompose", "--n", "50", "--alpha", "0.1",
@@ -146,6 +161,22 @@ class TestSimulate:
         code, second, _ = run_cli(capsys, "simulate", "--config", echo_path)
         assert code == 0
         assert first["payload"] == second["payload"]
+
+    def test_config_echo_bytes_match_echo_of_lists(self):
+        # the echo hands its vectors to _jsonable as arrays; the report
+        # holds the same bytes as an echo of Python lists
+        params = validate_params({"n": 3, "alpha": 0.1, "beta": 0.9,
+                                  "a": [0.2, 0.3, 0.5], "b": [0.1, 0.6, 0.3]})
+        noise = varcycle.validate_noise({"mu": [0.0, -0.0, 5e-324, 1e16, -2.5, 0.1],
+                                         "sigma": [1.0, 0.1, 3.0, 1e-300, 2.0, 7.25]}, 3)
+        run, output = {"T": 12, "seed": 3, "method": "both", "z0": "zeros"}, {"path": None}
+        echo = cli.config_echo(params, noise, run, output)
+        assert isinstance(echo["a"], np.ndarray) and isinstance(echo["noise"]["mu"], np.ndarray)
+        listed = {"n": 3, "alpha": 0.1, "beta": 0.9, "a": params.a.tolist(),
+                  "b": params.b.tolist(),
+                  "noise": {"mu": noise.mu.tolist(), "sigma": noise.sigma.tolist()},
+                  "run": run, "output": output}
+        assert json.dumps(cli._jsonable(echo)) == json.dumps(listed)
 
     def test_integral_float_run_values_match_ints(self, capsys, tmp_path, diag_config):
         config_path, doc = diag_config
@@ -471,6 +502,15 @@ class TestCycleCommand:
         assert abs(payload["estimated_period"] - pred) / pred < 0.10
         assert payload["prominent"] is True
 
+    def test_cancelling_discriminant_exits_without_traceback(self, capsys, tmp_path):
+        # kappa1^2 - 4 kappa2 loses six digits to cancellation here; the
+        # explosive path then overflows, which is a typed error
+        code, report, err = run_cli(capsys, "cycle", "--alpha=-57.098796558801666",
+                                    "--beta=-9.796604701144634", "--out", tmp_path / "c.csv")
+        assert code == 2 and report is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: NonFiniteState: ")
+
     def test_same_seed_identical_files(self, capsys, tmp_path):
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for out in outs:
@@ -651,6 +691,30 @@ class TestVerify:
         assert checks["explicit_equals_recursive"] == "pass"
         assert checks["cycle_reduction"] == "pass"
         assert checks["regime_agreement"] == "pass"
+
+    def test_regimes_agree_at_the_band_edge(self, capsys, tmp_path):
+        # two discriminants, rounded apart, once put this point on either
+        # side of the repeated-root band
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 2, "alpha": 0.003944575970102982,
+                                   "beta": 0.022990669098271105,
+                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
+        code, report, _ = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and report["payload"]["all_passed"] is True
+        checks = {c["name"]: c for c in report["payload"]["checks"]}
+        assert checks["regime_agreement"]["status"] == "pass"
+        assert checks["regime"]["detail"] == "repeated_root_jordan"
+
+    def test_subnormal_alpha_skips_the_basis_check(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 2, "alpha": 1e-310, "beta": 1.0,
+                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, report, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and report["payload"]["all_passed"] is True, err
+        checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
+        assert checks["decomposition_residuals"] == "skipped"
 
     def test_residual_detail_names_all_three_figures(self, capsys, diag_config):
         # passed tests all three residuals, so the detail shows all three
@@ -845,6 +909,19 @@ class TestRowWriter:
         z = awkward_values(rows, 3, rows + 4)
         assert_same_lines(csv_text(CsvTable("u,v,w", (z[:, :2], z[:, 2]), index=False)),
                           "u,v,w\n" + per_cell_matrix_csv(z))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("width", [_CSV_BLOCK_CELLS - 1, _CSV_BLOCK_CELLS + 1])
+    def test_wide_rows_fill_blocks_by_cells(self, monkeypatch, cpus, width):
+        # a block holds as many rows as fit in the cell budget, at least one
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        m = awkward_values(7, width, width)
+        table = matrix_csv(m)
+        assert table._block_rows == 1
+        assert [b.count(b"\n") for b in table._blocks(0, 7)] == [1] * 7
+        assert_same_lines(csv_text(table), per_cell_matrix_csv(m))
+        narrow = matrix_csv(m[:, :3])
+        assert narrow._block_rows == _CSV_BLOCK_CELLS // 3
 
     @pytest.mark.parametrize("n", [3, 700])
     def test_dump_matrices_byte_identical(self, capsys, tmp_path, n):

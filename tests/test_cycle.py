@@ -1,3 +1,7 @@
+import decimal
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -119,6 +123,28 @@ class TestReduceToCycle:
         m = reduce_to_cycle(1.0, 1.0 - 1e-9)
         assert m.regime is CycleRegime.COMPLEX_OSCILLATORY
         assert_allclose(m.omega, np.pi / 2, atol=1e-8)
+
+    def test_omega_is_exact_at_small_adjustment(self):
+        # kappa1^2 - 4 kappa2 cancels here; Delta = alpha^2 + beta^2 -
+        # 6 alpha beta does not.  Reference: exact Delta, a 50-digit square
+        # root, and the arctan series, which converges fast at 1e-5
+        alpha = beta = 1e-5
+        m = reduce_to_cycle(alpha, beta)
+        assert m.regime is CycleRegime.COMPLEX_OSCILLATORY
+        a, b = Fraction(alpha), Fraction(beta)
+        delta = a * a + b * b - 6 * a * b
+        assert m.delta1 == float(delta)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            half = (Decimal(-delta.numerator) / Decimal(delta.denominator)).sqrt() / 2
+            mid = 1 - (a + b) / 2
+            x = half / (Decimal(mid.numerator) / Decimal(mid.denominator))
+            omega, power, k = Decimal(0), x, 1
+            while abs(power) > Decimal(10) ** -60:
+                omega += power / k if k % 4 == 1 else -power / k
+                power *= x * x
+                k += 2
+        assert abs(m.omega - float(omega)) <= 1e-15 * float(omega)
 
     def test_invertibility_matches_region_descriptions(self):
         for beta in np.linspace(-1.5, 2.5, 41):

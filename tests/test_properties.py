@@ -85,6 +85,22 @@ def test_spectral_and_scalar_trichotomies_agree(pair):
     assert reduce_to_cycle(*pair).regime is SPECTRAL_TO_CYCLE[regime]
 
 
+@PROPERTY
+@given(params=models(n_min=1, closest=-12.0, axes=True))
+def test_cycle_roots_are_the_spectral_roots(params):
+    # one solution of the quadratic factor serves both models, bit for bit,
+    # down to the repeated-root band's edge
+    def bits(z):
+        return np.array([z.real, z.imag]).tobytes()
+
+    dec = decompose(params)
+    model = reduce_to_cycle(params.alpha, params.beta)
+    assert bits(model.rho1) == bits(complex(dec.eig.lambda3))
+    assert bits(model.rho2) == bits(complex(dec.eig.lambda4))
+    assert model.delta1 == dec.boundaries.delta
+    assert model.regime is SPECTRAL_TO_CYCLE[dec.regime]
+
+
 def decomposition_check(params):
     """verify_decomposition's verdict, or None where decompose gives no basis."""
     dec = decompose(params)
