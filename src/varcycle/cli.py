@@ -186,7 +186,7 @@ class CsvTable:
     def _block_rows(self) -> int:
         """Rows per block: as many as fit in _CSV_BLOCK_CELLS, at least one."""
         width = sum(1 if c.ndim == 1 else c.shape[1] for c in self.columns)
-        return max(1, _CSV_BLOCK_CELLS // max(1, width))
+        return max(1, _CSV_BLOCK_CELLS // width)
 
     def _format(self, lo: int, hi: int) -> bytes:
         # tolist() yields Python floats, whose repr is the shortest

@@ -87,6 +87,9 @@ def test_spectral_and_scalar_trichotomies_agree(pair):
 
 @PROPERTY
 @given(params=models(n_min=1, closest=-12.0, axes=True))
+@example(params=validate_params({"n": 2, "alpha": 0.003944575970102982,
+                                 "beta": 0.022990669098271105, "a": [0.5, 0.5],
+                                 "b": [0.5, 0.5]}))
 def test_cycle_roots_are_the_spectral_roots(params):
     # one solution of the quadratic factor serves both models, bit for bit,
     # down to the repeated-root band's edge
