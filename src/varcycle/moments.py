@@ -31,15 +31,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteResult, ParameterError, RangeError
 from .model import ModelParams, NoiseSpec, build_transition_matrix
-from .simulate import _iterate, mix_seed, sample_noise_path
+from .simulate import _iterate, sample_noise_path
 from .spectral import BlockBasis, SpectralDecomposition, apply_blockdiag, eigen_coordinates
 
 #: Replications that mc_long_run simulates together; bounds the states held.
 _LONG_RUN_BATCH = 64
 
-#: Layout of the Monte Carlo draws, echoed in reports.  Version 2 draws a
-#: whole batch from one generator; version 1 drew one stream per replication.
-MC_STREAM_VERSION = 2
+#: Layout of the Monte Carlo draws, echoed in reports.  Version 3 draws one
+#: batch for a whole covariance grid; version 2 drew one batch per grid
+#: point; version 1 drew one stream per replication.
+MC_STREAM_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,17 @@ def _congruence(f, X: np.ndarray) -> np.ndarray:
     return f(f(X).T).T
 
 
+def _check_grid(t_grid: list[int], tau_grid: list[int]) -> None:
+    """RangeError unless both grids are nonempty and every point lies in
+    the formula's domain t >= 2, tau' >= 0."""
+    if not t_grid or not tau_grid:
+        raise RangeError("t_grid and tau_grid must be nonempty")
+    if min(t_grid) < 2:
+        raise RangeError(f"cross-covariance formula holds for t >= 2, got t={min(t_grid)}")
+    if min(tau_grid) < 0:
+        raise RangeError(f"tau_prime must be >= 0, got {min(tau_grid)}")
+
+
 def cross_covariance(
     inputs: MomentInputs,
     decomposition: SpectralDecomposition,
@@ -175,10 +187,7 @@ def cross_covariance(
     original coordinates, and in the paper's Q coordinates where Q
     exists.
     """
-    if t < 2:
-        raise RangeError(f"cross-covariance formula holds for t >= 2, got t={t}")
-    if tau_prime < 0:
-        raise RangeError(f"tau_prime must be >= 0, got {tau_prime}")
+    _check_grid([t], [tau_prime])
     R, V = decomposition.R, decomposition.V
     J = partial(apply_blockdiag, R.rates, R.A)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,10 +215,10 @@ def stationarity_diagnostic(
 
     For every lag in ``tau_grid`` the gap compares covariances across
     all pairs of times in ``t_grid``; a positive gap exhibits the
-    dependence on t that rules out second-order stationarity.
+    dependence on t that rules out second-order stationarity.  The Monte
+    Carlo estimates, when requested, all come from one replication batch.
     """
-    if not t_grid or not tau_grid:
-        raise RangeError("t_grid and tau_grid must be nonempty")
+    _check_grid(t_grid, tau_grid)
     grid_t: dict[tuple[int, int], np.ndarray] | None = None if decomposition.V is None else {}
     grid_o: dict[tuple[int, int], np.ndarray] = {}
     for t in t_grid:
@@ -226,13 +235,8 @@ def stationarity_diagnostic(
 
     mc_estimate = None
     if mc is not None:
-        mc_estimate = {}
-        for key_index, (t, tau) in enumerate(sorted(grid_o)):
-            est, se = mc_cross_covariance(
-                mc.params, mc.noise_spec, inputs.G, t, tau,
-                reps=mc.reps, seed=mix_seed(mc.seed, key_index),
-            )
-            mc_estimate[(t, tau)] = (est, se)
+        mc_estimate = mc_cross_covariance(mc.params, mc.noise_spec, inputs.G,
+                                          t_grid, tau_grid, mc.reps, mc.seed)
 
     return CovarianceReport(
         gamma_tilde=grid_t,
@@ -312,16 +316,19 @@ def mc_cross_covariance(
     params: ModelParams,
     spec: NoiseSpec,
     G: np.ndarray,
-    t: int,
-    tau_prime: int,
+    t_grid: list[int],
+    tau_grid: list[int],
     reps: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample cross-covariance of (z_{t+tau'}, z_t) over independent
-    replications, with entrywise standard errors from the replication
-    scatter.  z_0 is drawn as N(0, G) per replication (deterministic
-    zero when G = 0).  All draws come from one ``default_rng(seed)``:
-    z_0 first when G is nonzero, then the (reps, 2, T, n) noise batch."""
+) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Sample cross-covariance of (z_{t+tau'}, z_t) at every grid point
+    over independent replications, with entrywise standard errors from
+    the replication scatter, keyed by (t, tau').  z_0 is drawn as N(0, G)
+    per replication (deterministic zero when G = 0).  One batch backs the
+    whole grid (common random numbers): all draws come from one
+    ``default_rng(seed)``, z_0 first when G is nonzero, then the
+    (reps, 2, T, n) noise batch with T = max(t + tau'), stepped once."""
+    _check_grid(t_grid, tau_grid)
     if reps < 2:
         raise RangeError(f"Monte Carlo needs reps >= 2 for standard errors, got {reps}")
     rng = _generator(seed)
@@ -331,16 +338,22 @@ def mc_cross_covariance(
         z0 = rng.standard_normal((reps, G.shape[0])) @ L.T
     else:
         z0 = np.zeros((reps, 2 * params.n))
-    gamma = sample_noise_path(spec, params, t + tau_prime, rng, reps=reps).gamma
+    gamma = sample_noise_path(spec, params, max(t_grid) + max(tau_grid), rng, reps=reps).gamma
     z = _iterate(M.apply, z0, gamma)
-    u = z[:, t + tau_prime] - z[:, t + tau_prime].mean(axis=0)
-    v = z[:, t] - z[:, t].mean(axis=0)
-    # sums over replications of the products u_i v_j and of their squares
-    S1 = u.T @ v
-    S2 = (u * u).T @ (v * v)
-    est = S1 / (reps - 1)
-    se = np.sqrt(np.maximum(S2 - S1**2 / reps, 0.0) / (reps - 1)) / np.sqrt(reps)
-    return est, se
+    # center each time the grid reads over the replications, once and in place
+    for s in {t + tau for t in t_grid for tau in tau_grid} | set(t_grid):
+        z[:, s] -= z[:, s].mean(axis=0)
+    estimates = {}
+    for t in t_grid:
+        for tau in tau_grid:
+            u, v = z[:, t + tau], z[:, t]
+            # sums over replications of the products u_i v_j and of their squares
+            S1 = u.T @ v
+            S2 = (u * u).T @ (v * v)
+            est = S1 / (reps - 1)
+            se = np.sqrt(np.maximum(S2 - S1**2 / reps, 0.0) / (reps - 1)) / np.sqrt(reps)
+            estimates[(t, tau)] = (est, se)
+    return estimates
 
 
 def mc_long_run(

@@ -21,24 +21,6 @@ from .spectral import SpectralDecomposition
 METHOD_RECURSIVE = "recursive"
 METHOD_EXPLICIT = "explicit"
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def mix_seed(seed: int, r: int) -> int:
-    """Derive the seed for key ``r`` (a Monte Carlo grid point) from a
-    base seed.
-
-    Splitmix-style avalanche: add (r + 1) Weyl increments of the golden
-    ratio to the base, then apply the two xor-multiply finalizer rounds.
-    Documented so reports can state exactly how each grid point's stream
-    was derived.
-    """
-    z = (seed + (r + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
 
 class NoisePath:
     """A full noise path stored as arrays.

@@ -160,7 +160,8 @@ def test_c05_covariance_formula_vs_monte_carlo():
     dec = decompose(params)
     inputs = moment_inputs(params, spec)
     theory = cross_covariance(inputs, dec, 5, 2).gamma
-    est, se = mc_cross_covariance(params, spec, inputs.G, 5, 2, reps=100_000, seed=555)
+    est, se = mc_cross_covariance(params, spec, inputs.G, [5], [2],
+                                  reps=100_000, seed=555)[(5, 2)]
     deviations = np.abs(est - theory) / se
     assert np.all(deviations < 4.0)
     elapsed = time.perf_counter() - start

@@ -316,6 +316,8 @@ BAD_INPUTS = {
     "moments-one-rep": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "1"], "RangeError"),
     "moments-negative-reps": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "-5"],
                               "RangeError"),
+    "moments-negative-seed": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "2",
+                                         "--seed", "-1"], "RangeError"),
     "decompose-overflow": (lambda p: ["decompose", "--n", "2", "--alpha", "1e200",
                                       "--beta", "0.3"], "NonFiniteResult"),
     "moments-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "-0.5", "--beta", "0.3",
@@ -667,7 +669,31 @@ class TestMoments:
                      "--tau-grid", "0", "--mc-reps", "4"])
         assert code == 0
         report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
-        assert report["payload"]["mc_stream_version"] == 2
+        assert report["payload"]["mc_stream_version"] == 3
+
+    def test_one_noise_batch_and_one_step_loop_back_the_grid(self, capsys, monkeypatch,
+                                                             diag_config):
+        # the default 3 x 2 grid reads every point from one batch of
+        # max(t + tau') = 11 steps
+        moments_mod = varcycle.moments
+        calls = {"noise": [], "iterate": 0}
+        draw, iterate = moments_mod.sample_noise_path, moments_mod._iterate
+
+        def counted_draw(spec, params, T, seed, **kwargs):
+            calls["noise"].append(T)
+            return draw(spec, params, T, seed, **kwargs)
+
+        def counted_iterate(*args):
+            calls["iterate"] += 1
+            return iterate(*args)
+
+        monkeypatch.setattr(moments_mod, "sample_noise_path", counted_draw)
+        monkeypatch.setattr(moments_mod, "_iterate", counted_iterate)
+        code, report, err = run_cli(capsys, "moments", "--config", diag_config[0],
+                                    "--mc-reps", 5)
+        assert code == 0, err
+        assert len(report["payload"]["grid"]) == 6
+        assert calls == {"noise": [11], "iterate": 1}
 
     def test_dump_cov(self, capsys, tmp_path, diag_config):
         config_path, _ = diag_config

@@ -415,7 +415,8 @@ class TestMCCrossCovariance:
         dec = decompose(params)
         inputs = moment_inputs(params, spec)
         theory = cross_covariance(inputs, dec, 4, 1).gamma
-        est, se = mc_cross_covariance(params, spec, inputs.G, 4, 1, reps=20000, seed=404)
+        est, se = mc_cross_covariance(params, spec, inputs.G, [4], [1],
+                                      reps=20000, seed=404)[(4, 1)]
         assert np.all(np.abs(est - theory) < 5 * se)
 
     def test_nonzero_initial_covariance(self):
@@ -424,7 +425,8 @@ class TestMCCrossCovariance:
         G = 0.25 * np.eye(4)
         inputs = moment_inputs(params, spec, G=G)
         theory = cross_covariance(inputs, dec, 3, 0).gamma
-        est, se = mc_cross_covariance(params, spec, G, 3, 0, reps=20000, seed=505)
+        est, se = mc_cross_covariance(params, spec, G, [3], [0],
+                                      reps=20000, seed=505)[(3, 0)]
         assert np.all(np.abs(est - theory) < 5 * se)
 
     @pytest.mark.parametrize("G_scale", [0.0, 0.25])
@@ -432,9 +434,11 @@ class TestMCCrossCovariance:
         params, spec = setup_model(n=3, mu=[0.1, 0.0, -0.2, 0.3, 0.0, 1.0],
                                    sigma=[0.5, 1.0, 1.5, 2.0, 0.7, 1.1])
         G = G_scale * (np.eye(6) + 0.5 * np.ones((6, 6)))
-        t, tau, reps, seed = 4, 2, 3000, 808
-        est, se = mc_cross_covariance(params, spec, G, t, tau, reps=reps, seed=seed)
-        # the estimator as it was: one (reps, 2n, 2n) product tensor, on the
+        t_grid, tau_grid, reps, seed = [4, 2], [0, 2], 3000, 808
+        got = mc_cross_covariance(params, spec, G, t_grid, tau_grid, reps=reps, seed=seed)
+        assert sorted(got) == [(2, 0), (2, 2), (4, 0), (4, 2)]
+        # the estimator as one (reps, 2n, 2n) product tensor per grid point,
+        # every point read from one batch of max(t + tau') = 6 steps on the
         # draws of one generator (z_0 first, then the noise batch)
         rng = np.random.default_rng(seed)
         if G_scale:
@@ -444,14 +448,29 @@ class TestMCCrossCovariance:
             z0 = np.zeros((reps, 6))
         mat_t = build_transition_matrix(params).entries.T
         z = _iterate(lambda z: z @ mat_t, z0,
-                     sample_noise_path(spec, params, t + tau, rng, reps=reps).gamma)
-        u = z[:, t + tau] - z[:, t + tau].mean(axis=0)
-        v = z[:, t] - z[:, t].mean(axis=0)
-        prod = u[:, :, None] * v[:, None, :]
-        old_est = prod.sum(axis=0) / (reps - 1)
-        old_se = prod.std(axis=0, ddof=1) / np.sqrt(reps)
-        assert np.max(np.abs(est - old_est)) <= 1e-12 * np.max(np.abs(old_est))
-        assert np.max(np.abs(se - old_se)) <= 1e-12 * np.max(np.abs(old_se))
+                     sample_noise_path(spec, params, 6, rng, reps=reps).gamma)
+        for (t, tau), (est, se) in got.items():
+            u = z[:, t + tau] - z[:, t + tau].mean(axis=0)
+            v = z[:, t] - z[:, t].mean(axis=0)
+            prod = u[:, :, None] * v[:, None, :]
+            old_est = prod.sum(axis=0) / (reps - 1)
+            old_se = prod.std(axis=0, ddof=1) / np.sqrt(reps)
+            assert np.max(np.abs(est - old_est)) <= 1e-12 * np.max(np.abs(old_est)), (t, tau)
+            assert np.max(np.abs(se - old_se)) <= 1e-12 * np.max(np.abs(old_se)), (t, tau)
+
+    @pytest.mark.parametrize("t_grid, tau_grid, message", [
+        ([-2], [3], "t >= 2"),
+        ([0], [0], "t >= 2"),
+        ([5, 1], [0], "t >= 2"),
+        ([2], [1, -1], "tau_prime must be >= 0"),
+        ([], [0], "nonempty"),
+        ([2], [], "nonempty"),
+    ])
+    def test_grid_outside_domain_is_range_error(self, t_grid, tau_grid, message):
+        params, spec = setup_model(n=2)
+        with pytest.raises(RangeError, match=message):
+            mc_cross_covariance(params, spec, np.zeros((4, 4)), t_grid, tau_grid,
+                                reps=3, seed=0)
 
 
 class TestMonteCarloStream:
@@ -487,7 +506,7 @@ class TestMonteCarloStream:
     def test_negative_seed_is_range_error(self):
         params, spec = setup_model(n=2)
         with pytest.raises(RangeError, match="seed"):
-            mc_cross_covariance(params, spec, np.zeros((4, 4)), 2, 1, reps=3, seed=-1)
+            mc_cross_covariance(params, spec, np.zeros((4, 4)), [2], [1], reps=3, seed=-1)
         with pytest.raises(RangeError, match="seed"):
             mc_long_run(params, spec, reps=3, t_burn=1, t_final=2, seed=-1)
 
@@ -512,7 +531,7 @@ def test_mc_recursion_memory_is_linear_in_n(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(Stepped):
-            mc_cross_covariance(params, spec, G, 2, 1, reps=3, seed=0)
+            mc_cross_covariance(params, spec, G, [2], [1], reps=3, seed=0)
     finally:
         tracemalloc.stop()
     assert peaks[0] < (2 * n) ** 2 * 8 / 4

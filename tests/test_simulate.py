@@ -9,7 +9,6 @@ from varcycle import (
     aggregates,
     build_transition_matrix,
     decompose,
-    mix_seed,
     sample_noise_path,
     simulate_explicit,
     simulate_recursive,
@@ -97,17 +96,6 @@ class TestNoisePath:
         path = sample_noise_path(spec, params, N, seed=2718)
         # 3 sigma / sqrt(N) = 0.00949, asserted with the stated margin
         assert abs(path.epsilon[:, 0].mean()) < 0.011
-
-
-class TestMixSeed:
-    def test_deterministic_and_distinct(self):
-        vals = [mix_seed(42, r) for r in range(1000)]
-        assert len(set(vals)) == 1000
-        assert vals == [mix_seed(42, r) for r in range(1000)]
-        assert all(0 <= v < 2**64 for v in vals)
-
-    def test_base_seed_matters(self):
-        assert mix_seed(1, 0) != mix_seed(2, 0)
 
 
 class TestRecursive:
