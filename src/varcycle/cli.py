@@ -25,7 +25,7 @@ from typing import Any, BinaryIO, Iterator, NoReturn, Sequence
 import numpy as np
 
 from . import __version__, cycle as cycle_mod, moments as moments_mod
-from .errors import ConfigError, NonFiniteResult, TooShort, VarcycleError
+from .errors import ConfigError, NonFiniteResult, RangeError, TooShort, VarcycleError
 from .model import (
     ModelParams,
     NoiseSpec,
@@ -487,6 +487,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     if args.seed is not None:
         run["seed"] = args.seed
     seed = _run_int(run, "seed")
+    if seed < 0:  # checked whether or not Monte Carlo reads it, so the echo reruns
+        raise RangeError(f"seed must be >= 0, got {seed}")
     timer.mark("validate")
 
     dec = decompose(params)

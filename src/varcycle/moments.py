@@ -138,11 +138,15 @@ def moment_inputs(
     beta^2 sigma_{n+1}^2 .. beta^2 sigma_{2n}^2) and
     mu_gamma = (alpha mu_1 .. alpha mu_n, -beta mu_{n+1} .. -beta mu_{2n}).
     G defaults to zero (deterministic z_0) and must be finite, symmetric
-    and PSD; ParameterError otherwise.
+    and PSD; ParameterError otherwise.  NonFiniteResult where Sigma0 or
+    mu_gamma overflows.
     """
-    n, alpha, beta = params.n, params.alpha, params.beta
-    var = np.concatenate([alpha**2 * spec.sigma[:n] ** 2, beta**2 * spec.sigma[n:] ** 2])
-    mu_gamma = np.concatenate([alpha * spec.mu[:n], -beta * spec.mu[n:]])
+    n, alpha, beta = params.n, np.float64(params.alpha), np.float64(params.beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.concatenate([alpha**2 * spec.sigma[:n] ** 2, beta**2 * spec.sigma[n:] ** 2])
+        mu_gamma = np.concatenate([alpha * spec.mu[:n], -beta * spec.mu[n:]])
+    if not np.all(np.isfinite(np.r_[var, mu_gamma])):
+        raise NonFiniteResult("shock covariance or mean overflows (alpha, beta, mu or sigma)")
     if G is None:
         G = np.zeros((2 * n, 2 * n))
     else:
@@ -181,27 +185,12 @@ def cross_covariance(
     t: int,
     tau_prime: int,
 ) -> CrossCovariance:
-    """Cross-covariance of the states at times t + tau' and t, for t >= 2.
-
-    Stepped in R's coordinates in every regime and returned in the
-    original coordinates, and in the paper's Q coordinates where Q
-    exists.
-    """
-    _check_grid([t], [tau_prime])
-    R, V = decomposition.R, decomposition.V
-    J = partial(apply_blockdiag, R.rates, R.A)
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = _congruence(R.solve, inputs.Sigma0)  # X~ = R^-1 X R^-T
-        P = _congruence(R.solve, inputs.G)
-        for _ in range(t):
-            P = _congruence(J, P) + S
-        for _ in range(tau_prime):
-            P = J(P.T).T
-        gamma = _congruence(R.apply, P)
-        gamma_tilde = None if V is None else _congruence(partial(eigen_coordinates, V), P)
-    if not all(np.all(np.isfinite(x)) for x in (gamma, gamma_tilde) if x is not None):
-        raise NonFiniteResult(f"cross-covariance at t={t}, tau'={tau_prime} is not finite")
-    return CrossCovariance(gamma_tilde=gamma_tilde, gamma=gamma)
+    """Cross-covariance of the states at times t + tau' and t, for t >= 2:
+    the one-point grid of ``stationarity_diagnostic``."""
+    report = stationarity_diagnostic(inputs, decomposition, [t], [tau_prime])
+    tilde = report.gamma_tilde
+    return CrossCovariance(gamma_tilde=None if tilde is None else tilde[(t, tau_prime)],
+                           gamma=report.gamma[(t, tau_prime)])
 
 
 def stationarity_diagnostic(
@@ -213,20 +202,41 @@ def stationarity_diagnostic(
 ) -> CovarianceReport:
     """Evaluate the covariance grid and certify time dependence.
 
-    For every lag in ``tau_grid`` the gap compares covariances across
-    all pairs of times in ``t_grid``; a positive gap exhibits the
-    dependence on t that rules out second-order stationarity.  The Monte
-    Carlo estimates, when requested, all come from one replication batch.
+    The covariances are stepped in R's coordinates in every regime and
+    returned in the original coordinates, and in the paper's Q
+    coordinates where Q exists, from one pass: P steps once to
+    max(t_grid), and at each grid t a copy takes the tau' steps in
+    increasing order, so each entry is bitwise the one a pass for that
+    point alone gives.  For every lag in ``tau_grid`` the gap compares
+    covariances across all pairs of times in ``t_grid``; a positive gap
+    exhibits the dependence on t that rules out second-order
+    stationarity.  The Monte Carlo estimates, when requested, all come
+    from one replication batch.
     """
     _check_grid(t_grid, tau_grid)
-    grid_t: dict[tuple[int, int], np.ndarray] | None = None if decomposition.V is None else {}
+    R, V = decomposition.R, decomposition.V
+    J = partial(apply_blockdiag, R.rates, R.A)
     grid_o: dict[tuple[int, int], np.ndarray] = {}
-    for t in t_grid:
-        for tau in tau_grid:
-            cc = cross_covariance(inputs, decomposition, t, tau)
-            grid_o[(t, tau)] = cc.gamma
-            if grid_t is not None:
-                grid_t[(t, tau)] = cc.gamma_tilde
+    grid_t: dict[tuple[int, int], np.ndarray] | None = None if V is None else {}
+    ts, taus = set(t_grid), sorted(set(tau_grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _congruence(R.solve, inputs.Sigma0)  # X~ = R^-1 X R^-T
+        P = _congruence(R.solve, inputs.G)
+        for t in range(1, max(ts) + 1):
+            P = _congruence(J, P) + S
+            if t not in ts:
+                continue
+            lagged, lag = P, 0
+            for tau in taus:
+                for _ in range(tau - lag):
+                    lagged = J(lagged.T).T
+                lag = tau
+                grid_o[(t, tau)] = _congruence(R.apply, lagged)
+                if grid_t is not None:
+                    grid_t[(t, tau)] = _congruence(partial(eigen_coordinates, V), lagged)
+    for t, tau in grid_o:
+        if not all(np.all(np.isfinite(g[(t, tau)])) for g in (grid_o, grid_t) if g is not None):
+            raise NonFiniteResult(f"cross-covariance at t={t}, tau'={tau} is not finite")
 
     def gap(grid: dict[tuple[int, int], np.ndarray]) -> float:
         # the largest pairwise |difference| over t is the spread max - min

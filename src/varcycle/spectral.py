@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -150,10 +151,11 @@ def apply_blockdiag(r: np.ndarray, F: np.ndarray, W: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Regime, eigenvalues, Jordan block layout, the block basis R (in
-    every regime), and (when the matrix is diagonalizable, n >= 2,
-    alpha*beta != 0 and V is finite) the eigenvectors V of the aggregate
-    map, from which the paper's basis Q and its closed-form inverse are
-    built on first read; ``diag`` is the gate to them.
+    every regime), and (when the matrix is diagonalizable, n >= 2 and
+    alpha*beta != 0) the eigenvectors V of the aggregate map, each of
+    max-norm 1, from which the paper's basis Q (its aggregate entries at
+    most 1 in magnitude) and its closed-form inverse are built on first
+    read; ``diag`` is the gate to them.
 
     ``blocks`` lists runs (eigenvalue, block size, count) of equal Jordan
     blocks in basis-column order, at most four; ``None`` in the complex
@@ -192,14 +194,12 @@ class SpectralDecomposition:
 
         The one gate for every computation that uses Q: raises
         WrongRegime whenever Q is None, which covers the complex and
-        repeated-root regimes, n < 2, alpha*beta == 0 and a V that
-        overflows.
+        repeated-root regimes, n < 2 and alpha*beta == 0.
         """
         eig = self.eig
         if self.V is None:
             raise WrongRegime(f"no explicit basis in regime {self.regime.value} with n={eig.n}: "
-                              "it needs diagonalizable_real, n >= 2, alpha*beta != 0 "
-                              "and a finite V")
+                              "it needs diagonalizable_real, n >= 2 and alpha*beta != 0")
         return np.repeat([eig.lambda1, eig.lambda3, eig.lambda2, eig.lambda4],
                          [eig.n - 1, 1, eig.n - 1, 1])
 
@@ -246,25 +246,21 @@ def characteristic_polynomial_eval(params: ModelParams, lam: float) -> float:
     return (lam - 1.0 + beta) ** (n - 1) * (lam - 1.0 + alpha) ** (n - 1) * g
 
 
-def _basis(params: ModelParams, lam3: float, lam4: float, gap: float) -> np.ndarray | None:
-    """V = [[1, 1], [c3, c4]], the eigenvectors of the aggregate map A
-    for the quadratic roots lambda3 and lambda4, or None where c3 or c4
-    is not finite (a subnormal alpha overflows the division).
+def _basis(A: np.ndarray, lam3: float, lam4: float) -> np.ndarray:
+    """V, the eigenvectors of the aggregate map A for the quadratic roots
+    lambda3 and lambda4 as columns, each scaled to max-norm 1.
 
-    c = (lam - lambda1)/alpha solves the top row (1-alpha) + alpha*c =
-    lam, and g(lam) = 0 makes the bottom row hold too.  For the root
-    within O(alpha) of lambda1 (lambda3 when beta > alpha, else lambda4)
-    lam - lambda1 cancels, so that scalar is taken as
-    -beta/(lam - lambda2) = -beta*tau, tau = 2/(beta - alpha +- gap).
+    (A - lam I) v = 0 holds for v = (alpha, lam - lambda1), from A's top
+    row, and for v = (lambda2 - lam, beta), from its bottom row.  Each
+    column takes the form of larger 1-norm: neither divides, and the
+    larger one does not cancel (Higham 2002, ch. 1).
     """
-    alpha, beta = params.alpha, params.beta
-    with np.errstate(over="ignore", divide="ignore"):
-        c3, c4 = ((lam - (1.0 - alpha)) / alpha for lam in (lam3, lam4))
-        if beta > alpha:
-            c3 = -beta * (2.0 / (beta - alpha + gap))
-        else:
-            c4 = -beta * (2.0 / (beta - alpha - gap))
-    return np.array([[1.0, 1.0], [c3, c4]]) if math.isfinite(c3) and math.isfinite(c4) else None
+    cols = []
+    for lam in (lam3, lam4):
+        forms = np.array([[A[0, 1], lam - A[0, 0]], [A[1, 1] - lam, -A[1, 0]]])
+        v = forms[np.argmax(np.abs(forms).sum(axis=1))]
+        cols.append(v / np.max(np.abs(v)))
+    return np.array(cols).T
 
 
 def _eigen_order(n: int) -> np.ndarray:
@@ -276,8 +272,8 @@ def _eigen_order(n: int) -> np.ndarray:
 
 def _unmix(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     """V^-1 X for the two rows of X that hold the aggregate pair."""
-    c3, c4 = V[1]
-    return np.array([[c4, -1.0], [-c3, 1.0]]) @ X / (c4 - c3)
+    (a, b), (c, d) = V
+    return np.array([[d, -b], [-c, a]]) @ X / (a * d - b * c)
 
 
 def eigen_coordinates(V: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -323,8 +319,8 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
     lambda4's, listed as runs (eigenvalue, size, count) without empty
     runs; there are none in the complex regime.  R is built in every
     regime; V (and so Q and its inverse) only in the diagonalizable
-    regime with n >= 2 and alpha*beta != 0, and where its entries are
-    finite (a subnormal alpha overflows them); elsewhere it is None.
+    regime with n >= 2 and alpha*beta != 0, a subnormal alpha included;
+    elsewhere it is None.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
     boundaries, regime, lam3, lam4 = _quadratic(alpha, beta)
@@ -343,7 +339,7 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
             tau_minus, tau_plus = 2.0 / den_minus, 2.0 / den_plus
             tau_tilde = alpha * (tau_minus - tau_plus)
         if n >= 2 and alpha != 0.0 and beta != 0.0:
-            V = _basis(params, lam3, lam4, gap)
+            V = _basis(R.A, lam3, lam4)
 
     return SpectralDecomposition(
         regime=regime,
@@ -389,10 +385,10 @@ def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
     agent, one at its own agent and one on the other agents of each
     block; the two aggregate columns are computed whole.  Every entry is
     computed, so a perturbed factor counts as it would in the dense
-    products, and the terms that Q's aggregate entries (up to
-    |beta/alpha|) scale are formed without cancellation, so the residuals
-    are those of the factors rather than rounding of the check.  R's map
-    A enters none of Q, Q^-1 and J: verify_block_basis checks it.  The
+    products.  V^-1 is V's exact inverse, and it, 1 - sum(w) and the 2x2
+    aggregate block are formed exactly or correctly rounded, so the
+    residuals are those of the factors rather than rounding of the check.
+    R's map A enters none of Q, Q^-1 and J: verify_block_basis checks it.  The
     MQ - QJ and similarity residuals are compared against RESIDUAL_TOL *
     ||M||_max, the inverse residual against RESIDUAL_TOL directly.
     """
@@ -402,20 +398,23 @@ def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
     # bitwise the dense max|M|: each entry of M is one entry of s or V, or 0
     m_scale = float(max(np.max(np.abs(M.s)), np.max(np.abs(M.V))))
     s, F, lam = M.s, M.V, np.asarray(lam, dtype=float)
-    Vinv = _unmix(V, np.eye(2))
-    # V V^-1 - I in closed form: V^-1 is the inverse of V only if V's top row is ones
-    c3, c4 = V[1]
-    VVinv_I = np.array([[(V[0, 0] - 1.0) * c4 - (V[0, 1] - 1.0) * c3, V[0, 1] - V[0, 0]],
-                        [0.0, 0.0]]) / (c4 - c3)
+    # V^-1 exactly, so that V V^-1 = I: rational arithmetic on 2x2 values
+    (a, b), (c, d) = [[Fraction(x) for x in row] for row in V.tolist()]
+    det = a * d - b * c
+    Vinv_x = [[d / det, -b / det], [-c / det, a / det]]
+    Vinv = np.array(Vinv_x, dtype=float)
     weights = (R.b, R.a)  # R's x block pivots on b, its y block on a
-    # 1 - sum(w), correctly rounded: Q's large aggregate entries scale it
+    # 1 - sum(w), correctly rounded: it is of the size of the residuals it enters
     gaps = np.array([math.fsum(np.r_[1.0, -w].tolist()) for w in weights])
     # S[g, k]: the rank-two part of M's block-g rows times Q's aggregate column k
     S = np.array([F[:n].sum(axis=0), F[n:].sum(axis=0)]).T @ V
     # the aggregate rows and columns of R^-1 M Q: w_g . (M Q)_g on block g
     agg = V * np.array([w @ s[g * n:(g + 1) * n] for g, w in enumerate(weights)])[:, None]
     agg += S * (1.0 - gaps)[:, None]
-    r1, r2, r3 = [], [], [np.ravel(Vinv @ agg - np.diag(lam))]
+    # the 2x2 aggregate block V^-1 agg - diag(lam) of Q^-1 M Q - J, exactly
+    block = [float(sum(Vinv_x[i][j] * Fraction(agg[j, k]) for j in (0, 1))
+                   - (i == k) * Fraction(lam[k])) for i in (0, 1) for k in (0, 1)]
+    r1, r2, r3 = [], [], [np.array(block)]
     for k, w in enumerate(weights):
         f, own, other = k * n, slice(k * n + 1, (k + 1) * n), 1 - k
         sk, rho = s[f:f + n], w[1:] / w[0]
@@ -425,10 +424,9 @@ def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
         # other block), then the aggregate columns on block k's rows
         r1 += [T[:, k] + (s[own] - rate), T[:, k] - rho * (s[f] - rate), T[:, other],
                np.ravel((sk[:, None] - lam) * V[k] + S[k])]
-        # QQ^-1 - I on block k's columns: the first agent's row, the other
-        # agents' rows, the other block's rows
-        r2 += [w * (rho.sum() + 1.0 + VVinv_I[k, k]) - np.r_[1.0, rho], VVinv_I[k, k] * w,
-               VVinv_I[other, k] * w]
+        # QQ^-1 - I on block k's columns: R R^-1 - I, nonzero only in the
+        # first agent's row, since V V^-1 = I
+        r2.append(w * (rho.sum() + 1.0) - np.r_[1.0, rho])
         # Q^-1 M Q - J: the deviation columns of block k (own row, the other
         # block's rows, the aggregate rows), then the aggregate columns on
         # block k's deviation rows, where s_p - w.s = ds_p + s_1 (1 - sum(w)) - w.ds

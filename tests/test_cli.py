@@ -76,17 +76,17 @@ class TestDecompose:
                                      [1.0 - 1e-6, 1, 1]]
         assert payload["basis_available"] is False
 
-    @pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
-    def test_subnormal_alpha_reports_no_basis(self, capsys, alpha):
-        # (lam - lambda1)/alpha overflows there: no basis, and no warning
+    @pytest.mark.parametrize("alpha", ["1e-200", "1e-310", "5e-324"])
+    def test_tiny_alpha_reports_a_passing_basis(self, capsys, alpha):
+        # V divides by nothing, so a subnormal alpha has a basis too, and no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, report, err = run_cli(capsys, "decompose", "--n", "2", f"--alpha={alpha}",
                                         "--beta", "1")
         assert code == 0, err
         assert report["payload"]["regime"] == "diagonalizable_real"
-        assert report["payload"]["basis_available"] is False
-        assert report["payload"]["residuals"] is None
+        assert report["payload"]["basis_available"] is True
+        assert report["payload"]["residuals"]["passed"] is True
 
     def test_blocks_are_runs(self, capsys):
         code, report, _ = run_cli(capsys, "decompose", "--n", "50", "--alpha", "0.1",
@@ -318,6 +318,13 @@ BAD_INPUTS = {
                               "RangeError"),
     "moments-negative-seed": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "2",
                                          "--seed", "-1"], "RangeError"),
+    # no Monte Carlo reads the seed here, but the echoed config must rerun
+    "moments-negative-seed-without-mc": (lambda p: ["moments", *MODEL_FLAGS, "--seed", "-1"],
+                                         "RangeError"),
+    "moments-alpha-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "1e155",
+                                          "--beta", "1"], "NonFiniteResult"),
+    "moments-beta-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "0.5",
+                                         "--beta", "1e155"], "NonFiniteResult"),
     "decompose-overflow": (lambda p: ["decompose", "--n", "2", "--alpha", "1e200",
                                       "--beta", "0.3"], "NonFiniteResult"),
     "moments-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "-0.5", "--beta", "0.3",
@@ -731,16 +738,17 @@ class TestVerify:
         assert checks["regime_agreement"]["status"] == "pass"
         assert checks["regime"]["detail"] == "repeated_root_jordan"
 
-    def test_subnormal_alpha_skips_the_basis_check(self, capsys, tmp_path):
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-310, 5e-324])
+    def test_tiny_alpha_passes_the_basis_check(self, capsys, tmp_path, alpha):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"n": 2, "alpha": 1e-310, "beta": 1.0,
+        cfg.write_text(json.dumps({"n": 2, "alpha": alpha, "beta": 1.0,
                                    "a": [0.5, 0.5], "b": [0.5, 0.5]}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, report, err = run_cli(capsys, "verify", "--config", cfg)
         assert code == 0 and report["payload"]["all_passed"] is True, err
         checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
-        assert checks["decomposition_residuals"] == "skipped"
+        assert checks["decomposition_residuals"] == "pass"
 
     def test_residual_detail_names_all_three_figures(self, capsys, diag_config):
         # passed tests all three residuals, so the detail shows all three
@@ -823,8 +831,8 @@ print(json.dumps({"reports": reports, "peak_kb": peak_kb}))
 def test_decompose_verify_simulate_at_n_1e5_under_1gb(tmp_path):
     # no 2n x 2n array: one dense M, Q or Q^-1 alone would take 320 GB
     env = dict(os.environ, PYTHONPATH=str(Path(varcycle.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", LARGE_N_SCRIPT, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", LARGE_N_SCRIPT,
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     (dec_code, dec), (ver_code, ver), (sim_code, sim) = result["reports"]
@@ -1017,8 +1025,8 @@ print(len(forks))
 """
         pinned = tmp_path / "pinned.csv"
         env = dict(os.environ, PYTHONPATH=str(Path(varcycle.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script, str(pinned)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
+                               str(pinned)], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)

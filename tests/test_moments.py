@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from varcycle import (
 from varcycle.errors import NonFiniteResult, ParameterError, RangeError
 import varcycle.moments as moments_mod
 from varcycle.simulate import NoisePath, _iterate
+from varcycle.spectral import apply_blockdiag, eigen_coordinates
 
 
 def setup_model(n=3, alpha=0.1, beta=0.9, sigma=None, mu=None):
@@ -65,6 +67,22 @@ def brute_cross_cov(J, Gt, S0t, t, tau):
     for s in range(t):  # shared shock indices of the two expansions
         out += P(t + tau - 1 - s) @ S0t @ P(t - 1 - s).T
     return out
+
+
+def per_point_covariance(inputs, dec, t, tau):
+    """Oracle: one grid point on its own, P stepped from t = 0 in R's
+    coordinates, then tau' lag steps."""
+    R = dec.R
+    J = partial(apply_blockdiag, R.rates, R.A)
+    S, P = (moments_mod._congruence(R.solve, X) for X in (inputs.Sigma0, inputs.G))
+    for _ in range(t):
+        P = moments_mod._congruence(J, P) + S
+    for _ in range(tau):
+        P = J(P.T).T
+    tilde = None if dec.V is None else moments_mod._congruence(
+        partial(eigen_coordinates, dec.V), P)
+    return moments_mod.CrossCovariance(gamma_tilde=tilde,
+                                       gamma=moments_mod._congruence(R.apply, P))
 
 
 def truncated_ma_sum(inputs, dec, tail_tol=1e-12):
@@ -222,6 +240,28 @@ class TestStationarityDiagnostic:
                     for t in t_grid[i + 1:]:
                         want = max(want, float(np.max(np.abs(grid[(s, tau)] - grid[(t, tau)]))))
             assert gap == want
+
+    @pytest.mark.parametrize("alpha, beta", [(0.1, 0.9), (1.09804, 0.7)])
+    def test_grid_is_bitwise_the_per_point_covariances(self, alpha, beta):
+        # one pass over the grid gives each entry bit for bit, with Q
+        # (diagonalizable) and without it (the paper's complex benchmark)
+        params, spec = setup_model(n=3, alpha=alpha, beta=beta)
+        dec = decompose(params)
+        X = np.random.default_rng(2).standard_normal((6, 6))
+        inputs = moment_inputs(params, spec, G=X @ X.T)
+        t_grid, tau_grid = [10, 2, 5, 3, 5], [1, 0, 3]
+        report = stationarity_diagnostic(inputs, dec, t_grid, tau_grid)
+        for t in t_grid:
+            for tau in tau_grid:
+                want = per_point_covariance(inputs, dec, t, tau)
+                got = cross_covariance(inputs, dec, t, tau)
+                for grid, one, ref in ((report.gamma, got.gamma, want.gamma),
+                                       (report.gamma_tilde, got.gamma_tilde, want.gamma_tilde)):
+                    if ref is None:
+                        assert grid is None and one is None
+                    else:
+                        assert np.array_equal(grid[(t, tau)], ref)
+                        assert np.array_equal(one, ref)
 
     def test_gaps_vanish_together(self):
         params, spec = setup_model()
@@ -560,3 +600,13 @@ def test_bad_initial_covariance_is_parameter_error(G, message):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ParameterError, match=message):
             moment_inputs(params, spec, G=G)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e155, 1.0), (0.5, 1e155), (1e150, 1.0)])
+def test_overflowing_shock_covariance_is_non_finite_result(alpha, beta):
+    # 1e155 squared overflows; 1e150 squared does not, but times sigma^2 = 1e10 it does
+    params, spec = setup_model(n=2, alpha=alpha, beta=beta, sigma=[1e5] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteResult, match="overflows"):
+            moment_inputs(params, spec)

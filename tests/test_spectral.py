@@ -194,15 +194,17 @@ class TestBasis:
         assert_allclose(dec.Q[:, 0], [-1.0, 1.0, 0.0, 0.0], atol=0)
 
     def test_quadratic_root_column(self):
-        # bottom scale of the lambda3 column solves the eigen equation:
-        # (lambda3 - lambda1)/alpha, which is -1.3542486889 here (the
-        # published column scalar has the ratio inverted and fails the
-        # eigen equation; the residual check below is the authority)
+        # the lambda3 column is V's first column on each block, scaled to
+        # max-norm 1; its ratio is (lambda3 - lambda1)/alpha, which is
+        # -1.3542486889 here (the published column scalar has the ratio
+        # inverted and fails the eigen equation; the residual check below is
+        # the authority)
         p = make_params(n=2, alpha=0.1, beta=0.9, a=[0.5, 0.5], b=[0.5, 0.5])
         dec = decompose(p)
         col = dec.Q[:, 1]
-        assert_allclose(col[:2], [1.0, 1.0], atol=0)
-        assert_allclose(col[2:], -1.3542486889, atol=1e-9)
+        assert_allclose(col, np.repeat(dec.V[:, 0], 2), atol=0)
+        assert np.max(np.abs(col)) == 1.0
+        assert_allclose(col[2] / col[0], -1.3542486889, atol=1e-9)
         M = build_transition_matrix(p).entries
         lam3 = np.real(dec.eig.lambda3)
         assert np.max(np.abs((M - lam3 * np.eye(4)) @ col)) < 1e-12
@@ -235,9 +237,8 @@ class TestBasisInverse:
         p = random_diagonalizable(np.random.default_rng(100 + n), n)
         dec = decompose(p)
         a, b = p.a, p.b
-        eig = dec.eig
-        c3, c4 = ((np.real(lam) - eig.lambda1) / p.alpha for lam in (eig.lambda3, eig.lambda4))
-        mix = c4 - c3
+        (v11, v12), (v21, v22) = dec.V
+        mix = v11 * v22 - v12 * v21
         ones = np.ones(n - 1)
         q21 = np.zeros((n, n))
         q21[: n - 1, 0] = -b[0]
@@ -250,8 +251,9 @@ class TestBasisInverse:
         oracle = np.zeros((2 * n, 2 * n))
         oracle[:n, :n] = q21
         oracle[n:, n:] = q22
-        oracle[2 * n - 1] += (-c3 / mix) * oracle[n - 1]
-        oracle[n - 1] -= oracle[2 * n - 1]
+        x_row, y_row = oracle[n - 1].copy(), oracle[2 * n - 1].copy()
+        oracle[2 * n - 1] = v11 * y_row - (v21 / mix) * x_row
+        oracle[n - 1] = (v22 / mix) * x_row - v12 * y_row
         scale = np.max(np.abs(dec.Qinv))
         assert np.max(np.abs(dec.Qinv - oracle)) <= 1e-15 * scale
 
@@ -332,7 +334,7 @@ class TestBlockBasis:
 
     def test_q_is_r_times_blockdiag_v(self):
         # the deviation columns of Q (rows of Q^-1) are R's (R^-1's) exactly;
-        # the aggregate columns are (1_n, c 1_n) = R's aggregate pair times V
+        # the aggregate columns are R's aggregate pair times V
         p = random_diagonalizable(np.random.default_rng(8), 4)
         dec = decompose(p)
         dense, dense_inv, _ = dense_block_basis(p)
@@ -340,9 +342,8 @@ class TestBlockBasis:
         Q_dev = np.r_[0:n - 1, n:m - 1]
         assert np.array_equal(dec.Q[:, Q_dev], dense[:, :m - 2])
         assert np.array_equal(dec.Qinv[Q_dev], dense_inv[:m - 2])
-        V = np.array([[1.0, 1.0], dec.Q[n, [n - 1, m - 1]]])
-        assert np.array_equal(dec.Q[:, [n - 1, m - 1]], dense[:, m - 2:] @ V)
-        assert_allclose(dec.Qinv[[n - 1, m - 1]], np.linalg.solve(V, dense_inv[m - 2:]),
+        assert np.array_equal(dec.Q[:, [n - 1, m - 1]], dense[:, m - 2:] @ dec.V)
+        assert_allclose(dec.Qinv[[n - 1, m - 1]], np.linalg.solve(dec.V, dense_inv[m - 2:]),
                         rtol=0, atol=1e-14 * np.max(np.abs(dec.Qinv)))
 
     def test_q_is_built_once_on_first_read(self):
