@@ -98,6 +98,7 @@ def reduce_to_cycle(alpha: float, beta: float) -> CycleModel:
     its roots, the discriminant delta1 = Delta and the regime are read
     from the spectral solution of g, and the two trichotomies agree by
     construction.  omega is the angle of rho1 in the oscillatory regime.
+    NonFiniteResult where the discriminant is NaN.
     """
     kappa1 = alpha + beta - 2.0
     kappa2 = 1.0 - alpha - beta + 2.0 * alpha * beta

@@ -36,9 +36,9 @@ class NonFiniteState(VarcycleError):
         First time index at which a non-finite entry appeared.
     """
 
-    def __init__(self, t: int, message: str | None = None):
+    def __init__(self, t: int):
         self.t = t
-        super().__init__(message or f"non-finite state first reached at t={t}")
+        super().__init__(f"non-finite state first reached at t={t}")
 
 
 class NonFiniteResult(VarcycleError):

@@ -74,11 +74,10 @@ class TransitionMatrix:
     def shape(self) -> tuple[int, int]:
         return (2 * self.n, 2 * self.n)
 
-    def apply(self, Z: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Z @ M.T over the last axis of Z, for any leading batch axes;
-        Z @ M with ``transpose``.  O(n) per row of Z, and no dense M."""
-        left, right = (self.U.T, self.V.T) if transpose else (self.V, self.U)
-        return Z * self.s + (Z @ left) @ right
+    def apply(self, Z: np.ndarray) -> np.ndarray:
+        """Z @ M.T over the last axis of Z, for any leading batch axes.
+        O(n) per row of Z, and no dense M."""
+        return Z * self.s + (Z @ self.V) @ self.U
 
     @property
     def entries(self) -> np.ndarray:

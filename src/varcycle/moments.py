@@ -64,16 +64,6 @@ class CrossCovariance:
 
 
 @dataclass(frozen=True)
-class MonteCarloSpec:
-    """Replication settings for the optional sample-covariance grid."""
-
-    params: ModelParams
-    noise_spec: NoiseSpec
-    reps: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class CovarianceReport:
     """Cross-covariance grids over (t, tau') plus the stationarity gap.
 
@@ -81,16 +71,14 @@ class CovarianceReport:
     covariances at different times, reported in original coordinates and
     in those of the paper's basis Q (either is nonzero exactly when the
     other is, since the basis is nonsingular).  ``gamma_tilde`` and
-    ``stationarity_gap`` are None where Q does not exist.
-    ``mc_estimate`` maps (t, tau') to a (sample cross-covariance,
-    standard error) pair when requested.
+    ``stationarity_gap`` are None where Q does not exist.  The Monte Carlo
+    counterpart of the grid is ``mc_cross_covariance``.
     """
 
     gamma_tilde: dict[tuple[int, int], np.ndarray] | None
     gamma: dict[tuple[int, int], np.ndarray]
     stationarity_gap: float | None
     stationarity_gap_original: float
-    mc_estimate: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None
 
 
 @dataclass(frozen=True)
@@ -198,7 +186,6 @@ def stationarity_diagnostic(
     decomposition: SpectralDecomposition,
     t_grid: list[int],
     tau_grid: list[int],
-    mc: MonteCarloSpec | None = None,
 ) -> CovarianceReport:
     """Evaluate the covariance grid and certify time dependence.
 
@@ -210,8 +197,7 @@ def stationarity_diagnostic(
     point alone gives.  For every lag in ``tau_grid`` the gap compares
     covariances across all pairs of times in ``t_grid``; a positive gap
     exhibits the dependence on t that rules out second-order
-    stationarity.  The Monte Carlo estimates, when requested, all come
-    from one replication batch.
+    stationarity.
     """
     _check_grid(t_grid, tau_grid)
     R, V = decomposition.R, decomposition.V
@@ -243,17 +229,11 @@ def stationarity_diagnostic(
         return max(float(np.max(np.ptp([grid[(t, tau)] for t in t_grid], axis=0)))
                    for tau in tau_grid)
 
-    mc_estimate = None
-    if mc is not None:
-        mc_estimate = mc_cross_covariance(mc.params, mc.noise_spec, inputs.G,
-                                          t_grid, tau_grid, mc.reps, mc.seed)
-
     return CovarianceReport(
         gamma_tilde=grid_t,
         gamma=grid_o,
         stationarity_gap=None if grid_t is None else gap(grid_t),
         stationarity_gap_original=gap(grid_o),
-        mc_estimate=mc_estimate,
     )
 
 

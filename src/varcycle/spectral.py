@@ -17,7 +17,8 @@ three regimes:
 * Delta < 0 — g has a complex-conjugate root pair; M cannot be
   diagonalized over the reals.
 * Delta > 0 — two further real roots lam3, lam4; M is diagonalizable
-  with an explicit basis Q and inverse built here.
+  with an explicit basis Q and inverse built here wherever the two
+  roots differ in floating point.
 * Delta = 0 — lam3 is a double root carrying a single 2 x 2 Jordan
   block; only the block structure is reported (no explicit basis).
 
@@ -42,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, WrongRegime
+from .errors import NonFiniteResult, ParameterError, WrongRegime
 from .model import ModelParams, TransitionMatrix
 
 #: Scale-relative tolerance for detecting the repeated-root boundary.
@@ -123,21 +124,15 @@ class BlockBasis:
             Z[..., k * n] = agg - dev @ (w[1:] / w[0])
         return Z
 
-    def solve(self, Z: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """w = R^-1 z for each z on the last axis of Z; Z @ R^-1 with
-        ``transpose``, which sums the rows (e_{i+1} - w, 0) and (w, 0)."""
+    def solve(self, Z: np.ndarray) -> np.ndarray:
+        """w = R^-1 z for each z on the last axis of Z."""
         n = len(self.a)
         W = np.empty(Z.shape)
         for k, w in enumerate((self.b, self.a)):
-            dev, half = slice(k * (n - 1), (k + 1) * (n - 1)), slice(k * n, (k + 1) * n)
-            if transpose:
-                agg = Z[..., 2 * n - 2 + k, None] - Z[..., dev].sum(axis=-1, keepdims=True)
-                np.multiply(agg, w, out=W[..., half])
-                W[..., k * n + 1:(k + 1) * n] += Z[..., dev]
-            else:
-                agg = W[..., 2 * n - 2 + k, None]
-                np.matmul(Z[..., half], w, out=agg[..., 0])
-                np.subtract(Z[..., half][..., 1:], agg, out=W[..., dev])
+            half = Z[..., k * n:(k + 1) * n]
+            agg = W[..., 2 * n - 2 + k, None]
+            np.matmul(half, w, out=agg[..., 0])
+            np.subtract(half[..., 1:], agg, out=W[..., k * (n - 1):(k + 1) * (n - 1)])
         return W
 
 
@@ -151,11 +146,11 @@ def apply_blockdiag(r: np.ndarray, F: np.ndarray, W: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Regime, eigenvalues, Jordan block layout, the block basis R (in
-    every regime), and (when the matrix is diagonalizable, n >= 2 and
-    alpha*beta != 0) the eigenvectors V of the aggregate map, each of
-    max-norm 1, from which the paper's basis Q (its aggregate entries at
-    most 1 in magnitude) and its closed-form inverse are built on first
-    read; ``diag`` is the gate to them.
+    every regime), and (when the matrix is diagonalizable with lambda3 !=
+    lambda4, n = 1 and alpha*beta = 0 included) the eigenvectors V of the
+    aggregate map, each of max-norm 1, from which the paper's basis Q (its
+    aggregate entries at most 1 in magnitude) and its inverse are built on
+    first read; ``diag`` is the gate to them.
 
     ``blocks`` lists runs (eigenvalue, block size, count) of equal Jordan
     blocks in basis-column order, at most four; ``None`` in the complex
@@ -184,8 +179,11 @@ class SpectralDecomposition:
 
     @cached_property
     def Qinv(self) -> np.ndarray | None:
-        """Q^-1 = blockdiag(I, V^-1) R^-1, row-major, or None where V is."""
-        return None if self.V is None else _eigenbasis(self.R, self.V, inverse=True)
+        """Q^-1 = P blockdiag(I, V^-1) R^-1, the eigen coordinates of R^-1,
+        or None where V is."""
+        if self.V is None:
+            return None
+        return eigen_coordinates(self.V, self.R.solve(np.eye(2 * self.eig.n)).T)
 
     @property
     def diag(self) -> np.ndarray:
@@ -194,12 +192,13 @@ class SpectralDecomposition:
 
         The one gate for every computation that uses Q: raises
         WrongRegime whenever Q is None, which covers the complex and
-        repeated-root regimes, n < 2 and alpha*beta == 0.
+        repeated-root regimes and the diagonalizable points whose two
+        quadratic roots round to one value.
         """
         eig = self.eig
         if self.V is None:
-            raise WrongRegime(f"no explicit basis in regime {self.regime.value} with n={eig.n}: "
-                              "it needs diagonalizable_real, n >= 2 and alpha*beta != 0")
+            raise WrongRegime(f"no explicit basis in regime {self.regime.value}: it needs "
+                              "diagonalizable_real with two distinct quadratic roots")
         return np.repeat([eig.lambda1, eig.lambda3, eig.lambda2, eig.lambda4],
                          [eig.n - 1, 1, eig.n - 1, 1])
 
@@ -216,10 +215,13 @@ def _quadratic(alpha: float, beta: float) -> tuple[RegimeBoundaries, Regime,
     boundary hits for large parameters), and two real roots, the larger
     first, otherwise.  Where alpha or beta is 0, g is exactly (lam - 1)(lam
     - 1 + alpha + beta), with the distinct roots 1 and 1 - alpha - beta
-    however small Delta = (alpha - beta)^2 is.
+    however small Delta = (alpha - beta)^2 is.  NonFiniteResult where
+    Delta is NaN (inf - inf); an infinite Delta takes the real path.
     """
     delta = alpha * alpha + beta * beta - 6.0 * alpha * beta
-    sq8 = 2.0 * np.sqrt(2.0)
+    if math.isnan(delta):
+        raise NonFiniteResult(f"the discriminant is NaN at (alpha, beta) = ({alpha}, {beta})")
+    sq8 = 2.0 * math.sqrt(2.0)
     bounds = RegimeBoundaries(d1=(3.0 - sq8) * beta, d2=(3.0 + sq8) * beta, delta=delta)
     if alpha == 0.0 or beta == 0.0:
         other = 1.0 - alpha - beta
@@ -270,12 +272,6 @@ def _eigen_order(n: int) -> np.ndarray:
     return np.r_[0:n - 1, n:m - 1, n - 1, m - 1]
 
 
-def _unmix(V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """V^-1 X for the two rows of X that hold the aggregate pair."""
-    (a, b), (c, d) = V
-    return np.array([[d, -b], [-c, a]]) @ X / (a * d - b * c)
-
-
 def eigen_coordinates(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Q^-1 R W = P blockdiag(I, V^-1) W for a 2n-row W in R's coordinate
     order: the aggregate pair of rows mixed by V^-1, then every row moved
@@ -283,24 +279,20 @@ def eigen_coordinates(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     pos = _eigen_order(W.shape[0] // 2)
     out = np.empty(W.shape)
     out[pos] = W
-    out[pos[-2:]] = _unmix(V, out[pos[-2:]])
+    (a, b), (c, d) = V
+    out[pos[-2:]] = np.array([[d, -b], [-c, a]]) @ out[pos[-2:]] / (a * d - b * c)
     return out
 
 
-def _eigenbasis(R: BlockBasis, V: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Q = R blockdiag(I, V), or with ``inverse`` Q^-1 = blockdiag(I, V^-1)
-    R^-1, as a dense array with Q's columns in the order of ``diag``."""
+def _eigenbasis(R: BlockBasis, V: np.ndarray) -> np.ndarray:
+    """Q = R blockdiag(I, V) as a dense array, its columns in the order
+    of ``diag``."""
     n, m = len(R.a), 2 * len(R.a)
     pos = _eigen_order(n)
-    out = np.empty((m, m))  # the rows of Q^T, or of Q^-1
+    out = np.empty((m, m))  # the rows of Q^T
     for lo in range(0, m, 128):  # unit rows a block at a time: no second m x m array
-        E = np.eye(min(128, m - lo), m, lo)
-        out[pos[lo:lo + 128]] = R.solve(E, transpose=True) if inverse else R.apply(E)
-    mixed = pos[-2:]
-    if inverse:
-        out[mixed] = _unmix(V, out[mixed])
-        return out
-    out[mixed] = V.T @ out[mixed]
+        out[pos[lo:lo + 128]] = R.apply(np.eye(min(128, m - lo), m, lo))
+    out[pos[-2:]] = V.T @ out[pos[-2:]]
     return out.T
 
 
@@ -318,9 +310,11 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
     column order, (n-1) 1-blocks of lambda1, lambda3's, (n-1) of lambda2,
     lambda4's, listed as runs (eigenvalue, size, count) without empty
     runs; there are none in the complex regime.  R is built in every
-    regime; V (and so Q and its inverse) only in the diagonalizable
-    regime with n >= 2 and alpha*beta != 0, a subnormal alpha included;
-    elsewhere it is None.
+    regime; V (and so Q and its inverse) wherever the regime is
+    diagonalizable and lambda3 != lambda4, which includes n = 1,
+    alpha*beta = 0 and a subnormal alpha; elsewhere it is None.  The
+    roots can coincide in that regime: at alpha = 0 and |beta| below
+    about 1.1e-16, 1 - beta rounds to 1 and V would be singular.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
     boundaries, regime, lam3, lam4 = _quadratic(alpha, beta)
@@ -338,7 +332,7 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
         if alpha * beta != 0.0 and den_minus != 0.0 and den_plus != 0.0:
             tau_minus, tau_plus = 2.0 / den_minus, 2.0 / den_plus
             tau_tilde = alpha * (tau_minus - tau_plus)
-        if n >= 2 and alpha != 0.0 and beta != 0.0:
+        if lam3 != lam4:
             V = _basis(R.A, lam3, lam4)
 
     return SpectralDecomposition(
@@ -391,16 +385,17 @@ def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
     R's map A enters none of Q, Q^-1 and J: verify_block_basis checks it.  The
     MQ - QJ and similarity residuals are compared against RESIDUAL_TOL *
     ||M||_max, the inverse residual against RESIDUAL_TOL directly.
+    ParameterError where V is singular.
     """
     n = M.n
-    if n < 2:
-        raise DimensionMismatch("decomposition checks require n >= 2 (matrix at least 4 x 4)")
     # bitwise the dense max|M|: each entry of M is one entry of s or V, or 0
     m_scale = float(max(np.max(np.abs(M.s)), np.max(np.abs(M.V))))
     s, F, lam = M.s, M.V, np.asarray(lam, dtype=float)
     # V^-1 exactly, so that V V^-1 = I: rational arithmetic on 2x2 values
     (a, b), (c, d) = [[Fraction(x) for x in row] for row in V.tolist()]
     det = a * d - b * c
+    if det == 0:
+        raise ParameterError(f"V is singular: {V.tolist()}")
     Vinv_x = [[d / det, -b / det], [-c / det, a / det]]
     Vinv = np.array(Vinv_x, dtype=float)
     weights = (R.b, R.a)  # R's x block pivots on b, its y block on a

@@ -74,7 +74,9 @@ class TestDecompose:
         assert [e["value"] for e in payload["eigenvalues"]] == [1.0, 1.0 - 1e-6, 1.0, 1.0 - 1e-6]
         assert payload["blocks"] == [[1.0, 1, 1], [1.0, 1, 1], [1.0 - 1e-6, 1, 1],
                                      [1.0 - 1e-6, 1, 1]]
-        assert payload["basis_available"] is False
+        # the two roots differ, so the paper's basis exists
+        assert payload["basis_available"] is True
+        assert payload["residuals"]["passed"] is True
 
     @pytest.mark.parametrize("alpha", ["1e-200", "1e-310", "5e-324"])
     def test_tiny_alpha_reports_a_passing_basis(self, capsys, alpha):
@@ -327,6 +329,16 @@ BAD_INPUTS = {
                                          "--beta", "1e155"], "NonFiniteResult"),
     "decompose-overflow": (lambda p: ["decompose", "--n", "2", "--alpha", "1e200",
                                       "--beta", "0.3"], "NonFiniteResult"),
+    # alpha^2 + beta^2 - 6 alpha beta is inf - inf: a NaN discriminant
+    "decompose-nan-discriminant": (lambda p: ["decompose", "--n", "2", "--alpha", "1e200",
+                                              "--beta", "1e200"], "NonFiniteResult"),
+    "verify-nan-discriminant": (lambda p: ["verify", "--config", config_with(
+        p, alpha=-1e200, beta=-1e200)], "NonFiniteResult"),
+    "cycle-nan-discriminant": (lambda p: ["cycle", "--alpha", "1e200", "--beta", "1e200",
+                                          "--out", p / "c.csv"], "NonFiniteResult"),
+    # the boundary d2 = (3 + 2 sqrt 2) beta overflows to inf without a warning
+    "decompose-boundary-overflow": (lambda p: ["decompose", "--n", "2", "--alpha=1e308",
+                                               "--beta=-1e308"], "NonFiniteResult"),
     "moments-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "-0.5", "--beta", "0.3",
                                     "--t-grid", "2,2000"], "NonFiniteResult"),
     "alpha-text": (lambda p: ["decompose", "--config", config_with(p, alpha="x")],
@@ -550,12 +562,20 @@ class TestCycleCommand:
 
 
 #: models without the paper's basis Q: the benchmark (complex regime), the
-#: repeated-root boundary d1, n = 1 and alpha = 0
+#: repeated-root boundary d1, n = 1 in the complex regime, and alpha = 0
+#: with a beta so small that 1 - beta rounds to 1, so the roots coincide
 BASIS_FREE_MODELS = {
     "benchmark": (2, 1.09804, 0.7),
     "d1": (3, (3.0 - 2.0 * np.sqrt(2.0)) * 0.7, 0.7),
+    "n1": (1, 1.09804, 0.7),
+    "alpha0": (3, 0.0, 1e-17),
+}
+
+#: diagonalizable models on the edges of the parameter space, all with Q
+BASIS_AXIS_MODELS = {
     "n1": (1, 0.1, 0.9),
     "alpha0": (3, 0.0, 0.8),
+    "beta0": (3, 0.4, 0.0),
 }
 
 
@@ -627,6 +647,15 @@ class TestMoments:
         assert limits["spectral_radius_ok"] == (alpha != 0.0)
         assert (None in limits["lambda_tilde"]) == (alpha == 0.0)
 
+    @pytest.mark.parametrize("n, alpha, beta", BASIS_AXIS_MODELS.values(),
+                             ids=BASIS_AXIS_MODELS.keys())
+    def test_runs_on_the_axes_with_q(self, capsys, tmp_path, n, alpha, beta):
+        payload = self.run_strict(capsys, tmp_path, n, alpha, beta, "--mc-reps", 4)
+        assert len(payload["grid"]) == 6 and payload["stationarity_gap"] > 0
+        assert all(e["gamma_tilde"] is not None for e in payload["grid"])
+        # alpha*beta = 0 puts an eigenvalue at 1: no limits
+        assert payload["limits"]["spectral_radius_ok"] == (alpha * beta != 0.0)
+
     def test_q_is_built_only_when_read(self, capsys, monkeypatch, diag_config):
         # decompose without --dump-matrices and verify check Q through R and
         # the 2x2 V; simulate's explicit path and moments need only those too
@@ -635,7 +664,8 @@ class TestMoments:
         def unread(*args, **kwargs):
             raise AssertionError("a dense M, Q or Q^-1 was built")
 
-        monkeypatch.setattr(varcycle.spectral, "_eigenbasis", unread)
+        for name in ("Q", "Qinv"):
+            monkeypatch.setattr(varcycle.spectral.SpectralDecomposition, name, property(unread))
         monkeypatch.setattr(varcycle.model.TransitionMatrix, "entries", property(unread))
         code, report, err = run_cli(capsys, "decompose", "--config", config_path)
         assert code == 0, err
@@ -782,6 +812,23 @@ class TestVerify:
                                         "--method", method, "--out", tmp_path / "s.csv")
             assert code == 0, err
         assert report["payload"]["max_method_deviation_relative"] < 1e-8
+
+    @pytest.mark.parametrize("n, alpha, beta", BASIS_AXIS_MODELS.values(),
+                             ids=BASIS_AXIS_MODELS.keys())
+    def test_decomposition_passes_on_the_axes(self, capsys, tmp_path, n, alpha, beta):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": n, "alpha": alpha, "beta": beta,
+                                   "a": [1.0 / n] * n, "b": [1.0 / n] * n}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, report, err = run_cli(capsys, "decompose", "--config", cfg)
+            assert code == 0, err
+            assert report["payload"]["basis_available"] is True
+            assert report["payload"]["residuals"]["passed"] is True
+            code, report, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and report["payload"]["all_passed"] is True, err
+        checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
+        assert checks["decomposition_residuals"] == checks["block_basis_residuals"] == "pass"
 
     def test_zero_alpha_regimes_agree(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -970,6 +1017,21 @@ class TestRowWriter:
                     "Q": dec.Q, "Qinv": dec.Qinv}
         for name, matrix in matrices.items():
             assert (out / f"{name}.csv").read_bytes() == per_cell_matrix_csv(matrix).encode()
+
+    @pytest.mark.parametrize("alpha, beta, digests", [
+        ("0.1", "0.9", ("f3e723ec977ebff8d8ba67fb519c7827b916d0517b8358b2e7cca52440bf54dd",
+                        "25581189508351f5a16e72dbe4c22aee18366923d33cd42d93d7e46f3913e2cf")),
+        ("1e-8", "1", ("76c19ff3ddf24f70039c632eb57cf40389d9e43429e0f17e2e4f16f005ba1dcb",
+                       "6062a30fed532d067b65645a60fb279a5f7b71c696fb04de4eaba7c11b4a2f4c")),
+    ])
+    def test_basis_bytes_match_recorded_hash(self, capsys, tmp_path, alpha, beta, digests):
+        # pins how Q and Q^-1 are computed, not only how they are written
+        out = tmp_path / "mats"
+        code, _, _ = run_cli(capsys, "decompose", "--n", 3, "--alpha", alpha, "--beta", beta,
+                             "--dump-matrices", out)
+        assert code == 0
+        for name, digest in zip(("Q", "Qinv"), digests):
+            assert hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest() == digest
 
     def test_failing_child_exits_2_and_leaves_no_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from varcycle import (
     MomentInputs,
-    MonteCarloSpec,
     build_transition_matrix,
     cross_covariance,
     decompose,
@@ -97,11 +96,13 @@ def truncated_ma_sum(inputs, dec, tail_tol=1e-12):
     return dec.Q @ acc @ dec.Q.T
 
 
-def assert_exact_without_paper_basis(n, alpha, beta):
+def assert_exact(n, alpha, beta, basis):
+    """gamma matches the dense oracle, and gamma_tilde is Q^-1 gamma Q^-T
+    where the paper's basis exists (``basis``), None elsewhere."""
     params, spec = setup_model(n=n, alpha=alpha, beta=beta,
                                sigma=np.linspace(0.5, 2.0, 2 * n).tolist())
     dec = decompose(params)
-    assert dec.Q is None
+    assert (dec.Q is not None) == basis
     rng = np.random.default_rng(3)
     A = rng.standard_normal((2 * n, 2 * n))
     inputs = moment_inputs(params, spec, G=A @ A.T)
@@ -109,8 +110,12 @@ def assert_exact_without_paper_basis(n, alpha, beta):
     for t, tau in ((2, 0), (5, 3)):
         cc = cross_covariance(inputs, dec, t, tau)
         want = dense_cross_cov(M, inputs.G, inputs.Sigma0, t, tau)
-        assert cc.gamma_tilde is None
         assert np.max(np.abs(cc.gamma - want)) < 1e-13 * np.max(np.abs(want))
+        if basis:
+            tilde = dec.Qinv @ want @ dec.Qinv.T
+            assert np.max(np.abs(cc.gamma_tilde - tilde)) < 1e-13 * np.max(np.abs(tilde))
+        else:
+            assert cc.gamma_tilde is None
 
 
 class TestCrossCovariance:
@@ -176,15 +181,19 @@ class TestCrossCovariance:
 
     def test_paper_benchmark(self):
         # the complex regime has no paper basis Q: gamma is exact all the same
-        assert_exact_without_paper_basis(3, 1.09804, 0.7)
+        assert_exact(3, 1.09804, 0.7, basis=False)
 
     @pytest.mark.parametrize("n, alpha, beta", [
         (3, (3.0 - 2.0 * np.sqrt(2.0)) * 0.7, 0.7),  # repeated root on d1
-        (1, 0.1, 0.9),
-        (3, 0.0, 0.8),
+        (3, 0.0, 1e-17),  # 1 - beta rounds to 1: the two roots coincide
     ])
     def test_exact_without_paper_basis(self, n, alpha, beta):
-        assert_exact_without_paper_basis(n, alpha, beta)
+        assert_exact(n, alpha, beta, basis=False)
+
+    @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (3, 0.0, 0.8), (3, 0.4, 0.0)])
+    def test_exact_on_the_axes(self, n, alpha, beta):
+        # n = 1 and alpha*beta = 0 have the paper's basis: the roots differ
+        assert_exact(n, alpha, beta, basis=True)
 
     def test_coordinate_round_trip(self):
         params, spec = setup_model()
@@ -281,10 +290,10 @@ class TestStationarityDiagnostic:
         params, spec = setup_model(n=2)
         dec = decompose(params)
         inputs = moment_inputs(params, spec)
-        mc = MonteCarloSpec(params=params, noise_spec=spec, reps=4000, seed=55)
-        report = stationarity_diagnostic(inputs, dec, [2, 3], [0], mc=mc)
+        report = stationarity_diagnostic(inputs, dec, [2, 3], [0])
+        mc = mc_cross_covariance(params, spec, inputs.G, [2, 3], [0], 4000, 55)
         for key, theory in report.gamma.items():
-            est, se = report.mc_estimate[key]
+            est, se = mc[key]
             assert np.all(np.abs(est - theory) < 6 * se + 1e-12)
 
 

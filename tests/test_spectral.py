@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -14,8 +13,8 @@ from varcycle import (
     validate_params,
     verify_decomposition,
 )
-from varcycle.errors import DimensionMismatch, WrongRegime
-from varcycle.spectral import _eigen_order, _eigenbasis, verify_block_basis
+from varcycle.errors import NonFiniteResult, ParameterError, WrongRegime
+from varcycle.spectral import _eigen_order, _eigenbasis, eigen_coordinates, verify_block_basis
 
 D1_FACTOR = 3.0 - 2.0 * np.sqrt(2.0)
 
@@ -71,6 +70,12 @@ class TestClassifyRegime:
             for d in classify_regime(0.0, beta)[0].d1, classify_regime(0.0, beta)[0].d2:
                 delta = d * d + beta * beta - 6 * d * beta
                 assert abs(delta) <= 1e-10 * max(1.0, d * d + beta * beta)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e200, 1e200), (-1e200, -1e200)])
+    def test_nan_discriminant_is_non_finite_result(self, alpha, beta):
+        # alpha^2 + beta^2 - 6 alpha beta is inf - inf here
+        with pytest.raises(NonFiniteResult, match="discriminant"):
+            classify_regime(alpha, beta)
 
     def test_trichotomy_exclusive(self):
         rng = np.random.default_rng(7)
@@ -317,8 +322,7 @@ class TestBlockBasis:
         R = decompose(p).R
         dense, dense_inv, _ = dense_block_basis(p)
         X = np.random.default_rng(1).standard_normal((2, 3, 2 * n))  # two batch axes
-        solve_t = functools.partial(R.solve, transpose=True)
-        for op, oracle in ((R.apply, dense), (R.solve, dense_inv), (solve_t, dense_inv.T)):
+        for op, oracle in ((R.apply, dense), (R.solve, dense_inv)):
             assert_allclose(op(X), X @ oracle.T, rtol=0, atol=1e-14)
             assert_allclose(op(X[0, 0]), oracle @ X[0, 0], rtol=0, atol=1e-14)
 
@@ -377,12 +381,15 @@ def dense_residuals(M, d, Q, Qinv):
 
 def factor_residuals(M, R, V, lam):
     """dense_residuals on M, Q, Q^-1 and J built densely from the same
-    factors: J holds R's rates on the deviations and lam on V's columns."""
+    factors: J holds R's rates on the deviations and lam on V's columns,
+    and Q^-1 is the eigen coordinates of R^-1, as SpectralDecomposition
+    builds it."""
     n = M.n
     d = np.empty(2 * n)
     d[_eigen_order(n)] = np.r_[R.rates, lam]
     dense_M = np.diag(M.s) + M.U.T @ M.V.T
-    return dense_residuals(dense_M, d, _eigenbasis(R, V), _eigenbasis(R, V, inverse=True))
+    Qinv = eigen_coordinates(V, R.solve(np.eye(2 * n)).T)
+    return dense_residuals(dense_M, d, _eigenbasis(R, V), Qinv)
 
 
 def assert_matches_dense(check, M, R, V, lam):
@@ -468,11 +475,21 @@ class TestVerifyDecomposition:
             bad = perturb(args, name, int(rng.integers(factor(args, name).size)), delta=1e-3)
             assert_matches_dense(verify_decomposition(**bad), **bad)
 
-    def test_n1_rejected(self):
-        p = make_params(n=1, a=[1.0], b=[1.0])
-        M, R = build_transition_matrix(p), decompose(p).R
-        with pytest.raises(DimensionMismatch):
-            verify_decomposition(M, R, np.eye(2), (0.5, 0.2))
+    @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (1, 0.0, 0.5), (3, 0.0, 0.8),
+                                                (3, 0.4, 0.0), (4, -0.3, 0.0)])
+    def test_axes_match_dense_oracle(self, n, alpha, beta):
+        # n = 1 (no deviation columns) and alpha*beta = 0 have the basis too
+        p = random_weights_params(n, alpha, beta, seed=n)
+        args = factors(decompose(p), build_transition_matrix(p))
+        check = verify_decomposition(**args)
+        assert check.passed
+        assert_matches_dense(check, **args)
+
+    def test_singular_v_is_parameter_error(self):
+        p = make_params(n=2, a=[0.5, 0.5], b=[0.5, 0.5])
+        args = factors(decompose(p), build_transition_matrix(p))
+        with pytest.raises(ParameterError, match="singular"):
+            verify_decomposition(**{**args, "V": np.array([[1.0, 1.0], [0.5, 0.5]])})
 
 
 class TestJordanPieces:
@@ -489,14 +506,23 @@ class TestJordanPieces:
         n1 = decompose(make_params(n=1, a=[1.0], b=[1.0]))
         assert [count for _, _, count in n1.blocks] == [1, 1]
 
-    @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (3, 0.1, 0.0), (3, 0.0, 0.8)])
+    @pytest.mark.parametrize("n, alpha, beta", [(1, 0.1, 0.9), (3, 0.1, 0.0), (3, 0.0, 0.8),
+                                                (3, 0.0, 1e-17)])
     def test_diag_needs_a_basis(self, n, alpha, beta):
-        # the diagonalizable regime without a basis: n = 1, or alpha*beta == 0
+        # the diagonalizable regime has a basis wherever its two quadratic
+        # roots differ, n = 1 and alpha*beta = 0 included; at alpha = 0,
+        # beta = 1e-17, 1 - beta rounds to 1 and they coincide
         p = make_params(n=n, alpha=alpha, beta=beta)
         dec = decompose(p)
-        assert dec.regime is Regime.DIAGONALIZABLE_REAL and dec.Q is None
-        with pytest.raises(WrongRegime):
-            _ = dec.diag
+        assert dec.regime is Regime.DIAGONALIZABLE_REAL
+        if dec.eig.lambda3 == dec.eig.lambda4:
+            assert dec.V is None and dec.Q is None and dec.Qinv is None
+            with pytest.raises(WrongRegime):
+                _ = dec.diag
+        else:
+            M = build_transition_matrix(p).entries
+            assert np.max(np.abs(M @ dec.Q - dec.Q * dec.diag)) < 1e-15
+            assert np.max(np.abs(dec.Q @ dec.Qinv - np.eye(2 * n))) < 1e-15
 
     def test_complex_regime_has_no_blocks(self):
         p = make_params(alpha=1.09804, beta=0.7)
