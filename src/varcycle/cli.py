@@ -36,6 +36,7 @@ from .model import (
     validate_params,
 )
 from .simulate import (
+    Trajectory,
     aggregates,
     sample_noise_path,
     simulate_explicit,
@@ -84,20 +85,58 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def resolve_config(doc: dict) -> tuple[ModelParams, NoiseSpec, dict, dict]:
-    """Validate the model, fill defaults, and return the resolved pieces."""
+def resolve_config(doc: dict, args: argparse.Namespace | None = None
+                   ) -> tuple[ModelParams, NoiseSpec, dict, dict, int, int, np.ndarray]:
+    """Validate the model, fill defaults, and return the echo pieces and
+    the resolved T, seed and z0.  A flag of `args` named after a run or
+    output key overrides it (`simulate --out` is `path`).  The whole run
+    section is checked in every subcommand, so every echoed config reruns."""
     params = validate_params(doc)
     noise_doc = doc.get("noise")
     if noise_doc is None:
         noise_doc = {"mu": [0.0] * (2 * params.n), "sigma": [1.0] * (2 * params.n)}
     noise = validate_noise(noise_doc, params.n)
-    run = dict(_RUN_DEFAULTS)
-    run.update(doc.get("run") or {})
+    run = dict(_RUN_DEFAULTS, **(doc.get("run") or {}))
+    output = dict(_OUTPUT_DEFAULTS, **(doc.get("output") or {}))
+    flags = vars(args) if args is not None else {}
+    for section in (run, output):
+        section.update({k: flags[k] for k in section if flags.get(k) is not None})
     if run["method"] not in ("recursive", "explicit", "both"):
         raise ConfigError(f"run.method must be recursive|explicit|both, got {run['method']!r}")
-    output = dict(_OUTPUT_DEFAULTS)
-    output.update(doc.get("output") or {})
-    return params, noise, run, output
+    T, seed = _run_int(run, "T"), _run_int(run, "seed")
+    if T < 1:
+        raise RangeError(f"T must be >= 1, got {T}")
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
+    return params, noise, run, output, T, seed, _resolve_z0(str(run["z0"]), params.n)
+
+
+def _run_int(run: dict, key: str) -> int:
+    """run[key] as an int.  A boolean or a fractional number is rejected
+    rather than truncated, so the echoed config reproduces the run."""
+    raw = run[key]
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"run.{key} must be an integer, got {raw!r}")
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"run.{key} must be an integer: {exc}") from exc
+
+
+def _resolve_z0(spec: str, n: int) -> np.ndarray:
+    if spec == "zeros":
+        return np.zeros(2 * n)
+    if spec.startswith("csv:"):
+        try:
+            values = np.loadtxt(spec[4:], delimiter=",").ravel()
+        except ValueError as exc:
+            raise ConfigError(f"z0 file must hold comma-separated numbers: {exc}") from exc
+        if values.shape != (2 * n,):
+            raise ConfigError(f"z0 file must hold 2n={2*n} values, got {values.size}")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("z0 file must hold finite numbers")
+        return values
+    raise ConfigError(f"run.z0 must be 'zeros' or 'csv:<path>', got {spec!r}")
 
 
 def config_echo(params: ModelParams, noise: NoiseSpec, run: dict, output: dict) -> dict:
@@ -353,10 +392,16 @@ class _Timer:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _method_deviation(recursive: Trajectory, explicit: Trajectory) -> tuple[float, float]:
+    """max|zr - ze| between the two methods' states, and that over
+    1 + max|zr|."""
+    dev = float(np.max(np.abs(recursive.z - explicit.z)))
+    return dev, dev / (1.0 + float(np.max(np.abs(recursive.z))))
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     timer = _Timer()
-    doc = _model_from_args(args)
-    params, noise, run, output = resolve_config(doc)
+    params, noise, run, output, *_ = resolve_config(_model_from_args(args), args)
     timer.mark("validate")
 
     dec = decompose(params)
@@ -399,49 +444,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_int(run: dict, key: str) -> int:
-    """run[key] as an int.  A boolean or a fractional number is rejected
-    rather than truncated, so the echoed config reproduces the run."""
-    raw = run[key]
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ConfigError(f"run.{key} must be an integer, got {raw!r}")
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"run.{key} must be an integer: {exc}") from exc
-
-
-def _resolve_z0(spec: str, n: int) -> np.ndarray:
-    if spec == "zeros":
-        return np.zeros(2 * n)
-    if spec.startswith("csv:"):
-        try:
-            values = np.loadtxt(spec[4:], delimiter=",").ravel()
-        except ValueError as exc:
-            raise ConfigError(f"z0 file must hold comma-separated numbers: {exc}") from exc
-        if values.shape != (2 * n,):
-            raise ConfigError(f"z0 file must hold 2n={2*n} values, got {values.size}")
-        if not np.all(np.isfinite(values)):
-            raise ConfigError("z0 file must hold finite numbers")
-        return values
-    raise ConfigError(f"run.z0 must be 'zeros' or 'csv:<path>', got {spec!r}")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     timer = _Timer()
-    doc = _model_from_args(args)
-    params, noise, run, output = resolve_config(doc)
-    for key, flag in (("T", args.T), ("seed", args.seed), ("method", args.method), ("z0", args.z0)):
-        if flag is not None:
-            run[key] = flag
-    if args.out is not None:
-        output["path"] = args.out
+    params, noise, run, output, T, seed, z0 = resolve_config(_model_from_args(args), args)
     if not output["path"]:
         raise ConfigError("simulate requires an output path (--out or output.path)")
     timer.mark("validate")
 
-    T, seed = _run_int(run, "T"), _run_int(run, "seed")
-    z0 = _resolve_z0(str(run["z0"]), params.n)
     noises = sample_noise_path(noise, params, T, seed, zero_noise=args.zero_noise)
     M = build_transition_matrix(params)
 
@@ -471,24 +480,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "lint": lint_params(params),
     }
     if run["method"] == "both":
-        zr = trajectories["recursive"].z
-        ze = trajectories["explicit"].z
-        scale = 1.0 + float(np.max(np.abs(zr)))
-        payload["max_method_deviation"] = float(np.max(np.abs(zr - ze)))
-        payload["max_method_deviation_relative"] = float(np.max(np.abs(zr - ze)) / scale)
+        payload["max_method_deviation"], payload["max_method_deviation_relative"] = (
+            _method_deviation(trajectories["recursive"], trajectories["explicit"]))
     emit_report(config_echo(params, noise, run, output), payload, timer.stages)
     return 0
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     timer = _Timer()
-    doc = _model_from_args(args)
-    params, noise, run, output = resolve_config(doc)
-    if args.seed is not None:
-        run["seed"] = args.seed
-    seed = _run_int(run, "seed")
-    if seed < 0:  # checked whether or not Monte Carlo reads it, so the echo reruns
-        raise RangeError(f"seed must be >= 0, got {seed}")
+    params, noise, run, output, _, seed, _ = resolve_config(_model_from_args(args), args)
     timer.mark("validate")
 
     dec = decompose(params)
@@ -521,15 +521,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         "grid": grid_payload,
         "stationarity_gap": report.stationarity_gap,
         "stationarity_gap_original": report.stationarity_gap_original,
-        "limits": {
-            "lambda_tilde": limits.lambda_tilde,
-            "spectral_radius_ok": limits.spectral_radius_ok,
-            "limiting_mean": limits.limiting_mean,
-            "resolvent_limit_cov": limits.resolvent_limit_cov,
-            "ma_infinity_cov": limits.ma_infinity_cov,
-            "truncation_terms": limits.truncation_terms,
-            "covariance_discrepancy": limits.covariance_discrepancy,
-        },
+        "limits": vars(limits),
         "mc_reps": args.mc_reps,
         "mc_stream_version": moments_mod.MC_STREAM_VERSION,
         "lint": lint_params(params),
@@ -597,8 +589,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     timer = _Timer()
-    doc = load_config(args.config)
-    params, noise, run, output = resolve_config(doc)
+    params, noise, run, output, T, seed, z0 = resolve_config(load_config(args.config))
     timer.mark("validate")
 
     checks: list[dict[str, Any]] = []
@@ -634,11 +625,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     r1, r2, ok = verify_block_basis(M, dec.R)
     record("block_basis_residuals", "pass" if ok else "fail", f"mr_rj={r1:.3e} rrinv={r2:.3e}")
 
-    T, seed = _run_int(run, "T"), _run_int(run, "seed")
     noises = sample_noise_path(noise, params, T, seed)
-    traj = simulate_recursive(params, M, np.zeros(2 * params.n), noises)
-    expl = simulate_explicit(params, dec, np.zeros(2 * params.n), noises)
-    dev = float(np.max(np.abs(traj.z - expl.z))) / (1.0 + float(np.max(np.abs(traj.z))))
+    traj = simulate_recursive(params, M, z0, noises)
+    _, dev = _method_deviation(traj, simulate_explicit(params, dec, z0, noises))
     record("explicit_equals_recursive", "pass" if dev < 1e-8 else "fail",
            f"relative deviation {dev:.3e}")
 
@@ -701,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["recursive", "explicit", "both"])
     p.add_argument("--z0", help="'zeros' or 'csv:<path>'")
     p.add_argument("--zero-noise", action="store_true", help="replace draws by their means")
-    p.add_argument("--out", help="trajectory CSV path")
+    p.add_argument("--out", dest="path", help="trajectory CSV path")
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("moments", help="covariance grids, stationarity gap, limits")

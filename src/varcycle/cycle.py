@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, NotInvertible, RangeError, TooShort, WrongRegime
+from .errors import NotInvertible, RangeError, TooShort, WrongRegime
 from .model import ModelParams
-from .simulate import NoisePath
+from .simulate import NoisePath, _check_finite
 from .spectral import Regime, _quadratic
 
 
@@ -133,12 +133,11 @@ def sample_scalar_noise(
     eta_law: tuple[float, float],
     T: int,
     seed: int,
-    zero_noise: bool = False,
 ) -> ScalarNoise:
     """Draw aggregated-shock series of length T + 2 (both, for symmetry).
 
-    Each law is (mean, sd) with a finite mean and a finite sd >= 0, and
-    the seed must be >= 0 even when nothing is drawn.
+    Each law is (mean, sd) with a finite mean and a finite sd >= 0; a
+    zero sd draws exactly the mean.  The seed must be >= 0.
     """
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
@@ -147,14 +146,10 @@ def sample_scalar_noise(
     for name, (mean, sd) in (("epsilon", eps_law), ("eta", eta_law)):
         if not (np.isfinite(mean) and np.isfinite(sd) and sd >= 0):
             raise RangeError(f"{name} law needs a finite mean and sd >= 0, got ({mean}, {sd})")
-    if zero_noise:
-        eps = np.full(T + 2, eps_law[0])
-        eta = np.full(T + 2, eta_law[0])
-    else:
-        rng = np.random.default_rng(seed)
-        # abs: a zero sd written as -0.0 draws as 0.0 does
-        eps = rng.normal(eps_law[0], abs(eps_law[1]), T + 2)
-        eta = rng.normal(eta_law[0], abs(eta_law[1]), T + 2)
+    rng = np.random.default_rng(seed)
+    # abs: a zero sd written as -0.0 draws as 0.0 does
+    eps = rng.normal(eps_law[0], abs(eps_law[1]), T + 2)
+    eta = rng.normal(eta_law[0], abs(eta_law[1]), T + 2)
     return ScalarNoise(eps_bar=eps, eta_bar=eta, seed=seed)
 
 
@@ -166,19 +161,21 @@ def scalar_noise_from_vector(params: ModelParams, noises: NoisePath) -> ScalarNo
 
 
 def forcing_series(noise: ScalarNoise, alpha: float, beta: float) -> np.ndarray:
-    """Vectorized h(t) for t = 0 .. len(eps_bar) - 2."""
+    """Vectorized h(t) for t = 0 .. len(eps_bar) - 2.  Overflow is left
+    in the series, not raised as a numpy warning."""
     e = noise.eps_bar
     n0 = noise.eta_bar[: len(e) - 1]
-    return alpha * (e[1:] - e[:-1]) + alpha * beta * (e[:-1] - n0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return alpha * (e[1:] - e[:-1]) + alpha * beta * (e[:-1] - n0)
 
 
 def _recurse(k1: float, k2: float, x0: float, x1: float, h: list[float]) -> np.ndarray:
     """x(t+2) = -k1 x(t+1) - k2 x(t) + h(t) from x(0) = x0, x(1) = x1.
 
     Returns x(0) .. x(len(h) + 1).  Raises NonFiniteState at the first
-    t >= 2 whose state is not finite.  Callers pass h as a list that
-    nothing else holds, so it is freed before x is copied to an array:
-    both lists are as long as the run.
+    t whose state is not finite, a t >= 2 since callers pass a finite x0
+    and x1.  Callers pass h as a list that nothing else holds, so it is
+    freed before x is copied to an array: both lists are as long as the run.
     """
     # Python floats step faster than numpy scalars and overflow to inf silently
     x = [float(x0), float(x1)]
@@ -186,9 +183,7 @@ def _recurse(k1: float, k2: float, x0: float, x1: float, h: list[float]) -> np.n
         x.append(-k1 * x[-1] - k2 * x[-2] + ht)
     del h
     out = np.array(x)
-    bad = np.flatnonzero(~np.isfinite(out[2:]))
-    if bad.size:
-        raise NonFiniteState(int(bad[0]) + 2)
+    _check_finite(out)
     return out
 
 

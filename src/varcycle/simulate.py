@@ -50,8 +50,10 @@ class NoisePath:
         self.epsilon = epsilon
         self.eta = eta
         self.gamma = np.empty(epsilon.shape[:-1] + (2 * n,))
-        np.multiply(epsilon, alpha, out=self.gamma[..., :n])
-        np.multiply(eta, -beta, out=self.gamma[..., n:])
+        # overflow is left in gamma for the recursion's finite check
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(epsilon, alpha, out=self.gamma[..., :n])
+            np.multiply(eta, -beta, out=self.gamma[..., n:])
         self.seed = seed
 
 
@@ -140,10 +142,10 @@ def _iterate(
 
 
 def _check_finite(z: np.ndarray) -> None:
-    """Raise NonFiniteState at the first time row of z holding a
-    non-finite entry.  A non-finite state stays non-finite under the
-    linear step, so this is the first t at which the run overflowed."""
-    bad = np.flatnonzero(~np.all(np.isfinite(z), axis=1))
+    """Raise NonFiniteState at the first time row (entry, for a 1-D z)
+    holding a non-finite value.  A non-finite state stays non-finite under
+    a linear step, so this is the first t at which the run overflowed."""
+    bad = np.flatnonzero(~np.all(np.isfinite(z), axis=tuple(range(1, z.ndim))))
     if bad.size:
         raise NonFiniteState(int(bad[0]))
 

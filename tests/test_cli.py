@@ -428,6 +428,22 @@ BAD_INPUTS = {
                                          "FileExistsError"),
     "report-out-is-directory": (lambda p: ["decompose", *MODEL_FLAGS,
                                            "--out", directory(p / "d")], "IsADirectoryError"),
+    # overflow at the float limit ends in the typed error, not a numpy warning
+    "cycle-float-limit": (lambda p: ["cycle", "--alpha=1e308", "--beta=-1e308", "--T", "100",
+                                     "--out", p / "c.csv"], "NonFiniteState"),
+    "verify-float-limit": (lambda p: ["verify", "--config", config_with(
+        p, alpha=1e308, beta=-1e308)], "NonFiniteState"),
+}
+
+#: Run sections that every model subcommand refuses, and the error type.
+BAD_RUN_SECTIONS = {
+    "T-text": (lambda p: {"T": "x"}, "ConfigError"),
+    "T-zero": (lambda p: {"T": 0}, "RangeError"),
+    "seed-negative": (lambda p: {"seed": -1}, "RangeError"),
+    "seed-fractional": (lambda p: {"seed": 1.5}, "ConfigError"),
+    "z0-unknown": (lambda p: {"z0": "bogus"}, "ConfigError"),
+    "z0-file-wrong-length": (lambda p: {"z0": f"csv:{text_file(p / 'z0.txt', '0,0,0')}"},
+                             "ConfigError"),
 }
 
 
@@ -444,6 +460,17 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
     assert not list(tmp_path.rglob("*.csv"))
     assert not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize("command", ["decompose", "simulate", "moments", "verify"])
+@pytest.mark.parametrize("case", sorted(BAD_RUN_SECTIONS))
+def test_bad_run_section_fails_alike_in_every_subcommand(capsys, tmp_path, command, case):
+    # simulate gets no output path: the run section is checked before it
+    run, error = BAD_RUN_SECTIONS[case]
+    code, _, err = run_cli(capsys, command, "--config", config_with(tmp_path, run=run(tmp_path)))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
 
 
 @pytest.fixture
@@ -779,6 +806,24 @@ class TestVerify:
         assert code == 0 and report["payload"]["all_passed"] is True, err
         checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
         assert checks["decomposition_residuals"] == "pass"
+
+    def test_methods_compared_from_run_z0(self, capsys, tmp_path, diag_config):
+        # explicit_equals_recursive starts both methods from the configured
+        # z0, and reports what simulate --method both reports
+        config_path, doc = diag_config
+        z0 = text_file(tmp_path / "z0.txt", "3.5,-2,0.25,1e3,-7,0.5")
+        details = {}
+        for start in ("zeros", f"csv:{z0}"):
+            doc["run"]["z0"] = start
+            config_path.write_text(json.dumps(doc))
+            _, simulated, _ = run_cli(capsys, "simulate", "--config", config_path)
+            code, verified, _ = run_cli(capsys, "verify", "--config", config_path)
+            assert code == 0
+            details[start] = next(c["detail"] for c in verified["payload"]["checks"]
+                                  if c["name"] == "explicit_equals_recursive")
+            relative = simulated["payload"]["max_method_deviation_relative"]
+            assert details[start] == f"relative deviation {relative:.3e}"
+        assert details["zeros"] != details[f"csv:{z0}"]
 
     def test_residual_detail_names_all_three_figures(self, capsys, diag_config):
         # passed tests all three residuals, so the detail shows all three

@@ -158,7 +158,7 @@ class TestReduceToCycle:
 
 class TestForcingTerm:
     def test_zero_noise(self):
-        noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 10, seed=0, zero_noise=True)
+        noise = sample_scalar_noise((0.0, 0.0), (0.0, 0.0), 10, seed=0)
         assert np.all(forcing_series(noise, 0.7, 0.3) == 0.0)
 
     def test_unit_impulse(self):
@@ -228,13 +228,13 @@ class TestReductionConsistency:
 class TestSimulateCycle:
     def test_zero_everything(self):
         m = reduce_to_cycle(0.3, 0.6)
-        noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 50, seed=0, zero_noise=True)
+        noise = sample_scalar_noise((0.0, 0.0), (0.0, 0.0), 50, seed=0)
         x = simulate_cycle(m, noise, 0.0, 0.0, 50)
         assert np.all(x == 0.0)
 
     def test_zero_noise_equals_fitted_cosine(self):
         m = reduce_to_cycle(BENCH_ALPHA, BENCH_BETA)
-        noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 100, seed=0, zero_noise=True)
+        noise = sample_scalar_noise((0.0, 0.0), (0.0, 0.0), 100, seed=0)
         x0, x1 = 0.8, -0.3
         x = simulate_cycle(m, noise, x0, x1, 100)
         c1, c2 = fit_constants(m, x0, x1)
@@ -251,7 +251,7 @@ class TestSimulateCycle:
 
     def test_explosive_raises(self):
         m = reduce_to_cycle(2.0, 2.0)  # |rho| = sqrt(5) > 1
-        noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 2000, seed=0, zero_noise=True)
+        noise = sample_scalar_noise((0.0, 0.0), (0.0, 0.0), 2000, seed=0)
         with pytest.raises(NonFiniteState) as info:
             simulate_cycle(m, noise, 1.0, 1.0, 2000)
         x = per_step_cycle(m, noise, 1.0, 1.0, 2000)
@@ -379,7 +379,7 @@ class TestGeneralHomogeneous:
         m = reduce_to_cycle(alpha, beta)
         x0, x1 = 0.7, -0.4
         values = general_homogeneous_solution(m, x0, x1, 60)
-        zero = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 60, seed=0, zero_noise=True)
+        zero = sample_scalar_noise((0.0, 0.0), (0.0, 0.0), 60, seed=0)
         ref = simulate_cycle(m, zero, x0, x1, 60)
         assert np.max(np.abs(values - ref)) < 1e-8 * (1.0 + np.max(np.abs(ref)))
 
