@@ -449,9 +449,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params, noise, run, output, T, seed, z0 = resolve_config(_model_from_args(args), args)
     if not output["path"]:
         raise ConfigError("simulate requires an output path (--out or output.path)")
+    if args.zero_noise:
+        noise = validate_noise({"mu": noise.mu, "sigma": np.zeros(2 * params.n)}, params.n)
     timer.mark("validate")
 
-    noises = sample_noise_path(noise, params, T, seed, zero_noise=args.zero_noise)
+    noises = sample_noise_path(noise, params, T, seed)
     M = build_transition_matrix(params)
 
     trajectories = {}
@@ -476,7 +478,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "seed": seed,
         "rows": T + 1,
         "files": files,
-        "zero_noise": bool(args.zero_noise),
+        "zero_noise": not bool(noise.sigma.any()),
         "lint": lint_params(params),
     }
     if run["method"] == "both":
@@ -689,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--method", choices=["recursive", "explicit", "both"])
     p.add_argument("--z0", help="'zeros' or 'csv:<path>'")
-    p.add_argument("--zero-noise", action="store_true", help="replace draws by their means")
+    p.add_argument("--zero-noise", action="store_true", help="set every noise sigma to 0")
     p.add_argument("--out", dest="path", help="trajectory CSV path")
     p.set_defaults(func=_cmd_simulate)
 

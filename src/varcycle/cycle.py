@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotInvertible, RangeError, TooShort, WrongRegime
 from .model import ModelParams
-from .simulate import NoisePath, _check_finite
+from .simulate import NoisePath, _check_finite, _draw_shocks, _generator
 from .spectral import Regime, _quadratic
 
 
@@ -86,7 +86,6 @@ class ScalarNoise:
 
     eps_bar: np.ndarray
     eta_bar: np.ndarray
-    seed: int | None
 
 
 def reduce_to_cycle(alpha: float, beta: float) -> CycleModel:
@@ -137,27 +136,26 @@ def sample_scalar_noise(
     """Draw aggregated-shock series of length T + 2 (both, for symmetry).
 
     Each law is (mean, sd) with a finite mean and a finite sd >= 0; a
-    zero sd draws exactly the mean.  The seed must be >= 0.
+    zero sd draws exactly the mean.  The seed must be >= 0.  The two
+    series are the vector draw at n = 1, epsilon's first.
     """
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
-    if seed < 0:
-        raise RangeError(f"seed must be >= 0, got {seed}")
+    rng = _generator(seed)
     for name, (mean, sd) in (("epsilon", eps_law), ("eta", eta_law)):
         if not (np.isfinite(mean) and np.isfinite(sd) and sd >= 0):
             raise RangeError(f"{name} law needs a finite mean and sd >= 0, got ({mean}, {sd})")
-    rng = np.random.default_rng(seed)
     # abs: a zero sd written as -0.0 draws as 0.0 does
-    eps = rng.normal(eps_law[0], abs(eps_law[1]), T + 2)
-    eta = rng.normal(eta_law[0], abs(eta_law[1]), T + 2)
-    return ScalarNoise(eps_bar=eps, eta_bar=eta, seed=seed)
+    draws = _draw_shocks(rng, (eps_law[0], eta_law[0]), (abs(eps_law[1]), abs(eta_law[1])),
+                         (2, T + 2, 1))
+    return ScalarNoise(eps_bar=draws[0, :, 0], eta_bar=draws[1, :, 0])
 
 
 def scalar_noise_from_vector(params: ModelParams, noises: NoisePath) -> ScalarNoise:
     """Aggregate a vector noise path: ebar = b . epsilon, nbar = a . eta."""
     eps_bar = noises.epsilon @ params.b
     eta_bar = noises.eta @ params.a
-    return ScalarNoise(eps_bar=eps_bar, eta_bar=eta_bar, seed=noises.seed)
+    return ScalarNoise(eps_bar=eps_bar, eta_bar=eta_bar)
 
 
 def forcing_series(noise: ScalarNoise, alpha: float, beta: float) -> np.ndarray:
@@ -201,7 +199,7 @@ def simulate_cycle(
         raise RangeError(f"initial state must be finite, got x0={x0}, x1={x1}")
     if len(noise.eps_bar) < T or len(noise.eta_bar) < T - 1:
         raise IndexError("noise series do not cover the requested horizon")
-    within = ScalarNoise(noise.eps_bar[:T], noise.eta_bar[: T - 1], noise.seed)
+    within = ScalarNoise(noise.eps_bar[:T], noise.eta_bar[: T - 1])
     return _recurse(model.kappa1, model.kappa2, x0, x1,
                     forcing_series(within, model.alpha, model.beta).tolist())
 

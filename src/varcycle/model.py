@@ -45,7 +45,7 @@ class ModelParams:
 class NoiseSpec:
     """Gaussian noise law: coordinate i of the stacked shock vector is
     N(mu[i], sigma[i]^2); the first n entries drive epsilon, the last n
-    drive eta."""
+    drive eta.  A zero sigma makes that coordinate its mean."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -173,7 +173,7 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
 def validate_noise(raw: Mapping[str, Any] | NoiseSpec, n: int) -> NoiseSpec:
     """Validate a noise record against agent count ``n``.
 
-    Requires finite numeric mu and sigma of length exactly 2n with every sigma > 0.
+    Requires finite numeric mu and sigma of length exactly 2n with every sigma >= 0.
     """
     if isinstance(raw, NoiseSpec):
         record: Mapping[str, Any] = {"mu": raw.mu, "sigma": raw.sigma}
@@ -190,8 +190,8 @@ def validate_noise(raw: Mapping[str, Any] | NoiseSpec, n: int) -> NoiseSpec:
         raise DimensionMismatch(f"noise sigma must have length 2n={2*n}, got shape {sigma.shape}")
     if not np.all(np.isfinite(mu)):
         raise ParameterError("noise mu entries must all be finite")
-    if not np.all(np.isfinite(sigma) & (sigma > 0)):
-        raise ParameterError("noise sigma entries must all be finite and > 0")
+    if not np.all(np.isfinite(sigma) & (sigma >= 0)):
+        raise ParameterError("noise sigma entries must all be finite and >= 0")
     return NoiseSpec(mu=_frozen(mu), sigma=_frozen(sigma))
 
 

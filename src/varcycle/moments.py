@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteResult, ParameterError, RangeError
 from .model import ModelParams, NoiseSpec, build_transition_matrix
-from .simulate import _iterate, sample_noise_path
+from .simulate import _generator, _iterate, sample_noise_path
 from .spectral import BlockBasis, SpectralDecomposition, apply_blockdiag, eigen_coordinates
 
 #: Replications that mc_long_run simulates together; bounds the states held.
@@ -293,13 +293,6 @@ def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition)
         truncation_terms=None,
         covariance_discrepancy=float(np.max(np.abs(claimed - ma_cov))),
     )
-
-
-def _generator(seed: int) -> np.random.Generator:
-    """The one generator a Monte Carlo batch draws from."""
-    if seed < 0:
-        raise RangeError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
 
 
 def mc_cross_covariance(

@@ -18,9 +18,6 @@ from .errors import DimensionMismatch, NonFiniteState, RangeError
 from .model import ModelParams, NoiseSpec, TransitionMatrix
 from .spectral import SpectralDecomposition
 
-METHOD_RECURSIVE = "recursive"
-METHOD_EXPLICIT = "explicit"
-
 
 class NoisePath:
     """A full noise path stored as arrays.
@@ -28,18 +25,9 @@ class NoisePath:
     ``epsilon`` and ``eta`` have shape (..., T, n) and ``gamma`` shape
     (..., T, 2n), the stacked gamma_t = (alpha * epsilon_t, -beta * eta_t)
     that enters the recursion; leading axes index independent paths.
-    ``seed`` is None when the path was assembled from raw arrays or drawn
-    from a caller's generator rather than from a seed.
     """
 
-    def __init__(
-        self,
-        epsilon: np.ndarray,
-        eta: np.ndarray,
-        alpha: float,
-        beta: float,
-        seed: int | None = None,
-    ):
+    def __init__(self, epsilon: np.ndarray, eta: np.ndarray, alpha: float, beta: float):
         epsilon = np.asarray(epsilon, dtype=float)
         eta = np.asarray(eta, dtype=float)
         if epsilon.shape != eta.shape or epsilon.ndim < 2:
@@ -54,17 +42,13 @@ class NoisePath:
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(epsilon, alpha, out=self.gamma[..., :n])
             np.multiply(eta, -beta, out=self.gamma[..., n:])
-        self.seed = seed
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States z_0..z_T (rows) with the noise that produced them."""
+    """States z_0..z_T (rows)."""
 
     z: np.ndarray
-    noises: NoisePath
-    seed: int | None
-    method: str
 
 
 @dataclass(frozen=True)
@@ -75,13 +59,32 @@ class AggregateSeries:
     ybar: np.ndarray
 
 
-def _scale_shift(draws: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Turn standard draws of shape (..., 2, T, n) into shocks in place:
-    coordinate i of block k is scaled by sigma[k*n + i] and shifted by
-    mu[k*n + i], which is bitwise what ``rng.normal`` computes."""
-    law_shape = (2, 1, draws.shape[-1])
-    draws *= spec.sigma.reshape(law_shape)
-    draws += spec.mu.reshape(law_shape)
+def _generator(seed: int | np.random.Generator) -> np.random.Generator:
+    """``default_rng(seed)`` for a seed, which must be >= 0; a generator
+    passes through, and what is drawn from it advances it."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _draw_shocks(
+    seed: int | np.random.Generator, mu: np.ndarray, sigma: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """The one shock draw: a standard-normal array of ``shape`` = (..., 2,
+    T, n) from ``_generator(seed)``, in which coordinate i of block k is
+    scaled by sigma[k*n + i] and shifted by mu[k*n + i].  That is bitwise
+    what ``rng.normal`` computes, so a zero sigma draws exactly the mean.
+    RangeError where the array is too large to hold."""
+    rng = _generator(seed)
+    try:
+        draws = rng.standard_normal(shape)
+    except (ValueError, MemoryError) as exc:
+        raise RangeError(f"cannot draw shocks of shape {shape}: {exc}") from exc
+    law_shape = (2, 1, shape[-1])
+    draws *= np.reshape(sigma, law_shape)
+    draws += np.reshape(mu, law_shape)
     return draws
 
 
@@ -90,35 +93,22 @@ def sample_noise_path(
     params: ModelParams,
     T: int,
     seed: int | np.random.Generator,
-    zero_noise: bool = False,
     reps: int | None = None,
 ) -> NoisePath:
     """Draw T i.i.d. Gaussian noise steps, deterministic in ``seed``.
 
     Coordinate i of epsilon uses (mu_i, sigma_i) and coordinate i of eta
-    uses (mu_{n+i}, sigma_{n+i}); both come from one standard-normal draw
-    of shape (2, T, n) on ``default_rng(seed)``, epsilon's block first.
-    ``seed`` is a non-negative integer or a generator, which the draw
-    advances.  With ``reps`` the path is a batch of that many independent
-    paths on a leading axis, drawn in one (reps, 2, T, n) call.  With
-    ``zero_noise`` every draw equals its mean (degenerate paths are
-    requested explicitly, never by sigma = 0, which the spec validation
-    rejects).
+    uses (mu_{n+i}, sigma_{n+i}); both come from one :func:`_draw_shocks`
+    of shape (2, T, n), epsilon's block first.  ``seed`` is a
+    non-negative integer or a generator, which the draw advances.  With
+    ``reps`` the path is a batch of that many independent paths on a
+    leading axis, drawn in one (reps, 2, T, n) call.
     """
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
-    from_rng = isinstance(seed, np.random.Generator)
-    if not from_rng and seed < 0:
-        raise RangeError(f"seed must be >= 0, got {seed}")
-    n = params.n
     batch = () if reps is None else (reps,)
-    if zero_noise:
-        eps = np.tile(spec.mu[:n], batch + (T, 1))
-        eta = np.tile(spec.mu[n:], batch + (T, 1))
-    else:
-        draws = _scale_shift(np.random.default_rng(seed).standard_normal(batch + (2, T, n)), spec)
-        eps, eta = draws[..., 0, :, :], draws[..., 1, :, :]
-    return NoisePath(eps, eta, params.alpha, params.beta, seed=None if from_rng else seed)
+    draws = _draw_shocks(seed, spec.mu, spec.sigma, batch + (2, T, params.n))
+    return NoisePath(draws[..., 0, :, :], draws[..., 1, :, :], params.alpha, params.beta)
 
 
 def _iterate(
@@ -175,7 +165,7 @@ def simulate_recursive(
     """
     z = _iterate(M.apply, _initial_state(params, z0), noises.gamma)
     _check_finite(z)
-    return Trajectory(z=z, noises=noises, seed=noises.seed, method=METHOD_RECURSIVE)
+    return Trajectory(z=z)
 
 
 def _aggregate_path(A: np.ndarray, v0: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -215,7 +205,7 @@ def simulate_explicit(
     with np.errstate(over="ignore", invalid="ignore"):
         z = R.apply(w)
     _check_finite(z)
-    return Trajectory(z=z, noises=noises, seed=noises.seed, method=METHOD_EXPLICIT)
+    return Trajectory(z=z)
 
 
 def aggregates(trajectory: Trajectory, params: ModelParams) -> AggregateSeries:

@@ -215,6 +215,24 @@ class TestSimulate:
         assert code == 0
         data = np.loadtxt(report["payload"]["files"]["recursive"], delimiter=",", skiprows=1)
         assert np.all(data[:, 1:] == 0.0)
+        assert report["payload"]["zero_noise"] is True
+        assert report["config_echo"]["noise"]["sigma"] == [0.0] * 6
+
+    def test_zero_noise_echo_reruns_the_run(self, capsys, tmp_path):
+        # a nonzero mu makes the drawn means show in every row after the first
+        first = tmp_path / "first.csv"
+        code, report, _ = run_cli(
+            capsys, "simulate", *MODEL_FLAGS, "--T", "5", "--noise-mu", "0.5,-1,2,0.25",
+            "--zero-noise", "--out", first,
+        )
+        assert code == 0
+        echo = report["config_echo"]
+        echo["output"]["path"] = str(tmp_path / "rerun.csv")
+        rerun = tmp_path / "rerun.json"
+        rerun.write_text(json.dumps(echo))
+        code, report, _ = run_cli(capsys, "simulate", "--config", rerun)
+        assert code == 0 and report["payload"]["zero_noise"] is True
+        assert (tmp_path / "rerun.csv").read_bytes() == first.read_bytes()
 
     def test_missing_out_is_validation_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -301,6 +319,8 @@ BAD_INPUTS = {
         p, noise={"mu": [NAN, 0.0, 0.0, 0.0], "sigma": [1.0] * 4})], "ParameterError"),
     "sigma-inf": (lambda p: ["decompose", "--config", config_with(
         p, noise={"mu": [0.0] * 4, "sigma": [1.0, INF, 1.0, 1.0]})], "ParameterError"),
+    "sigma-negative": (lambda p: ["decompose", "--config", config_with(
+        p, noise={"mu": [0.0] * 4, "sigma": [1.0, 1.0, -0.5, 1.0]})], "ParameterError"),
     "n-fractional": (lambda p: ["decompose", "--config", config_with(p, n=2.7)],
                      "DimensionMismatch"),
     "cycle-alpha-nan": (lambda p: ["cycle", "--alpha", "nan", "--out", p / "c.csv"],
@@ -315,6 +335,10 @@ BAD_INPUTS = {
                               "RangeError"),
     "simulate-T-negative": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "-3",
                                        "--out", p / "s.csv"], "RangeError"),
+    # numpy refuses a draw of 2**62 steps by its size, before it allocates
+    "simulate-huge-T": (lambda p: ["simulate", *MODEL_FLAGS, "--T", 2**62,
+                                   "--out", p / "s.csv"], "RangeError"),
+    "cycle-huge-T": (lambda p: ["cycle", "--T", 2**62, "--out", p / "c.csv"], "RangeError"),
     "moments-one-rep": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "1"], "RangeError"),
     "moments-negative-reps": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "-5"],
                               "RangeError"),

@@ -164,7 +164,7 @@ class TestForcingTerm:
     def test_unit_impulse(self):
         eps = np.zeros(8)
         eps[0] = 1.0
-        noise = ScalarNoise(eps_bar=eps, eta_bar=np.zeros(8), seed=None)
+        noise = ScalarNoise(eps_bar=eps, eta_bar=np.zeros(8))
         h = forcing_series(noise, 1.0, 0.5)
         assert h[0] == pytest.approx(-0.5, abs=1e-15)
         assert h[1] == 0.0
@@ -491,4 +491,19 @@ class TestScalarNoise:
         noise = scalar_noise_from_vector(params, path)
         assert_allclose(noise.eps_bar, path.epsilon @ params.b, rtol=0, atol=0)
         assert_allclose(noise.eta_bar, path.eta @ params.a, rtol=0, atol=0)
-        assert noise.seed == 9
+
+    @pytest.mark.parametrize("eps_law, eta_law", [
+        ((0.0, 1.0), (0.0, 1.6)),
+        ((0.5, 0.0), (-2.0, 3.0)),
+        ((0.0, -0.0), (0.0, 2.0)),
+    ])
+    def test_bitwise_equal_to_the_single_agent_vector_draw(self, eps_law, eta_law):
+        # the scalar series are the n = 1 vector path of T + 2 steps, bit for bit
+        T, seed = 40, 2**64 - 1
+        noise = sample_scalar_noise(eps_law, eta_law, T, seed)
+        params = validate_params({"n": 1, "alpha": 0.2, "beta": 0.6, "a": [1.0], "b": [1.0]})
+        spec = validate_noise({"mu": [eps_law[0], eta_law[0]],
+                               "sigma": [abs(eps_law[1]), eta_law[1]]}, 1)
+        path = sample_noise_path(spec, params, T + 2, seed)
+        assert noise.eps_bar.tobytes() == path.epsilon[:, 0].tobytes()
+        assert noise.eta_bar.tobytes() == path.eta[:, 0].tobytes()

@@ -81,9 +81,13 @@ class TestValidateNoise:
         with pytest.raises(DimensionMismatch):
             validate_noise({"mu": [0.0] * 4, "sigma": [1.0] * 6}, 3)
 
-    def test_zero_sigma_rejected(self):
+    def test_zero_sigma_accepted(self):
+        spec = validate_noise({"mu": [0.0] * 4, "sigma": [1.0, 1.0, 0.0, -0.0]}, 2)
+        assert spec.sigma.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    def test_negative_sigma_rejected(self):
         with pytest.raises(ParameterError):
-            validate_noise({"mu": [0.0] * 4, "sigma": [1.0, 1.0, 0.0, 1.0]}, 2)
+            validate_noise({"mu": [0.0] * 4, "sigma": [1.0, 1.0, -1e-300, 1.0]}, 2)
 
 
 class TestTransitionMatrix:

@@ -58,26 +58,27 @@ class TestNoisePath:
         eta = rng.normal(spec.mu[n:], spec.sigma[n:], (T, n))
         assert np.array_equal(path.epsilon, eps) and np.array_equal(path.eta, eta)
 
-    @pytest.mark.parametrize("zero_noise", [False, True])
-    def test_replication_batch_stacks_the_paths_drawn_in_turn(self, zero_noise):
+    @pytest.mark.parametrize("zero_sigma", [False, True])
+    def test_replication_batch_stacks_the_paths_drawn_in_turn(self, zero_sigma):
+        sigma = [0.0] * 4 if zero_sigma else [0.2, 1.5, 3.0, 0.9]
         params, spec = setup_model(n=2, alpha=0.3, beta=0.7, mu=[0.5, -1.0, 2.0, 0.0],
-                                   sigma=[0.2, 1.5, 3.0, 0.9])
+                                   sigma=sigma)
         seed = 2**64 - 1
-        batch = sample_noise_path(spec, params, 7, np.random.default_rng(seed),
-                                  zero_noise=zero_noise, reps=3)
-        assert batch.gamma.shape == (3, 7, 4) and batch.seed is None
+        batch = sample_noise_path(spec, params, 7, np.random.default_rng(seed), reps=3)
+        assert batch.gamma.shape == (3, 7, 4)
         rng = np.random.default_rng(seed)
         for k in range(3):
-            path = sample_noise_path(spec, params, 7, rng, zero_noise=zero_noise)
+            path = sample_noise_path(spec, params, 7, rng)
             for name in ("epsilon", "eta", "gamma"):
                 assert np.array_equal(getattr(batch, name)[k], getattr(path, name))
         # an integer seed draws what its generator's first draw is
-        first = sample_noise_path(spec, params, 7, seed, zero_noise=zero_noise)
-        assert first.seed == seed and np.array_equal(first.gamma, batch.gamma[0])
+        first = sample_noise_path(spec, params, 7, seed)
+        assert np.array_equal(first.gamma, batch.gamma[0])
 
     def test_zero_noise_flag(self):
-        params, spec = setup_model(mu=[0.5] * 6)
-        path = sample_noise_path(spec, params, 8, seed=3, zero_noise=True)
+        # a zero sigma draws exactly the mean
+        params, spec = setup_model(mu=[0.5] * 6, sigma=[0.0] * 6)
+        path = sample_noise_path(spec, params, 8, seed=3)
         assert np.all(path.epsilon == 0.5) and np.all(path.eta == 0.5)
 
     def test_coordinate_laws(self):
@@ -100,18 +101,17 @@ class TestNoisePath:
 
 class TestRecursive:
     def test_zero_fixed_point(self):
-        params, spec = setup_model()
+        params, spec = setup_model(sigma=[0.0] * 6)
         M = build_transition_matrix(params)
-        path = sample_noise_path(spec, params, 30, seed=0, zero_noise=True)
+        path = sample_noise_path(spec, params, 30, seed=0)
         traj = simulate_recursive(params, M, np.zeros(6), path)
         assert np.all(traj.z == 0.0)
-        assert traj.method == "recursive"
         assert traj.z.shape == (31, 6)
 
     def test_zero_noise_is_matrix_power(self):
-        params, spec = setup_model()
+        params, spec = setup_model(sigma=[0.0] * 6)
         M = build_transition_matrix(params)
-        path = sample_noise_path(spec, params, 12, seed=0, zero_noise=True)
+        path = sample_noise_path(spec, params, 12, seed=0)
         z0 = np.arange(6, dtype=float)
         traj = simulate_recursive(params, M, z0, path)
         for t in (1, 5, 12):
@@ -156,9 +156,9 @@ class TestRecursive:
         assert np.all(np.isfinite(traj.z))
 
     def test_non_finite_state_reports_first_t(self):
-        params, spec = setup_model(alpha=-5.0, beta=3.0)  # spectral radius 6
+        params, spec = setup_model(alpha=-5.0, beta=3.0, sigma=[0.0] * 6)  # spectral radius 6
         M = build_transition_matrix(params)
-        path = sample_noise_path(spec, params, 500, seed=0, zero_noise=True)
+        path = sample_noise_path(spec, params, 500, seed=0)
         with pytest.raises(NonFiniteState) as info:
             simulate_recursive(params, M, np.ones(6), path)
         assert 300 < info.value.t <= 500
@@ -173,12 +173,11 @@ class TestExplicit:
         z0 = np.array([1.0, -1.0, 0.5, 0.0, 2.0, -0.3])
         traj = simulate_explicit(params, dec, z0, path)
         assert_allclose(traj.z[1], M.entries @ z0 + path.gamma[0], rtol=1e-12, atol=1e-14)
-        assert traj.method == "explicit"
 
     def test_homogeneous_part(self):
-        params, spec = setup_model()
+        params, spec = setup_model(sigma=[0.0] * 6)
         dec = decompose(params)
-        path = sample_noise_path(spec, params, 10, seed=0, zero_noise=True)
+        path = sample_noise_path(spec, params, 10, seed=0)
         z0 = np.arange(6, dtype=float)
         traj = simulate_explicit(params, dec, z0, path)
         for t in (1, 4, 10):
@@ -225,9 +224,9 @@ class TestExplicit:
         assert np.max(np.abs(rec.z - exp.z)) < 1e-8 * (1.0 + np.max(np.abs(rec.z)))
 
     def test_non_finite_state_reports_first_t(self):
-        params, spec = setup_model(alpha=-5.0, beta=3.0)  # spectral radius 7.6
+        params, spec = setup_model(alpha=-5.0, beta=3.0, sigma=[0.0] * 6)  # spectral radius 7.6
         dec = decompose(params)
-        path = sample_noise_path(spec, params, 500, seed=0, zero_noise=True)
+        path = sample_noise_path(spec, params, 500, seed=0)
         with pytest.raises(NonFiniteState) as info:
             simulate_explicit(params, dec, np.ones(6), path)
         t = info.value.t
@@ -239,9 +238,9 @@ class TestExplicit:
 
 class TestAggregates:
     def test_constant_state(self):
-        params, spec = setup_model()
+        params, spec = setup_model(sigma=[0.0] * 6)
         M = build_transition_matrix(params)
-        path = sample_noise_path(spec, params, 1, seed=0, zero_noise=True)
+        path = sample_noise_path(spec, params, 1, seed=0)
         traj = simulate_recursive(params, M, np.full(6, 3.25), path)
         agg = aggregates(traj, params)
         assert agg.xbar[0] == pytest.approx(3.25, abs=1e-15)
@@ -251,8 +250,8 @@ class TestAggregates:
         params = validate_params(
             {"n": 2, "alpha": 0.1, "beta": 0.9, "a": [0.5, 0.5], "b": [0.6, 0.4]}
         )
-        spec = validate_noise({"mu": [0.0] * 4, "sigma": [1.0] * 4}, 2)
-        path = sample_noise_path(spec, params, 1, seed=0, zero_noise=True)
+        spec = validate_noise({"mu": [0.0] * 4, "sigma": [0.0] * 4}, 2)
+        path = sample_noise_path(spec, params, 1, seed=0)
         M = build_transition_matrix(params)
         traj = simulate_recursive(params, M, np.array([1.0, -1.0, 0.0, 0.0]), path)
         agg = aggregates(traj, params)
@@ -277,14 +276,6 @@ class TestAggregates:
         r2 = agg.ybar[1:] - ((1 - beta) * agg.ybar[:-1] - beta * agg.xbar[:-1] - beta * nbar)
         assert np.max(np.abs(r1)) < 1e-12 * scale
         assert np.max(np.abs(r2)) < 1e-12 * scale
-
-
-def test_noise_path_from_arrays_has_no_seed():
-    eps = np.zeros((4, 2))
-    eta = np.ones((4, 2))
-    path = NoisePath(eps, eta, alpha=0.5, beta=0.25, seed=None)
-    assert path.seed is None
-    assert np.all(path.gamma[:, 2:] == -0.25)
 
 
 def test_single_agent_simulation_supported():
