@@ -29,6 +29,9 @@ from .errors import ConfigError, NonFiniteResult, RangeError, TooShort, Varcycle
 from .model import (
     ModelParams,
     NoiseSpec,
+    TransitionMatrix,
+    _agent_count,
+    _integer,
     build_transition_matrix,
     lint_params,
     validate_noise,
@@ -42,7 +45,8 @@ from .simulate import (
     simulate_explicit,
     simulate_recursive,
 )
-from .spectral import BOUNDARY_TOL, decompose, verify_block_basis, verify_decomposition
+from .spectral import (BOUNDARY_TOL, SpectralDecomposition, decompose, verify_block_basis,
+                       verify_decomposition)
 
 DEFAULT_SEED = 0
 BENCHMARK = {"alpha": 1.09804, "beta": 0.7, "T": 700, "eps_sd": 1.0, "eta_sd": 1.6}
@@ -86,9 +90,9 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(doc: dict, args: argparse.Namespace | None = None
-                   ) -> tuple[ModelParams, NoiseSpec, dict, dict, int, int, np.ndarray]:
-    """Validate the model, fill defaults, and return the echo pieces and
-    the resolved T, seed and z0.  A flag of `args` named after a run or
+                   ) -> tuple[ModelParams, NoiseSpec, dict, dict, np.ndarray]:
+    """Validate the model, fill defaults, and return the echo pieces (`run`
+    with T and seed parsed) and z0.  A flag of `args` named after a run or
     output key overrides it (`simulate --out` is `path`).  The whole run
     section is checked in every subcommand, so every echoed config reruns."""
     params = validate_params(doc)
@@ -103,24 +107,13 @@ def resolve_config(doc: dict, args: argparse.Namespace | None = None
         section.update({k: flags[k] for k in section if flags.get(k) is not None})
     if run["method"] not in ("recursive", "explicit", "both"):
         raise ConfigError(f"run.method must be recursive|explicit|both, got {run['method']!r}")
-    T, seed = _run_int(run, "T"), _run_int(run, "seed")
+    T = run["T"] = _integer(run["T"], "run.T", ConfigError)
+    seed = run["seed"] = _integer(run["seed"], "run.seed", ConfigError)
     if T < 1:
         raise RangeError(f"T must be >= 1, got {T}")
     if seed < 0:
         raise RangeError(f"seed must be >= 0, got {seed}")
-    return params, noise, run, output, T, seed, _resolve_z0(str(run["z0"]), params.n)
-
-
-def _run_int(run: dict, key: str) -> int:
-    """run[key] as an int.  A boolean or a fractional number is rejected
-    rather than truncated, so the echoed config reproduces the run."""
-    raw = run[key]
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ConfigError(f"run.{key} must be an integer, got {raw!r}")
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"run.{key} must be an integer: {exc}") from exc
+    return params, noise, run, output, _resolve_z0(str(run["z0"]), params.n)
 
 
 def _resolve_z0(spec: str, n: int) -> np.ndarray:
@@ -167,7 +160,7 @@ def _model_from_args(args: argparse.Namespace) -> dict:
         return load_config(args.config)
     if args.n is None or args.alpha is None or args.beta is None:
         raise ConfigError("model requires --config or all of --n/--alpha/--beta (+ --a/--b)")
-    n = args.n
+    n = _agent_count(args.n)
     doc: dict[str, Any] = {
         "n": n,
         "alpha": args.alpha,
@@ -399,9 +392,18 @@ def _method_deviation(recursive: Trajectory, explicit: Trajectory) -> tuple[floa
     return dev, dev / (1.0 + float(np.max(np.abs(recursive.z))))
 
 
+def _basis_residuals(M: TransitionMatrix, dec: SpectralDecomposition) -> dict[str, Any] | None:
+    """The residuals of the basis Q = (R, V) and their verdict; None without V."""
+    if dec.V is None:
+        return None
+    check = verify_decomposition(M, dec.R, dec.V, (dec.eig.lambda3, dec.eig.lambda4))
+    return {"mq_qj": check.residual_mq_qj, "qqinv": check.residual_qqinv,
+            "similarity": check.residual_similarity, "passed": check.passed}
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     timer = _Timer()
-    params, noise, run, output, *_ = resolve_config(_model_from_args(args), args)
+    params, noise, run, output, _ = resolve_config(_model_from_args(args), args)
     timer.mark("validate")
 
     dec = decompose(params)
@@ -413,25 +415,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "d2": dec.boundaries.d2,
         "delta": dec.boundaries.delta,
         "eigenvalues": [
-            {"value": _jsonable(v), "multiplicity": m}
-            for v, m in dec.eig.eigenvalues_with_multiplicity()
+            {"value": v, "multiplicity": m} for v, m in dec.eig.eigenvalues_with_multiplicity()
         ],
-        "blocks": _jsonable(dec.blocks),
+        "blocks": dec.blocks,
         "tau_minus": dec.tau_minus,
         "tau_plus": dec.tau_plus,
         "tau_tilde": dec.tau_tilde,
         "basis_available": dec.V is not None,
-        "residuals": None,
+        "residuals": _basis_residuals(M, dec),
         "lint": lint_params(params),
     }
-    if dec.V is not None:
-        check = verify_decomposition(M, dec.R, dec.V, (dec.eig.lambda3, dec.eig.lambda4))
-        payload["residuals"] = {
-            "mq_qj": check.residual_mq_qj,
-            "qqinv": check.residual_qqinv,
-            "similarity": check.residual_similarity,
-            "passed": check.passed,
-        }
     timer.mark("compute")
 
     if args.dump_matrices:
@@ -446,14 +439,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     timer = _Timer()
-    params, noise, run, output, T, seed, z0 = resolve_config(_model_from_args(args), args)
+    params, noise, run, output, z0 = resolve_config(_model_from_args(args), args)
     if not output["path"]:
         raise ConfigError("simulate requires an output path (--out or output.path)")
     if args.zero_noise:
         noise = validate_noise({"mu": noise.mu, "sigma": np.zeros(2 * params.n)}, params.n)
     timer.mark("validate")
 
-    noises = sample_noise_path(noise, params, T, seed)
+    noises = sample_noise_path(noise, params, run["T"], run["seed"])
     M = build_transition_matrix(params)
 
     trajectories = {}
@@ -474,9 +467,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     payload: dict[str, Any] = {
         "method": run["method"],
-        "T": T,
-        "seed": seed,
-        "rows": T + 1,
+        "T": run["T"],
+        "seed": run["seed"],
+        "rows": run["T"] + 1,
         "files": files,
         "zero_noise": not bool(noise.sigma.any()),
         "lint": lint_params(params),
@@ -490,7 +483,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     timer = _Timer()
-    params, noise, run, output, _, seed, _ = resolve_config(_model_from_args(args), args)
+    params, noise, run, output, _ = resolve_config(_model_from_args(args), args)
     timer.mark("validate")
 
     dec = decompose(params)
@@ -501,7 +494,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     mc_estimate = None
     if args.mc_reps:
         mc_estimate = moments_mod.mc_cross_covariance(params, noise, inputs.G, t_grid,
-                                                      tau_grid, args.mc_reps, seed)
+                                                      tau_grid, args.mc_reps, run["seed"])
     limits = moments_mod.limiting_moments(inputs, dec)
     timer.mark("compute")
 
@@ -591,7 +584,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     timer = _Timer()
-    params, noise, run, output, T, seed, z0 = resolve_config(load_config(args.config))
+    params, noise, run, output, z0 = resolve_config(load_config(args.config))
     timer.mark("validate")
 
     checks: list[dict[str, Any]] = []
@@ -614,20 +607,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     dec = decompose(params)
     record("regime", "pass", dec.regime.value)
-    if dec.V is not None:
-        check = verify_decomposition(M, dec.R, dec.V, (dec.eig.lambda3, dec.eig.lambda4))
-        record(
-            "decomposition_residuals",
-            "pass" if check.passed else "fail",
-            f"mq_qj={check.residual_mq_qj:.3e} qqinv={check.residual_qqinv:.3e} "
-            f"similarity={check.residual_similarity:.3e}",
-        )
-    else:
+    if (residuals := _basis_residuals(M, dec)) is None:
         record("decomposition_residuals", "skipped", "no explicit basis in this regime")
+    else:
+        passed = residuals.pop("passed")
+        record("decomposition_residuals", "pass" if passed else "fail",
+               " ".join(f"{k}={v:.3e}" for k, v in residuals.items()))
     r1, r2, ok = verify_block_basis(M, dec.R)
     record("block_basis_residuals", "pass" if ok else "fail", f"mr_rj={r1:.3e} rrinv={r2:.3e}")
 
-    noises = sample_noise_path(noise, params, T, seed)
+    noises = sample_noise_path(noise, params, run["T"], run["seed"])
     traj = simulate_recursive(params, M, z0, noises)
     _, dev = _method_deviation(traj, simulate_explicit(params, dec, z0, noises))
     record("explicit_equals_recursive", "pass" if dev < 1e-8 else "fail",

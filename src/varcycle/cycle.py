@@ -190,15 +190,16 @@ def simulate_cycle(
 ) -> np.ndarray:
     """Iterate xbar(t+2) = -kappa1 xbar(t+1) - kappa2 xbar(t) + h(t).
 
-    Raises RangeError for a non-finite x0 or x1, and NonFiniteState at
-    the first t >= 2 whose state overflowed.
+    Raises RangeError for a non-finite x0 or x1 or noise shorter than the
+    horizon, and NonFiniteState at the first t >= 2 whose state overflowed.
     """
     if T < 2:
         raise RangeError(f"T must be >= 2, got {T}")
     if not (np.isfinite(x0) and np.isfinite(x1)):
         raise RangeError(f"initial state must be finite, got x0={x0}, x1={x1}")
     if len(noise.eps_bar) < T or len(noise.eta_bar) < T - 1:
-        raise IndexError("noise series do not cover the requested horizon")
+        raise RangeError(f"noise series of lengths {len(noise.eps_bar)} and "
+                         f"{len(noise.eta_bar)} do not cover T={T}, which needs {T} and {T - 1}")
     within = ScalarNoise(noise.eps_bar[:T], noise.eta_bar[: T - 1])
     return _recurse(model.kappa1, model.kappa2, x0, x1,
                     forcing_series(within, model.alpha, model.beta).tolist())

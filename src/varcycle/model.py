@@ -90,30 +90,43 @@ class TransitionMatrix:
         return _frozen(np.vstack([top, bottom]))
 
 
-def _agent_count(raw: Any) -> int:
+def _numbers(raw: Any, name: str, error: type[ValueError]) -> np.ndarray:
+    """``raw``, a number or a flat list of them, as a float array.
+
+    Only ints and floats, Python or numpy, are numbers: a boolean, text,
+    None or a nested list raises ``error``, also as one entry of a list.
+    """
+    if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf"):
+        items = raw.ravel() if isinstance(raw, np.ndarray) else (
+            raw if isinstance(raw, (list, tuple)) else (raw,))
+        # one C-level pass for the types; bool is an int subclass
+        bad = sorted(k.__name__ for k in set(map(type, items)) if issubclass(k, bool)
+                     or not issubclass(k, (int, float, np.integer, np.floating)))
+        if bad:
+            raise error(f"{name} must hold numbers, not {', '.join(bad)}")
     try:
-        n = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        n = 0
-    if n < 1 or n != raw:
+        return np.asarray(raw, dtype=float)
+    except OverflowError as exc:
+        raise error(f"{name} must hold numbers: {exc}") from exc
+
+
+def _integer(raw: Any, name: str, error: type[ValueError]) -> int:
+    """``raw`` as an int: one number with no fractional part, so 3.0 is 3."""
+    value = _numbers(raw, name, error)
+    if value.shape != () or not float(value).is_integer():
+        raise error(f"{name} must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def _agent_count(raw: Any) -> int:
+    if (n := _integer(raw, "n", DimensionMismatch)) < 1:
         raise DimensionMismatch(f"n must be a positive integer, got {raw!r}")
     return n
 
 
-def _numbers(raw: Any, name: str, error: type[ParameterError]) -> np.ndarray:
-    """``raw`` as a float array, or ``error`` when it holds a non-number."""
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{name} must hold numbers: {exc}") from exc
-
-
 def validate_pair(alpha: Any, beta: Any) -> tuple[float, float]:
     """Check the adjustment pair: both finite numbers, and not (0, 0) or (1, 1)."""
-    try:
-        alpha, beta = float(alpha), float(beta)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"alpha and beta must be numbers: {exc}") from exc
+    alpha, beta = _numbers([alpha, beta], "alpha and beta", ParameterError).tolist()
     if not (np.isfinite(alpha) and np.isfinite(beta)):
         raise ParameterError(f"alpha and beta must be finite, got ({alpha}, {beta})")
     if (alpha, beta) in ((0.0, 0.0), (1.0, 1.0)):
@@ -121,14 +134,13 @@ def validate_pair(alpha: Any, beta: Any) -> tuple[float, float]:
     return alpha, beta
 
 
-def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
+def validate_params(record: Mapping[str, Any]) -> ModelParams:
     """Validate a raw parameter record and return frozen ``ModelParams``.
 
     Weights are renormalized to sum exactly to one only when the raw sum
     is already within ``WEIGHT_SUM_TOL`` of one; a looser sum is rejected
     because it usually signals a modelling error rather than decimal
-    truncation.  Idempotent: validating a validated record returns an
-    equal record.
+    truncation.
 
     Raises
     ------
@@ -142,12 +154,6 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
     DimensionMismatch
         a or b does not have length n, or n is not a positive integer.
     """
-    if isinstance(raw, ModelParams):
-        record: Mapping[str, Any] = {
-            "n": raw.n, "alpha": raw.alpha, "beta": raw.beta, "a": raw.a, "b": raw.b,
-        }
-    else:
-        record = raw
     missing = [k for k in ("n", "alpha", "beta", "a", "b") if k not in record]
     if missing:
         raise ParameterError(f"missing parameter keys: {', '.join(missing)}")
@@ -170,15 +176,11 @@ def validate_params(raw: Mapping[str, Any] | ModelParams) -> ModelParams:
     return ModelParams(n=n, alpha=alpha, beta=beta, a=weights["a"], b=weights["b"])
 
 
-def validate_noise(raw: Mapping[str, Any] | NoiseSpec, n: int) -> NoiseSpec:
+def validate_noise(record: Mapping[str, Any], n: int) -> NoiseSpec:
     """Validate a noise record against agent count ``n``.
 
     Requires finite numeric mu and sigma of length exactly 2n with every sigma >= 0.
     """
-    if isinstance(raw, NoiseSpec):
-        record: Mapping[str, Any] = {"mu": raw.mu, "sigma": raw.sigma}
-    else:
-        record = raw
     missing = [k for k in ("mu", "sigma") if k not in record]
     if missing:
         raise ParameterError(f"missing noise keys: {', '.join(missing)}")

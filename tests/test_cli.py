@@ -234,6 +234,23 @@ class TestSimulate:
         assert code == 0 and report["payload"]["zero_noise"] is True
         assert (tmp_path / "rerun.csv").read_bytes() == first.read_bytes()
 
+    def test_integral_float_T_and_seed_echo_as_integers(self, capsys, tmp_path):
+        first = tmp_path / "first.csv"
+        cfg = config_with(tmp_path, run={"T": 12.0, "seed": 3.0})
+        code, report, _ = run_cli(capsys, "simulate", "--config", cfg, "--out", first)
+        assert code == 0
+        run = report["config_echo"]["run"]
+        assert type(run["T"]) is int and type(run["seed"]) is int
+        assert (run["T"], run["seed"]) == (12, 3)
+        assert (report["payload"]["T"], report["payload"]["seed"]) == (12, 3)
+        echo = report["config_echo"]
+        echo["output"]["path"] = str(tmp_path / "rerun.csv")
+        rerun = tmp_path / "rerun.json"
+        rerun.write_text(json.dumps(echo))
+        code, again, _ = run_cli(capsys, "simulate", "--config", rerun)
+        assert code == 0 and again["config_echo"]["run"] == run
+        assert (tmp_path / "rerun.csv").read_bytes() == first.read_bytes()
+
     def test_missing_out_is_validation_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 2, "alpha": 0.1, "beta": 0.9,
@@ -435,6 +452,37 @@ BAD_INPUTS = {
                                  "--out", p / "s.csv"], "ConfigError"),
     "run-seed-boolean": (lambda p: ["verify", "--config", config_with(p, run={"seed": False})],
                          "ConfigError"),
+    # one number rule: only JSON numbers count, with the field's error type
+    # true would run n = 1 if it counted as the integer 1
+    "n-boolean": (lambda p: ["decompose", "--config", config_with(p, n=True, a=[1.0], b=[1.0])],
+                  "DimensionMismatch"),
+    "alpha-numeric-text": (lambda p: ["decompose", "--config", config_with(p, alpha="0.1")],
+                           "ParameterError"),
+    "beta-boolean": (lambda p: ["decompose", "--config", config_with(p, beta=False)],
+                     "ParameterError"),
+    "a-boolean-at-n-1": (lambda p: ["decompose", "--config", config_with(
+        p, n=1, a=[True], b=[1.0])], "WeightViolation"),
+    "sigma-boolean": (lambda p: ["decompose", "--config", config_with(
+        p, noise={"mu": [0.0] * 4, "sigma": [1.0, True, 1.0, 1.0]})], "ParameterError"),
+    "run-T-numeric-text": (lambda p: ["simulate", "--config", config_with(p, run={"T": "12"}),
+                                      "--out", p / "s.csv"], "ConfigError"),
+    "decompose-n-zero": (lambda p: ["decompose", "--n", "0", "--alpha", "0.1", "--beta", "0.9"],
+                         "DimensionMismatch"),
+    "simulate-n-zero": (lambda p: ["simulate", "--n", "0", "--alpha", "0.1", "--beta", "0.9",
+                                   "--out", p / "s.csv"], "DimensionMismatch"),
+    "moments-n-zero": (lambda p: ["moments", "--n", "0", "--alpha", "0.1", "--beta", "0.9"],
+                       "DimensionMismatch"),
+    "config-section-not-object": (lambda p: ["decompose", "--config", config_with(
+        p, noise=[0.0, 1.0])], "ConfigError"),
+    "config-not-json": (lambda p: ["decompose", "--config", text_file(p / "c.json", "{n: 2")],
+                        "ConfigError"),
+    "run-method-unknown": (lambda p: ["simulate", "--config", config_with(
+        p, run={"method": "bogus"}), "--out", p / "s.csv"], "ConfigError"),
+    "config-and-model-flags": (lambda p: ["decompose", "--config", config_with(p), "--n", "2"],
+                               "ConfigError"),
+    "model-flags-without-beta": (lambda p: ["decompose", "--n", "2", "--alpha", "0.1"],
+                                 "ConfigError"),
+    "cycle-without-out": (lambda p: ["cycle", "--T", "10"], "ConfigError"),
     "config-missing": (lambda p: ["verify", "--config", p / "missing.json"],
                        "FileNotFoundError"),
     "config-is-directory": (lambda p: ["decompose", "--config", directory(p / "cfg")],

@@ -257,6 +257,17 @@ class TestSimulateCycle:
         x = per_step_cycle(m, noise, 1.0, 1.0, 2000)
         assert info.value.t == np.flatnonzero(~np.isfinite(x))[0]
 
+    def test_noise_shorter_than_horizon_is_range_error(self):
+        m = reduce_to_cycle(0.3, 0.6)
+        noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.0), 60, seed=0)
+        # eps covers T = 60 but eta holds one step fewer than the T - 1 it needs
+        short = ScalarNoise(noise.eps_bar[:60], noise.eta_bar[:58])
+        with pytest.raises(RangeError, match=r"lengths 60 and 58 do not cover T=60"):
+            simulate_cycle(m, short, 0.0, 0.0, 60)
+        with pytest.raises(RangeError, match=r"lengths 62 and 62 do not cover T=63"):
+            simulate_cycle(m, noise, 0.0, 0.0, 63)
+        assert simulate_cycle(m, noise, 0.0, 0.0, 62).shape == (63,)
+
     @pytest.mark.parametrize("alpha,beta", [(BENCH_ALPHA, BENCH_BETA), (0.1, 0.9), (0.5, 0.5)])
     def test_equals_per_step_forcing_loop(self, alpha, beta):
         m = reduce_to_cycle(alpha, beta)

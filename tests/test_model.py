@@ -56,11 +56,46 @@ class TestValidateParams:
         with pytest.raises(ParameterError):
             validate_params({"n": 2, "alpha": 0.1, "beta": 0.2, "a": [0.5, 0.5]})
 
-    def test_idempotent(self):
-        p = make_params(a=[0.2, 0.3, 0.5], b=[0.1, 0.2, 0.7])
-        q = validate_params(p)
-        assert q.n == p.n and q.alpha == p.alpha and q.beta == p.beta
-        assert np.array_equal(q.a, p.a) and np.array_equal(q.b, p.b)
+    @pytest.mark.parametrize("field,value,error", [
+        ("n", True, DimensionMismatch),
+        ("n", "3", DimensionMismatch),
+        ("n", np.float64(2.5), DimensionMismatch),
+        ("n", 0, DimensionMismatch),
+        ("alpha", "0.1", ParameterError),
+        ("alpha", None, ParameterError),
+        ("alpha", [0.1], ParameterError),
+        ("beta", np.bool_(True), ParameterError),
+        ("alpha", 10**400, ParameterError),
+        # np.asarray([0.5, True]) is float64: a dtype check alone would pass it
+        ("a", [0.5, True, 0.5], WeightViolation),
+        ("a", np.array([0.5, True, 0.5], dtype=object), WeightViolation),
+        ("a", np.array([True, True, True]), WeightViolation),
+        ("b", [[0.5], [0.25], [0.25]], WeightViolation),
+        ("b", np.array(["0.5", "0.25", "0.25"]), WeightViolation),
+    ])
+    def test_only_numbers_count(self, field, value, error):
+        record = {"n": 3, "alpha": 0.1, "beta": 0.9, "a": [0.5, 0.25, 0.25], "b": [0.5, 0.25, 0.25]}
+        with pytest.raises(error):
+            validate_params({**record, field: value})
+
+    def test_numpy_and_integral_numbers_accepted(self):
+        p = validate_params({"n": np.int64(3), "alpha": np.float32(0.5), "beta": 1,
+                             "a": np.array([2, 1, 1]) / 4, "b": (0.5, np.float64(0.25), 0.25)})
+        assert type(p.n) is int and p.n == 3
+        assert type(p.alpha) is float and type(p.beta) is float
+        assert validate_params({"n": 3.0, "alpha": 0.1, "beta": 0.9,
+                                "a": [1 / 3] * 3, "b": [1 / 3] * 3}).n == 3
+
+    def test_boolean_weight_at_n1_rejected(self):
+        # true would be the weight 1, which sums to one
+        with pytest.raises(WeightViolation):
+            validate_params({"n": 1, "alpha": 0.1, "beta": 0.9, "a": [True], "b": [1.0]})
+
+    def test_noise_holds_numbers_only(self):
+        with pytest.raises(ParameterError):
+            validate_noise({"mu": [0.0, None], "sigma": [1.0, 1.0]}, 1)
+        with pytest.raises(ParameterError):
+            validate_noise({"mu": [0.0, 0.0], "sigma": [1.0, False]}, 1)
 
     def test_n1_allowed(self):
         p = make_params(n=1, a=[1.0], b=[1.0])
