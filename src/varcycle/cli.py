@@ -92,10 +92,15 @@ def load_config(path: str) -> dict:
 def resolve_config(doc: dict, args: argparse.Namespace | None = None
                    ) -> tuple[ModelParams, NoiseSpec, dict, dict, np.ndarray]:
     """Validate the model, fill defaults, and return the echo pieces (`run`
-    with T and seed parsed) and z0.  A flag of `args` named after a run or
+    with T and seed parsed) and z0.  Missing weights are uniform and
+    missing noise is N(0, 1).  A flag of `args` named after a run or
     output key overrides it (`simulate --out` is `path`).  The whole run
     section is checked in every subcommand, so every echoed config reruns."""
-    params = validate_params(doc)
+    uniform = {}
+    if "n" in doc:
+        n = _agent_count(doc["n"])
+        uniform = {"a": [1.0 / n] * n, "b": [1.0 / n] * n}
+    params = validate_params({**uniform, **doc})
     noise_doc = doc.get("noise")
     if noise_doc is None:
         noise_doc = {"mu": [0.0] * (2 * params.n), "sigma": [1.0] * (2 * params.n)}
@@ -105,6 +110,8 @@ def resolve_config(doc: dict, args: argparse.Namespace | None = None
     flags = vars(args) if args is not None else {}
     for section in (run, output):
         section.update({k: flags[k] for k in section if flags.get(k) is not None})
+    if not isinstance(output["path"], (str, type(None))):
+        raise ConfigError(f"output.path must be a string or null, got {output['path']!r}")
     if run["method"] not in ("recursive", "explicit", "both"):
         raise ConfigError(f"run.method must be recursive|explicit|both, got {run['method']!r}")
     T = run["T"] = _integer(run["T"], "run.T", ConfigError)
@@ -146,34 +153,11 @@ def config_echo(params: ModelParams, noise: NoiseSpec, run: dict, output: dict) 
     }
 
 
-def _parse_numbers(text: str, kind: type = float) -> list:
+def _parse_ints(text: str) -> list[int]:
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated {kind.__name__}s, got {text!r}") from exc
-
-
-def _model_from_args(args: argparse.Namespace) -> dict:
-    if args.config is not None:
-        if any(getattr(args, k, None) is not None for k in ("n", "alpha", "beta", "a", "b")):
-            raise ConfigError("give the model either via --config or via flags, not both")
-        return load_config(args.config)
-    if args.n is None or args.alpha is None or args.beta is None:
-        raise ConfigError("model requires --config or all of --n/--alpha/--beta (+ --a/--b)")
-    n = _agent_count(args.n)
-    doc: dict[str, Any] = {
-        "n": n,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "a": _parse_numbers(args.a) if args.a else [1.0 / n] * n,
-        "b": _parse_numbers(args.b) if args.b else [1.0 / n] * n,
-    }
-    if args.noise_mu or args.noise_sigma:
-        doc["noise"] = {
-            "mu": _parse_numbers(args.noise_mu) if args.noise_mu else [0.0] * (2 * n),
-            "sigma": _parse_numbers(args.noise_sigma) if args.noise_sigma else [1.0] * (2 * n),
-        }
-    return doc
+        raise ConfigError(f"expected comma-separated ints, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +387,7 @@ def _basis_residuals(M: TransitionMatrix, dec: SpectralDecomposition) -> dict[st
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     timer = _Timer()
-    params, noise, run, output, _ = resolve_config(_model_from_args(args), args)
+    params, noise, run, output, _ = resolve_config(load_config(args.config), args)
     timer.mark("validate")
 
     dec = decompose(params)
@@ -439,11 +423,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     timer = _Timer()
-    params, noise, run, output, z0 = resolve_config(_model_from_args(args), args)
+    params, noise, run, output, z0 = resolve_config(load_config(args.config), args)
     if not output["path"]:
         raise ConfigError("simulate requires an output path (--out or output.path)")
-    if args.zero_noise:
-        noise = validate_noise({"mu": noise.mu, "sigma": np.zeros(2 * params.n)}, params.n)
     timer.mark("validate")
 
     noises = sample_noise_path(noise, params, run["T"], run["seed"])
@@ -457,7 +439,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trajectories["explicit"] = simulate_explicit(params, dec, z0, noises)
     timer.mark("compute")
 
-    base = str(output["path"])
+    base = output["path"]
     stem, ext = os.path.splitext(base)
     files: dict[str, str] = {}
     for name, traj in trajectories.items():
@@ -483,13 +465,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     timer = _Timer()
-    params, noise, run, output, _ = resolve_config(_model_from_args(args), args)
+    params, noise, run, output, _ = resolve_config(load_config(args.config), args)
     timer.mark("validate")
 
     dec = decompose(params)
     inputs = moments_mod.moment_inputs(params, noise)
-    t_grid = _parse_numbers(args.t_grid, int)
-    tau_grid = _parse_numbers(args.tau_grid, int)
+    t_grid = _parse_ints(args.t_grid)
+    tau_grid = _parse_ints(args.tau_grid)
     report = moments_mod.stationarity_diagnostic(inputs, dec, t_grid, tau_grid)
     mc_estimate = None
     if args.mc_reps:
@@ -543,7 +525,6 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     noise = cycle_mod.sample_scalar_noise((0.0, args.eps_sd), (0.0, args.eta_sd), T, args.seed)
     xbar = cycle_mod.simulate_cycle(model, noise, args.x0, args.x1, T)
     h = cycle_mod.forcing_series(noise, alpha, beta)[: T + 1]
-    atomic_write(args.out, cycle_csv(xbar, h))
 
     payload: dict[str, Any] = {
         "kappa1": model.kappa1,
@@ -570,6 +551,8 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         except TooShort as exc:
             warnings.append(f"period analysis skipped: {exc}")
     timer.mark("compute")
+    atomic_write(args.out, cycle_csv(xbar, h))
+    timer.mark("write")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     payload["warnings"] = warnings
@@ -649,17 +632,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON run configuration")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--a", help="comma-separated sentiment weights")
-    sub.add_argument("--b", help="comma-separated output weights")
-    sub.add_argument("--noise-mu", help="comma-separated means, length 2n")
-    sub.add_argument("--noise-sigma", help="comma-separated standard deviations, length 2n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varcycle",
@@ -669,23 +641,22 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("decompose", help="regime classification and explicit decomposition")
-    _add_model_flags(p)
+    p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--dump-matrices", metavar="DIR", help="write M, Q, Qinv as CSV")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_decompose)
 
     p = subs.add_parser("simulate", help="simulate trajectories")
-    _add_model_flags(p)
+    p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--T", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--method", choices=["recursive", "explicit", "both"])
     p.add_argument("--z0", help="'zeros' or 'csv:<path>'")
-    p.add_argument("--zero-noise", action="store_true", help="set every noise sigma to 0")
     p.add_argument("--out", dest="path", help="trajectory CSV path")
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("moments", help="covariance grids, stationarity gap, limits")
-    _add_model_flags(p)
+    p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--t-grid", default="2,5,10")
     p.add_argument("--tau-grid", default="0,1")
     p.add_argument("--mc-reps", type=int, default=0)

@@ -8,8 +8,9 @@ is z_{t+1} = M z_t + gamma_t with the block matrix M built here.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -124,6 +125,15 @@ def _agent_count(raw: Any) -> int:
     return n
 
 
+def _require(record: Any, keys: tuple[str, ...], what: str) -> None:
+    """Check that ``record`` is a mapping that holds every key of ``keys``."""
+    if not isinstance(record, Mapping):
+        raise ParameterError(f"{what} record must be a mapping, not {type(record).__name__}")
+    missing = [k for k in keys if k not in record]
+    if missing:
+        raise ParameterError(f"missing {what} keys: {', '.join(missing)}")
+
+
 def validate_pair(alpha: Any, beta: Any) -> tuple[float, float]:
     """Check the adjustment pair: both finite numbers, and not (0, 0) or (1, 1)."""
     alpha, beta = _numbers([alpha, beta], "alpha and beta", ParameterError).tolist()
@@ -148,15 +158,14 @@ def validate_params(record: Mapping[str, Any]) -> ModelParams:
         Nonpositive, non-finite or non-numeric weight entry, or weight sum
         off by more than the tolerance.
     ParameterError
-        alpha or beta is not a finite number.
+        record is not a mapping or lacks a key, or alpha or beta is not a
+        finite number.
     ForbiddenPair
         (alpha, beta) equal to (0, 0) or (1, 1).
     DimensionMismatch
         a or b does not have length n, or n is not a positive integer.
     """
-    missing = [k for k in ("n", "alpha", "beta", "a", "b") if k not in record]
-    if missing:
-        raise ParameterError(f"missing parameter keys: {', '.join(missing)}")
+    _require(record, ("n", "alpha", "beta", "a", "b"), "parameter")
 
     n = _agent_count(record["n"])
     alpha, beta = validate_pair(record["alpha"], record["beta"])
@@ -181,9 +190,7 @@ def validate_noise(record: Mapping[str, Any], n: int) -> NoiseSpec:
 
     Requires finite numeric mu and sigma of length exactly 2n with every sigma >= 0.
     """
-    missing = [k for k in ("mu", "sigma") if k not in record]
-    if missing:
-        raise ParameterError(f"missing noise keys: {', '.join(missing)}")
+    _require(record, ("mu", "sigma"), "noise")
     mu = _numbers(record["mu"], "noise mu", ParameterError)
     sigma = _numbers(record["sigma"], "noise sigma", ParameterError)
     if mu.shape != (2 * n,):

@@ -88,12 +88,10 @@ class EigenStructure:
     lambda4: float | complex
 
     def eigenvalues_with_multiplicity(self) -> list[tuple[float | complex, int]]:
-        return [
-            (self.lambda1, self.n - 1),
-            (self.lambda2, self.n - 1),
-            (self.lambda3, 1),
-            (self.lambda4, 1),
-        ]
+        """The eigenvalues and their multiplicities, leaving out lambda1 and
+        lambda2 at n = 1, where they are not eigenvalues."""
+        return [(v, m) for v, m in ((self.lambda1, self.n - 1), (self.lambda2, self.n - 1),
+                                    (self.lambda3, 1), (self.lambda4, 1)) if m]
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ class SpectralDecomposition:
     lambda4, n = 1 and alpha*beta = 0 included) the eigenvectors V of the
     aggregate map, each of max-norm 1, from which the paper's basis Q (its
     aggregate entries at most 1 in magnitude) and its inverse are built on
-    first read; ``diag`` is the gate to them.
+    first read; both are None where V is.
 
     ``blocks`` lists runs (eigenvalue, block size, count) of equal Jordan
     blocks in basis-column order, at most four; ``None`` in the complex
@@ -190,10 +188,10 @@ class SpectralDecomposition:
         """Diagonal d of the normal form, so that M Q = Q diag(d): lambda1
         n-1 times, lambda3, lambda2 n-1 times, lambda4.
 
-        The one gate for every computation that uses Q: raises
-        WrongRegime whenever Q is None, which covers the complex and
-        repeated-root regimes and the diagonalizable points whose two
-        quadratic roots round to one value.
+        A view for callers and tests: nothing in the package reads it, and
+        code that needs Q tests ``V is None``.  Raises WrongRegime wherever
+        Q is None: in the complex and repeated-root regimes and at the
+        diagonalizable points whose two quadratic roots round to one value.
         """
         eig = self.eig
         if self.V is None:

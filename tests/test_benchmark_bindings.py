@@ -52,18 +52,22 @@ def test_traced_subcommands_fill_every_layer(capsys, tmp_path):
     config.write_text(json.dumps({"n": 3, "alpha": 0.1, "beta": 0.9,
                                   "a": [0.2, 0.3, 0.5], "b": [0.4, 0.4, 0.2],
                                   "run": {"T": 50, "seed": 3}}))
-    benchmark = ["--n", "3", "--alpha", "1.09804", "--beta", "0.7"]
+    # the paper's benchmark: complex regime, where no Q exists to read
+    benchmark = tmp_path / "benchmark.json"
+    benchmark.write_text(json.dumps({"n": 3, "alpha": 1.09804, "beta": 0.7,
+                                     "a": [1.0 / 3] * 3, "b": [1.0 / 3] * 3}))
+    uniform = tmp_path / "uniform.json"
+    uniform.write_text(json.dumps({"n": 3, "alpha": 0.1, "beta": 0.9,
+                                   "a": [1.0 / 3] * 3, "b": [1.0 / 3] * 3}))
     calls = [
-        ["decompose", "--n", "3", "--alpha", "0.1", "--beta", "0.9",
-         "--dump-matrices", str(tmp_path / "mats")],
+        ["decompose", "--config", str(uniform), "--dump-matrices", str(tmp_path / "mats")],
         ["verify", "--config", str(config)],
         ["simulate", "--config", str(config), "--method", "both",
          "--out", str(tmp_path / "traj.csv")],
         ["moments", "--config", str(config), "--mc-reps", "4"],
         ["cycle", "--analyze", "--T", "100", "--out", str(tmp_path / "cycle.csv")],
-        # the paper's benchmark: complex regime, where no Q exists to read
-        ["moments", *benchmark, "--mc-reps", "4"],
-        ["simulate", *benchmark, "--T", "50", "--method", "both",
+        ["moments", "--config", str(benchmark), "--mc-reps", "4"],
+        ["simulate", "--config", str(benchmark), "--T", "50", "--method", "both",
          "--out", str(tmp_path / "bench.csv")],
     ]
     tracer = load_tracer().Tracer(run_id="bindings")

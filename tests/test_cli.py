@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -45,29 +46,29 @@ def run_cli(capsys, *argv):
 
 
 class TestDecompose:
-    def test_complex_regime_reports_no_basis(self, capsys):
+    def test_complex_regime_reports_no_basis(self, capsys, tmp_path):
         code, report, _ = run_cli(
-            capsys, "decompose", "--n", "2", "--alpha", "1.09804", "--beta", "0.7"
+            capsys, "decompose", "--config", config_with(tmp_path, alpha=1.09804, beta=0.7)
         )
         assert code == 0
         assert report["payload"]["regime"] == "complex_conjugate"
         assert report["payload"]["basis_available"] is False
         assert report["payload"]["residuals"] is None
 
-    def test_diagonalizable_residuals_pass(self, capsys):
+    def test_diagonalizable_residuals_pass(self, capsys, tmp_path):
         code, report, _ = run_cli(
-            capsys, "decompose", "--n", "3", "--alpha", "0.1", "--beta", "0.9"
+            capsys, "decompose", "--config", uniform_config(tmp_path, 3, 0.1, 0.9)
         )
         assert code == 0
         res = report["payload"]["residuals"]
         assert res["passed"] is True
         assert res["mq_qj"] < 1e-12 and res["qqinv"] < 1e-12
 
-    def test_zero_alpha_keeps_the_eigenvalue_one(self, capsys):
+    def test_zero_alpha_keeps_the_eigenvalue_one(self, capsys, tmp_path):
         # alpha*beta == 0 factors the quadratic exactly into (lam - 1)(lam - 1 + beta):
         # two distinct roots however small beta is, not a double root at 1 - beta/2
-        code, report, _ = run_cli(capsys, "decompose", "--n", "2", "--alpha", "0",
-                                  "--beta", "1e-6")
+        code, report, _ = run_cli(capsys, "decompose", "--config",
+                                  config_with(tmp_path, alpha=0.0, beta=1e-6))
         assert code == 0
         payload = report["payload"]
         assert payload["regime"] == "diagonalizable_real"
@@ -79,30 +80,43 @@ class TestDecompose:
         assert payload["residuals"]["passed"] is True
 
     @pytest.mark.parametrize("alpha", ["1e-200", "1e-310", "5e-324"])
-    def test_tiny_alpha_reports_a_passing_basis(self, capsys, alpha):
+    def test_tiny_alpha_reports_a_passing_basis(self, capsys, tmp_path, alpha):
         # V divides by nothing, so a subnormal alpha has a basis too, and no warning
+        cfg = config_with(tmp_path, alpha=float(alpha), beta=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, report, err = run_cli(capsys, "decompose", "--n", "2", f"--alpha={alpha}",
-                                        "--beta", "1")
+            code, report, err = run_cli(capsys, "decompose", "--config", cfg)
         assert code == 0, err
         assert report["payload"]["regime"] == "diagonalizable_real"
         assert report["payload"]["basis_available"] is True
         assert report["payload"]["residuals"]["passed"] is True
 
-    def test_blocks_are_runs(self, capsys):
-        code, report, _ = run_cli(capsys, "decompose", "--n", "50", "--alpha", "0.1",
-                                  "--beta", "0.9")
+    def test_blocks_are_runs(self, capsys, tmp_path):
+        code, report, _ = run_cli(capsys, "decompose", "--config",
+                                  uniform_config(tmp_path, 50, 0.1, 0.9))
         assert code == 0
         blocks = report["payload"]["blocks"]
         assert [(size, count) for _, size, count in blocks] == [(1, 49), (1, 1), (1, 49), (1, 1)]
         eig = [e["value"] for e in report["payload"]["eigenvalues"]]
         assert [value for value, _, _ in blocks] == [eig[0], eig[2], eig[1], eig[3]]
 
-    def test_boundary_tolerance_is_not_an_option(self, capsys):
+    def test_one_agent_lists_only_the_two_eigenvalues(self, capsys, tmp_path):
+        # at n = 1, M is 2x2: 1 - alpha and 1 - beta are not its eigenvalues
+        cfg = config_with(tmp_path, n=1, alpha=0.3, beta=0.6, a=[1.0], b=[1.0])
+        code, report, _ = run_cli(capsys, "decompose", "--config", cfg)
+        assert code == 0
+        eigenvalues = report["payload"]["eigenvalues"]
+        assert [e["multiplicity"] for e in eigenvalues] == [1, 1]
+        listed = sorted((complex(e["value"]["re"], e["value"]["im"]) for e in eigenvalues),
+                        key=lambda v: v.imag)
+        M = varcycle.build_transition_matrix(validate_params(json.loads(cfg.read_text())))
+        exact = sorted(np.linalg.eigvals(M.entries), key=lambda v: v.imag)
+        assert np.allclose(listed, exact, rtol=0, atol=1e-15)
+
+    def test_boundary_tolerance_is_not_an_option(self, capsys, tmp_path):
         # a looser tolerance once reported a double root where the
         # quadratic factor has two distinct real roots
-        flags = ["decompose", "--n", "3", "--alpha", "0.1", "--beta", "0.9"]
+        flags = ["decompose", "--config", str(uniform_config(tmp_path, 3, 0.1, 0.9))]
         with pytest.raises(SystemExit) as exc:
             main(flags + ["--boundary-tol", "10"])
         assert exc.value.code == 2
@@ -115,7 +129,7 @@ class TestDecompose:
     def test_dump_matrices_round_trip(self, capsys, tmp_path):
         out = tmp_path / "mats"
         code, report, _ = run_cli(
-            capsys, "decompose", "--n", "3", "--alpha", "0.1", "--beta", "0.9",
+            capsys, "decompose", "--config", uniform_config(tmp_path, 3, 0.1, 0.9),
             "--dump-matrices", out,
         )
         assert code == 0
@@ -207,10 +221,13 @@ class TestSimulate:
         assert float(first_row[1]) == 0.5
 
     def test_zero_noise_flag(self, capsys, tmp_path, diag_config):
-        config_path, _ = diag_config
+        # every sigma 0: the report's zero_noise flag is set
+        config_path, doc = diag_config
+        doc["noise"]["sigma"] = [0.0] * 6
+        config_path.write_text(json.dumps(doc))
         code, report, _ = run_cli(
             capsys, "simulate", "--config", config_path, "--method", "recursive",
-            "--zero-noise", "--z0", "zeros", "--out", tmp_path / "zn.csv",
+            "--z0", "zeros", "--out", tmp_path / "zn.csv",
         )
         assert code == 0
         data = np.loadtxt(report["payload"]["files"]["recursive"], delimiter=",", skiprows=1)
@@ -221,10 +238,8 @@ class TestSimulate:
     def test_zero_noise_echo_reruns_the_run(self, capsys, tmp_path):
         # a nonzero mu makes the drawn means show in every row after the first
         first = tmp_path / "first.csv"
-        code, report, _ = run_cli(
-            capsys, "simulate", *MODEL_FLAGS, "--T", "5", "--noise-mu", "0.5,-1,2,0.25",
-            "--zero-noise", "--out", first,
-        )
+        cfg = config_with(tmp_path, noise={"mu": [0.5, -1.0, 2.0, 0.25], "sigma": [0.0] * 4})
+        code, report, _ = run_cli(capsys, "simulate", "--config", cfg, "--T", "5", "--out", first)
         assert code == 0
         echo = report["config_echo"]
         echo["output"]["path"] = str(tmp_path / "rerun.csv")
@@ -301,8 +316,38 @@ class TestStrictSchema:
         assert not list(tmp_path.glob(".tmp-*"))
 
 
+class TestModelConfig:
+    """--config is the one way to give the model to decompose, simulate and moments."""
+
+    @pytest.mark.parametrize("command", ["decompose", "simulate", "moments"])
+    def test_missing_weights_are_uniform(self, capsys, tmp_path, command):
+        bare = text_file(tmp_path / "bare.json", json.dumps({"n": 3, "alpha": 0.1, "beta": 0.9}))
+        extra = {"decompose": [], "moments": ["--mc-reps", 3],
+                 "simulate": ["--T", 20, "--method", "both", "--out", tmp_path / "s.csv"]}
+        reports, files = [], []
+        for cfg in (bare, uniform_config(tmp_path, 3, 0.1, 0.9)):
+            code, report, err = run_cli(capsys, command, "--config", cfg, *extra[command])
+            assert code == 0, err
+            del report["timing"]
+            reports.append(json.dumps(report))
+            files.append([p.read_bytes() for p in sorted(tmp_path.glob("s_*.csv"))])
+        assert reports[0] == reports[1]
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("command", ["decompose", "simulate", "moments"])
+    def test_help_lists_no_model_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert "--config" in options
+        model_flags = {"--n", "--alpha", "--beta", "--a", "--b", "--noise-mu", "--noise-sigma",
+                       "--zero-noise"}
+        assert not options & model_flags
+
+
 NAN, INF = float("nan"), float("inf")
-MODEL_FLAGS = ["--n", "2", "--alpha", "0.1", "--beta", "0.9"]
+NO_AGENTS = json.dumps({"n": 0, "alpha": 0.1, "beta": 0.9})
 
 
 def text_file(path, text):
@@ -321,6 +366,11 @@ def config_with(tmp_path, **overrides):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))  # Python's json writes NaN/Infinity tokens
     return path
+
+
+def uniform_config(tmp_path, n, alpha, beta):
+    """config_with for n agents that lists uniform weights."""
+    return config_with(tmp_path, n=n, alpha=alpha, beta=beta, a=[1.0 / n] * n, b=[1.0 / n] * n)
 
 
 BAD_INPUTS = {
@@ -350,37 +400,38 @@ BAD_INPUTS = {
                               "RangeError"),
     "cycle-eta-sd-negative": (lambda p: ["cycle", "--eta-sd", "-1", "--out", p / "c.csv"],
                               "RangeError"),
-    "simulate-T-negative": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "-3",
+    "simulate-T-negative": (lambda p: ["simulate", "--config", config_with(p), "--T", "-3",
                                        "--out", p / "s.csv"], "RangeError"),
     # numpy refuses a draw of 2**62 steps by its size, before it allocates
-    "simulate-huge-T": (lambda p: ["simulate", *MODEL_FLAGS, "--T", 2**62,
+    "simulate-huge-T": (lambda p: ["simulate", "--config", config_with(p), "--T", 2**62,
                                    "--out", p / "s.csv"], "RangeError"),
     "cycle-huge-T": (lambda p: ["cycle", "--T", 2**62, "--out", p / "c.csv"], "RangeError"),
-    "moments-one-rep": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "1"], "RangeError"),
-    "moments-negative-reps": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "-5"],
-                              "RangeError"),
-    "moments-negative-seed": (lambda p: ["moments", *MODEL_FLAGS, "--mc-reps", "2",
+    "moments-one-rep": (lambda p: ["moments", "--config", config_with(p), "--mc-reps", "1"],
+                        "RangeError"),
+    "moments-negative-reps": (lambda p: ["moments", "--config", config_with(p),
+                                         "--mc-reps", "-5"], "RangeError"),
+    "moments-negative-seed": (lambda p: ["moments", "--config", config_with(p), "--mc-reps", "2",
                                          "--seed", "-1"], "RangeError"),
     # no Monte Carlo reads the seed here, but the echoed config must rerun
-    "moments-negative-seed-without-mc": (lambda p: ["moments", *MODEL_FLAGS, "--seed", "-1"],
-                                         "RangeError"),
-    "moments-alpha-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "1e155",
-                                          "--beta", "1"], "NonFiniteResult"),
-    "moments-beta-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "0.5",
-                                         "--beta", "1e155"], "NonFiniteResult"),
-    "decompose-overflow": (lambda p: ["decompose", "--n", "2", "--alpha", "1e200",
-                                      "--beta", "0.3"], "NonFiniteResult"),
+    "moments-negative-seed-without-mc": (lambda p: ["moments", "--config", config_with(p),
+                                                    "--seed", "-1"], "RangeError"),
+    "moments-alpha-overflow": (lambda p: ["moments", "--config", config_with(
+        p, alpha=1e155, beta=1.0)], "NonFiniteResult"),
+    "moments-beta-overflow": (lambda p: ["moments", "--config", config_with(
+        p, alpha=0.5, beta=1e155)], "NonFiniteResult"),
+    "decompose-overflow": (lambda p: ["decompose", "--config", config_with(
+        p, alpha=1e200, beta=0.3)], "NonFiniteResult"),
     # alpha^2 + beta^2 - 6 alpha beta is inf - inf: a NaN discriminant
-    "decompose-nan-discriminant": (lambda p: ["decompose", "--n", "2", "--alpha", "1e200",
-                                              "--beta", "1e200"], "NonFiniteResult"),
+    "decompose-nan-discriminant": (lambda p: ["decompose", "--config", config_with(
+        p, alpha=1e200, beta=1e200)], "NonFiniteResult"),
     "verify-nan-discriminant": (lambda p: ["verify", "--config", config_with(
         p, alpha=-1e200, beta=-1e200)], "NonFiniteResult"),
     "cycle-nan-discriminant": (lambda p: ["cycle", "--alpha", "1e200", "--beta", "1e200",
                                           "--out", p / "c.csv"], "NonFiniteResult"),
     # the boundary d2 = (3 + 2 sqrt 2) beta overflows to inf without a warning
-    "decompose-boundary-overflow": (lambda p: ["decompose", "--n", "2", "--alpha=1e308",
-                                               "--beta=-1e308"], "NonFiniteResult"),
-    "moments-overflow": (lambda p: ["moments", "--n", "2", "--alpha", "-0.5", "--beta", "0.3",
+    "decompose-boundary-overflow": (lambda p: ["decompose", "--config", config_with(
+        p, alpha=1e308, beta=-1e308)], "NonFiniteResult"),
+    "moments-overflow": (lambda p: ["moments", "--config", config_with(p, alpha=-0.5, beta=0.3),
                                     "--t-grid", "2,2000"], "NonFiniteResult"),
     "alpha-text": (lambda p: ["decompose", "--config", config_with(p, alpha="x")],
                    "ParameterError"),
@@ -394,10 +445,12 @@ BAD_INPUTS = {
         p, noise={"mu": [0.0] * 4, "sigma": [1.0, "x", 1.0, 1.0]})], "ParameterError"),
     "run-T-text": (lambda p: ["simulate", "--config", config_with(p, run={"T": "x"}),
                               "--out", p / "s.csv"], "ConfigError"),
-    "z0-file-text": (lambda p: ["simulate", *MODEL_FLAGS, "--out", p / "s.csv", "--z0",
-                                f"csv:{text_file(p / 'z0.txt', '0,x,0,0')}"], "ConfigError"),
-    "z0-file-nan": (lambda p: ["simulate", *MODEL_FLAGS, "--out", p / "s.csv", "--z0",
-                               f"csv:{text_file(p / 'z0.txt', '0,nan,0,0')}"], "ConfigError"),
+    "z0-file-text": (lambda p: ["simulate", "--config", config_with(p), "--out", p / "s.csv",
+                                "--z0", f"csv:{text_file(p / 'z0.txt', '0,x,0,0')}"],
+                     "ConfigError"),
+    "z0-file-nan": (lambda p: ["simulate", "--config", config_with(p), "--out", p / "s.csv",
+                               "--z0", f"csv:{text_file(p / 'z0.txt', '0,nan,0,0')}"],
+                    "ConfigError"),
     "run-z0-file-inf": (lambda p: ["simulate", "--config", config_with(
         p, run={"z0": f"csv:{text_file(p / 'z0.txt', '0,0,-inf,0')}"}),
         "--out", p / "s.csv"], "ConfigError"),
@@ -417,26 +470,17 @@ BAD_INPUTS = {
                                "RangeError"),
     "cycle-eta-sd-exponent": (lambda p: ["cycle", "--eta-sd", "-1e-05", "--out", p / "c.csv"],
                               "RangeError"),
-    "alpha-flag-minus-inf": (lambda p: ["decompose", "--n", "2", "--alpha", "-inf",
-                                        "--beta", "0.9"], "ParameterError"),
-    "simulate-beta-flag-minus-inf": (lambda p: ["simulate", "--n", "2", "--alpha", "0.1",
-                                                "--beta", "-inf", "--out", p / "s.csv"],
-                                     "ParameterError"),
-    "t-grid-text": (lambda p: ["moments", *MODEL_FLAGS, "--t-grid", "2,x"], "ConfigError"),
-    "tau-grid-text": (lambda p: ["moments", *MODEL_FLAGS, "--tau-grid", "0,x"], "ConfigError"),
-    "a-flag-text": (lambda p: ["decompose", *MODEL_FLAGS, "--a", "x,0.5"], "ConfigError"),
-    "b-flag-text": (lambda p: ["decompose", *MODEL_FLAGS, "--b", "0.5,x"], "ConfigError"),
-    "noise-mu-flag-text": (lambda p: ["decompose", *MODEL_FLAGS, "--noise-mu", "0,x,0,0"],
-                           "ConfigError"),
-    "noise-sigma-flag-text": (lambda p: ["decompose", *MODEL_FLAGS,
-                                         "--noise-sigma", "1,1,x,1"], "ConfigError"),
-    "simulate-seed-negative": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "5", "--seed", "-1",
-                                          "--out", p / "o.csv"], "RangeError"),
+    "t-grid-text": (lambda p: ["moments", "--config", config_with(p), "--t-grid", "2,x"],
+                    "ConfigError"),
+    "tau-grid-text": (lambda p: ["moments", "--config", config_with(p), "--tau-grid", "0,x"],
+                      "ConfigError"),
+    "simulate-seed-negative": (lambda p: ["simulate", "--config", config_with(p), "--T", "5",
+                                          "--seed", "-1", "--out", p / "o.csv"], "RangeError"),
     "cycle-seed-negative": (lambda p: ["cycle", "--T", "100", "--seed", "-1",
                                        "--out", p / "c.csv"], "RangeError"),
-    "simulate-zero-noise-seed-negative": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "5",
-                                                     "--zero-noise", "--seed", "-1",
-                                                     "--out", p / "o.csv"], "RangeError"),
+    "simulate-zero-noise-seed-negative": (lambda p: ["simulate", "--config", config_with(
+        p, noise={"mu": [0.0] * 4, "sigma": [0.0] * 4}), "--T", "5", "--seed", "-1",
+        "--out", p / "o.csv"], "RangeError"),
     "cycle-zero-sd-seed-negative": (lambda p: ["cycle", "--T", "100", "--eps-sd", "0",
                                                "--eta-sd", "0", "--seed", "-1",
                                                "--out", p / "c.csv"], "RangeError"),
@@ -466,11 +510,12 @@ BAD_INPUTS = {
         p, noise={"mu": [0.0] * 4, "sigma": [1.0, True, 1.0, 1.0]})], "ParameterError"),
     "run-T-numeric-text": (lambda p: ["simulate", "--config", config_with(p, run={"T": "12"}),
                                       "--out", p / "s.csv"], "ConfigError"),
-    "decompose-n-zero": (lambda p: ["decompose", "--n", "0", "--alpha", "0.1", "--beta", "0.9"],
+    # n is checked before the uniform weights are derived from it
+    "decompose-n-zero": (lambda p: ["decompose", "--config", text_file(p / "c.json", NO_AGENTS)],
                          "DimensionMismatch"),
-    "simulate-n-zero": (lambda p: ["simulate", "--n", "0", "--alpha", "0.1", "--beta", "0.9",
+    "simulate-n-zero": (lambda p: ["simulate", "--config", text_file(p / "c.json", NO_AGENTS),
                                    "--out", p / "s.csv"], "DimensionMismatch"),
-    "moments-n-zero": (lambda p: ["moments", "--n", "0", "--alpha", "0.1", "--beta", "0.9"],
+    "moments-n-zero": (lambda p: ["moments", "--config", text_file(p / "c.json", NO_AGENTS)],
                        "DimensionMismatch"),
     "config-section-not-object": (lambda p: ["decompose", "--config", config_with(
         p, noise=[0.0, 1.0])], "ConfigError"),
@@ -478,10 +523,11 @@ BAD_INPUTS = {
                         "ConfigError"),
     "run-method-unknown": (lambda p: ["simulate", "--config", config_with(
         p, run={"method": "bogus"}), "--out", p / "s.csv"], "ConfigError"),
-    "config-and-model-flags": (lambda p: ["decompose", "--config", config_with(p), "--n", "2"],
-                               "ConfigError"),
-    "model-flags-without-beta": (lambda p: ["decompose", "--n", "2", "--alpha", "0.1"],
-                                 "ConfigError"),
+    # a path that is not text once named the trajectory file "True"
+    "output-path-true": (lambda p: ["simulate", "--config", config_with(
+        p, output={"path": True})], "ConfigError"),
+    "output-path-number": (lambda p: ["decompose", "--config", config_with(
+        p, output={"path": 5})], "ConfigError"),
     "cycle-without-out": (lambda p: ["cycle", "--T", "10"], "ConfigError"),
     "config-missing": (lambda p: ["verify", "--config", p / "missing.json"],
                        "FileNotFoundError"),
@@ -492,13 +538,13 @@ BAD_INPUTS = {
                                      "FileExistsError"),
     "cycle-out-is-directory": (lambda p: ["cycle", "--T", "100", "--out", directory(p / "d")],
                                "IsADirectoryError"),
-    "simulate-out-is-directory": (lambda p: ["simulate", *MODEL_FLAGS, "--T", "5",
+    "simulate-out-is-directory": (lambda p: ["simulate", "--config", config_with(p), "--T", "5",
                                              "--out", directory(p / "d")],
                                   "IsADirectoryError"),
-    "dump-matrices-under-regular-file": (lambda p: ["decompose", *MODEL_FLAGS,
+    "dump-matrices-under-regular-file": (lambda p: ["decompose", "--config", config_with(p),
                                                     "--dump-matrices", text_file(p / "f", "x")],
                                          "FileExistsError"),
-    "report-out-is-directory": (lambda p: ["decompose", *MODEL_FLAGS,
+    "report-out-is-directory": (lambda p: ["decompose", "--config", config_with(p),
                                            "--out", directory(p / "d")], "IsADirectoryError"),
     # overflow at the float limit ends in the typed error, not a numpy warning
     "cycle-float-limit": (lambda p: ["cycle", "--alpha=1e308", "--beta=-1e308", "--T", "100",
@@ -560,14 +606,15 @@ class TestOutputMode:
     """Outputs get the mode open(path, "w") would give them."""
 
     def test_new_files_follow_the_umask(self, capsys, tmp_path, umask_022):
+        cfg = config_with(tmp_path)
         runs = [["cycle", "--T", 30, "--out", tmp_path / "c.csv"],
-                ["simulate", *MODEL_FLAGS, "--T", 5, "--method", "both",
+                ["simulate", "--config", cfg, "--T", 5, "--method", "both",
                  "--out", tmp_path / "s.csv"],
-                ["decompose", *MODEL_FLAGS, "--dump-matrices", tmp_path / "mats",
+                ["decompose", "--config", cfg, "--dump-matrices", tmp_path / "mats",
                  "--out", tmp_path / "report.json"]]
         for argv in runs:
             assert run_cli(capsys, *argv)[0] == 0
-        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        written = [p for p in tmp_path.rglob("*") if p.is_file() and p != cfg]
         assert len(written) == 7
         assert {p.name: file_mode(p) for p in written} == {p.name: 0o644 for p in written}
 
@@ -585,14 +632,10 @@ class TestOutputMode:
     (["cycle", "--beta", "-2E-1"], "beta", -0.2),
     (["cycle", "--x0", "-1e-05"], "x0", -1e-05),
     (["cycle", "--x1", "-2E+3"], "x1", -2000.0),
-    (["decompose", "--n", "2", "--beta", "0.9", "--alpha", "-1e-05"], "alpha", -1e-05),
-    (["decompose", "--n", "2", "--alpha", "1", "--beta", "-2E+3"], "beta", -2000.0),
 ])
 def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path, argv, key, value):
     # argparse alone reads -1e-05 as an option and stops with a usage error
-    if argv[0] == "cycle":
-        argv = argv + ["--T", "30", "--out", tmp_path / "c.csv"]
-    code, report, err = run_cli(capsys, *argv)
+    code, report, err = run_cli(capsys, *argv, "--T", "30", "--out", tmp_path / "c.csv")
     assert code == 0, err
     assert report["config_echo"][key] == value
 
@@ -1124,8 +1167,8 @@ class TestRowWriter:
     @pytest.mark.parametrize("n", [3, 700])
     def test_dump_matrices_byte_identical(self, capsys, tmp_path, n):
         out = tmp_path / "mats"
-        code, _, _ = run_cli(capsys, "decompose", "--n", n, "--alpha", "0.1", "--beta", "0.9",
-                             "--dump-matrices", out)
+        cfg = uniform_config(tmp_path, n, 0.1, 0.9)
+        code, _, _ = run_cli(capsys, "decompose", "--config", cfg, "--dump-matrices", out)
         assert code == 0
         params = validate_params({"n": n, "alpha": 0.1, "beta": 0.9,
                                   "a": [1.0 / n] * n, "b": [1.0 / n] * n})
@@ -1144,8 +1187,8 @@ class TestRowWriter:
     def test_basis_bytes_match_recorded_hash(self, capsys, tmp_path, alpha, beta, digests):
         # pins how Q and Q^-1 are computed, not only how they are written
         out = tmp_path / "mats"
-        code, _, _ = run_cli(capsys, "decompose", "--n", 3, "--alpha", alpha, "--beta", beta,
-                             "--dump-matrices", out)
+        cfg = uniform_config(tmp_path, 3, float(alpha), float(beta))
+        code, _, _ = run_cli(capsys, "decompose", "--config", cfg, "--dump-matrices", out)
         assert code == 0
         for name, digest in zip(("Q", "Qinv"), digests):
             assert hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest() == digest

@@ -56,6 +56,11 @@ class TestValidateParams:
         with pytest.raises(ParameterError):
             validate_params({"n": 2, "alpha": 0.1, "beta": 0.2, "a": [0.5, 0.5]})
 
+    @pytest.mark.parametrize("record", [make_params(n=2), 5], ids=["ModelParams", "int"])
+    def test_non_mapping_names_its_type(self, record):
+        with pytest.raises(ParameterError, match=f"not {type(record).__name__}$"):
+            validate_params(record)
+
     @pytest.mark.parametrize("field,value,error", [
         ("n", True, DimensionMismatch),
         ("n", "3", DimensionMismatch),
@@ -119,6 +124,11 @@ class TestValidateNoise:
     def test_zero_sigma_accepted(self):
         spec = validate_noise({"mu": [0.0] * 4, "sigma": [1.0, 1.0, 0.0, -0.0]}, 2)
         assert spec.sigma.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("record", [make_params(n=2), 5], ids=["ModelParams", "int"])
+    def test_non_mapping_names_its_type(self, record):
+        with pytest.raises(ParameterError, match=f"not {type(record).__name__}$"):
+            validate_noise(record, 2)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ParameterError):
