@@ -94,7 +94,7 @@ def resolve_config(doc: dict, args: argparse.Namespace | None = None
     """Validate the model, fill defaults, and return the echo pieces (`run`
     with T and seed parsed) and z0.  Missing weights are uniform and
     missing noise is N(0, 1).  A flag of `args` named after a run or
-    output key overrides it (`simulate --out` is `path`).  The whole run
+    output key overrides it (`--out` is `path`).  The whole run
     section is checked in every subcommand, so every echoed config reruns."""
     uniform = {}
     if "n" in doc:
@@ -417,7 +417,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             atomic_write(os.path.join(args.dump_matrices, "Q.csv"), matrix_csv(dec.Q))
             atomic_write(os.path.join(args.dump_matrices, "Qinv.csv"), matrix_csv(dec.Qinv))
     timer.mark("write")
-    emit_report(config_echo(params, noise, run, output), payload, timer.stages, args.out)
+    emit_report(config_echo(params, noise, run, output), payload, timer.stages, output["path"])
     return 0
 
 
@@ -482,34 +482,45 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
     grid_payload = []
     for (t, tau) in sorted(report.gamma):
-        entry: dict[str, Any] = {
-            "t": t,
-            "tau_prime": tau,
-            "gamma_tilde": None if report.gamma_tilde is None else report.gamma_tilde[(t, tau)],
-            "gamma": report.gamma[(t, tau)],
-        }
+        entry: dict[str, Any] = {"t": t, "tau_prime": tau, "gamma": report.gamma[(t, tau)]}
         if mc_estimate is not None:
             est, se = mc_estimate[(t, tau)]
             entry["mc_estimate"] = est
             entry["mc_se"] = se
         grid_payload.append(entry)
 
+    # the full limit covariances go to --dump-cov; the report keeps their
+    # 2x2 aggregate blocks
+    limit_covs = {"resolvent_limit_cov": limits.resolvent_limit_cov,
+                  "ma_infinity_cov": limits.ma_infinity_cov}
     payload = {
         "grid": grid_payload,
         "stationarity_gap": report.stationarity_gap,
         "stationarity_gap_original": report.stationarity_gap_original,
-        "limits": vars(limits),
+        "limits": {
+            "lambda_tilde": limits.lambda_tilde,
+            "spectral_radius_ok": limits.spectral_radius_ok,
+            "limiting_mean": limits.limiting_mean,
+            **{f"aggregate_{name}": None if X is None else moments_mod._aggregate_cov(params, X)
+               for name, X in limit_covs.items()},
+            "covariance_discrepancy": limits.covariance_discrepancy,
+        },
         "mc_reps": args.mc_reps,
         "mc_stream_version": moments_mod.MC_STREAM_VERSION,
         "lint": lint_params(params),
     }
 
     if args.dump_cov:
-        for (t, tau) in sorted(report.gamma.keys()):
-            path = f"{args.dump_cov}_t{t}_tau{tau}.csv"
-            atomic_write(path, matrix_csv(report.gamma[(t, tau)]))
+        dumps = {f"t{t}_tau{tau}": X for (t, tau), X in sorted(report.gamma.items())}
+        if report.gamma_tilde is not None:
+            dumps.update({f"tilde_t{t}_tau{tau}": X
+                          for (t, tau), X in sorted(report.gamma_tilde.items())})
+        if limits.spectral_radius_ok:
+            dumps.update(limit_covs)
+        for name, matrix in dumps.items():
+            atomic_write(f"{args.dump_cov}_{name}.csv", matrix_csv(matrix))
     timer.mark("write")
-    emit_report(config_echo(params, noise, run, output), payload, timer.stages, args.out)
+    emit_report(config_echo(params, noise, run, output), payload, timer.stages, output["path"])
     return 0
 
 
@@ -568,6 +579,9 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     timer = _Timer()
     params, noise, run, output, z0 = resolve_config(load_config(args.config))
+    if output["path"] is not None:
+        raise ConfigError(f"verify writes no file, so output.path must be null, "
+                          f"got {output['path']!r}")
     timer.mark("validate")
 
     checks: list[dict[str, Any]] = []
@@ -643,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("decompose", help="regime classification and explicit decomposition")
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--dump-matrices", metavar="DIR", help="write M, Q, Qinv as CSV")
-    p.add_argument("--out", help="also write the JSON report here")
+    p.add_argument("--out", dest="path", help="also write the JSON report here")
     p.set_defaults(func=_cmd_decompose)
 
     p = subs.add_parser("simulate", help="simulate trajectories")
@@ -661,8 +675,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-grid", default="0,1")
     p.add_argument("--mc-reps", type=int, default=0)
     p.add_argument("--seed", type=int)
-    p.add_argument("--dump-cov", metavar="PREFIX", help="CSV dump of covariance matrices")
-    p.add_argument("--out", help="also write the JSON report here")
+    p.add_argument("--dump-cov", metavar="PREFIX",
+                   help="write PREFIX_t{t}_tau{tau}.csv (gamma), PREFIX_tilde_t{t}_tau{tau}.csv "
+                        "(in Q's coordinates, where Q exists), PREFIX_resolvent_limit_cov.csv and "
+                        "PREFIX_ma_infinity_cov.csv (where the spectral radius is below 1)")
+    p.add_argument("--out", dest="path", help="also write the JSON report here")
     p.set_defaults(func=_cmd_moments)
 
     p = subs.add_parser("cycle", help="scalar business-cycle simulation (defaults: benchmark run)")

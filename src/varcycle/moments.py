@@ -253,6 +253,14 @@ def _stein(R: BlockBasis, S: np.ndarray) -> np.ndarray:
     return X
 
 
+def _aggregate_cov(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """The 2x2 covariance of the aggregates (xbar, ybar) = W^T z for a
+    covariance X of z: W^T X W with W = [[b, 0], [0, a]]."""
+    zeros = np.zeros(params.n)
+    W = np.column_stack([np.r_[params.b, zeros], np.r_[zeros, params.a]])
+    return W.T @ X @ W
+
+
 def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition) -> LimitReport:
     """Limiting mean and the two limit-covariance candidates.
 

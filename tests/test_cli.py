@@ -31,7 +31,6 @@ def diag_config(tmp_path):
         "b": [0.4, 0.4, 0.2],
         "noise": {"mu": [0.0] * 6, "sigma": [1.0] * 6},
         "run": {"T": 80, "seed": 11, "method": "both"},
-        "output": {"path": str(tmp_path / "traj.csv")},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -142,9 +141,10 @@ class TestDecompose:
 
 
 class TestSimulate:
-    def test_both_methods_write_two_csvs_and_summary(self, capsys, diag_config):
+    def test_both_methods_write_two_csvs_and_summary(self, capsys, tmp_path, diag_config):
         config_path, doc = diag_config
-        code, report, _ = run_cli(capsys, "simulate", "--config", config_path)
+        code, report, _ = run_cli(capsys, "simulate", "--config", config_path,
+                                  "--out", tmp_path / "traj.csv")
         assert code == 0
         payload = report["payload"]
         assert payload["max_method_deviation_relative"] < 1e-8
@@ -170,7 +170,8 @@ class TestSimulate:
 
     def test_config_echo_round_trip(self, capsys, tmp_path, diag_config):
         config_path, _ = diag_config
-        code, first, _ = run_cli(capsys, "simulate", "--config", config_path)
+        code, first, _ = run_cli(capsys, "simulate", "--config", config_path,
+                                 "--out", tmp_path / "traj.csv")
         assert code == 0
         echo_path = tmp_path / "echo.json"
         echo_path.write_text(json.dumps(first["config_echo"]))
@@ -528,6 +529,9 @@ BAD_INPUTS = {
         p, output={"path": True})], "ConfigError"),
     "output-path-number": (lambda p: ["decompose", "--config", config_with(
         p, output={"path": 5})], "ConfigError"),
+    # verify writes no report file, so a path would go unused
+    "verify-output-path": (lambda p: ["verify", "--config", config_with(
+        p, output={"path": str(p / "rep.json")})], "ConfigError"),
     "cycle-without-out": (lambda p: ["cycle", "--T", "10"], "ConfigError"),
     "config-missing": (lambda p: ["verify", "--config", p / "missing.json"],
                        "FileNotFoundError"),
@@ -589,6 +593,30 @@ def test_bad_run_section_fails_alike_in_every_subcommand(capsys, tmp_path, comma
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
+
+
+@pytest.mark.parametrize("command", ["decompose", "moments"])
+def test_output_path_writes_the_report(capsys, tmp_path, command):
+    out = tmp_path / "rep.json"
+    code, report, err = run_cli(capsys, command, "--config",
+                                config_with(tmp_path, output={"path": str(out)}))
+    assert code == 0, err
+    assert json.loads(out.read_text()) == report
+    assert report["config_echo"]["output"]["path"] == str(out)
+    # the echo reruns to the same file
+    out.unlink()
+    echo = text_file(tmp_path / "echo.json", json.dumps(report["config_echo"]))
+    code, again, err = run_cli(capsys, command, "--config", echo)
+    assert code == 0, err
+    assert json.loads(out.read_text()) == again
+    del report["timing"], again["timing"]
+    assert again == report
+    # --out sets the same key
+    code, flagged, err = run_cli(capsys, command, "--config", config_with(tmp_path),
+                                 "--out", tmp_path / "flag.json")
+    assert code == 0, err
+    assert flagged["config_echo"]["output"]["path"] == str(tmp_path / "flag.json")
+    assert json.loads((tmp_path / "flag.json").read_text()) == flagged
 
 
 @pytest.fixture
@@ -725,6 +753,24 @@ def reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
+#: --dump-cov names of the default grid, t in (2, 5, 10) and tau' in (0, 1)
+GRID_DUMPS = [f"t{t}_tau{tau}" for t in (2, 5, 10) for tau in (0, 1)]
+TILDE_DUMPS = [f"tilde_{name}" for name in GRID_DUMPS]
+LIMIT_DUMPS = ["resolvent_limit_cov", "ma_infinity_cov"]
+
+
+def dump_names(prefix):
+    """The names after `prefix`_ of the --dump-cov files written for it."""
+    return sorted(p.name[len(prefix.name) + 1:-len(".csv")]
+                  for p in prefix.parent.glob(f"{prefix.name}_*.csv"))
+
+
+def read_matrix(path):
+    """A CSV matrix read back cell by cell with float()."""
+    return np.array([[float(cell) for cell in line.split(",")]
+                     for line in Path(path).read_text().splitlines()])
+
+
 class TestMoments:
     def test_report_structure(self, capsys, diag_config):
         config_path, _ = diag_config
@@ -751,10 +797,12 @@ class TestMoments:
         return json.loads(out, parse_constant=reject_constant)["payload"]
 
     def test_paper_benchmark_runs(self, capsys, tmp_path):
-        payload = self.run_strict(capsys, tmp_path, *BASIS_FREE_MODELS["benchmark"])
+        payload = self.run_strict(capsys, tmp_path, *BASIS_FREE_MODELS["benchmark"],
+                                  "--dump-cov", tmp_path / "cov")
         assert payload["stationarity_gap"] is None
         assert payload["stationarity_gap_original"] > 1e-3
-        assert all(e["gamma_tilde"] is None for e in payload["grid"])
+        # no Q: nothing is dumped in its coordinates
+        assert dump_names(tmp_path / "cov") == sorted(GRID_DUMPS + LIMIT_DUMPS)
         limits = payload["limits"]
         assert limits["spectral_radius_ok"] is True
         lt3, lt4 = limits["lambda_tilde"][2:]
@@ -781,24 +829,32 @@ class TestMoments:
     @pytest.mark.parametrize("n, alpha, beta", BASIS_FREE_MODELS.values(),
                              ids=BASIS_FREE_MODELS.keys())
     def test_runs_where_q_does_not_exist(self, capsys, tmp_path, n, alpha, beta):
-        payload = self.run_strict(capsys, tmp_path, n, alpha, beta, "--mc-reps", 4)
+        payload = self.run_strict(capsys, tmp_path, n, alpha, beta, "--mc-reps", 4,
+                                  "--dump-cov", tmp_path / "cov")
         assert len(payload["grid"]) == 6 and payload["stationarity_gap"] is None
-        assert all(e["gamma_tilde"] is None for e in payload["grid"])
         limits = payload["limits"]
         # alpha = 0 puts an eigenvalue at 1: no limits, and its lambda_tilde is null
         assert limits["spectral_radius_ok"] == (alpha != 0.0)
         assert (None in limits["lambda_tilde"]) == (alpha == 0.0)
+        assert (limits["aggregate_ma_infinity_cov"] is None) == (alpha == 0.0)
+        # no Q: nothing is dumped in its coordinates
+        limit_dumps = LIMIT_DUMPS if alpha != 0.0 else []
+        assert dump_names(tmp_path / "cov") == sorted(GRID_DUMPS + limit_dumps)
 
     @pytest.mark.parametrize("n, alpha, beta", BASIS_AXIS_MODELS.values(),
                              ids=BASIS_AXIS_MODELS.keys())
     def test_runs_on_the_axes_with_q(self, capsys, tmp_path, n, alpha, beta):
-        payload = self.run_strict(capsys, tmp_path, n, alpha, beta, "--mc-reps", 4)
+        payload = self.run_strict(capsys, tmp_path, n, alpha, beta, "--mc-reps", 4,
+                                  "--dump-cov", tmp_path / "cov")
         assert len(payload["grid"]) == 6 and payload["stationarity_gap"] > 0
-        assert all(e["gamma_tilde"] is not None for e in payload["grid"])
         # alpha*beta = 0 puts an eigenvalue at 1: no limits
-        assert payload["limits"]["spectral_radius_ok"] == (alpha * beta != 0.0)
+        limits_ok = alpha * beta != 0.0
+        assert payload["limits"]["spectral_radius_ok"] == limits_ok
+        assert (payload["limits"]["aggregate_resolvent_limit_cov"] is None) == (not limits_ok)
+        limit_dumps = LIMIT_DUMPS if limits_ok else []
+        assert dump_names(tmp_path / "cov") == sorted(GRID_DUMPS + TILDE_DUMPS + limit_dumps)
 
-    def test_q_is_built_only_when_read(self, capsys, monkeypatch, diag_config):
+    def test_q_is_built_only_when_read(self, capsys, monkeypatch, tmp_path, diag_config):
         # decompose without --dump-matrices and verify check Q through R and
         # the 2x2 V; simulate's explicit path and moments need only those too
         config_path, _ = diag_config
@@ -817,13 +873,14 @@ class TestMoments:
         checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
         assert checks["decomposition_residuals"] == checks["transition_blocks"] == "pass"
         code, report, err = run_cli(capsys, "simulate", "--config", config_path,
-                                    "--method", "both")
+                                    "--method", "both", "--out", tmp_path / "traj.csv")
         assert code == 0, err
         assert report["payload"]["max_method_deviation_relative"] < 1e-8
-        code, report, err = run_cli(capsys, "moments", "--config", config_path)
+        code, report, err = run_cli(capsys, "moments", "--config", config_path,
+                                    "--dump-cov", tmp_path / "cov")
         assert code == 0, err
         assert report["payload"]["stationarity_gap"] > 1e-3
-        assert all(e["gamma_tilde"] is not None for e in report["payload"]["grid"])
+        assert set(TILDE_DUMPS) <= set(dump_names(tmp_path / "cov"))
 
     @pytest.mark.parametrize("flags", [("--seed", 11), ()])
     def test_echoed_config_reproduces_mc(self, capsys, tmp_path, diag_config, flags):
@@ -885,6 +942,83 @@ class TestMoments:
         mat = np.loadtxt(f"{prefix}_t2_tau0.csv", delimiter=",")
         assert mat.shape == (6, 6)
 
+    def library_moments(self, doc, reps=0):
+        """The default grid, the limits and, with reps, the MC grid of the
+        library for the config `doc`."""
+        params = validate_params(doc)
+        noise = varcycle.validate_noise(doc["noise"], params.n)
+        inputs = varcycle.moment_inputs(params, noise)
+        dec = varcycle.decompose(params)
+        grid = varcycle.stationarity_diagnostic(inputs, dec, [2, 5, 10], [0, 1])
+        mc = reps and varcycle.mc_cross_covariance(params, noise, inputs.G, [2, 5, 10], [0, 1],
+                                                   reps, doc["run"]["seed"])
+        return grid, varcycle.limiting_moments(inputs, dec), mc
+
+    def test_every_dump_reads_back_bitwise(self, capsys, tmp_path, diag_config):
+        config_path, doc = diag_config
+        prefix = tmp_path / "cov"
+        code, _, err = run_cli(capsys, "moments", "--config", config_path, "--dump-cov", prefix)
+        assert code == 0, err
+        grid, limits, _ = self.library_moments(doc)
+        expected = {f"t{t}_tau{tau}": X for (t, tau), X in grid.gamma.items()}
+        expected.update({f"tilde_t{t}_tau{tau}": X for (t, tau), X in grid.gamma_tilde.items()})
+        expected.update(resolvent_limit_cov=limits.resolvent_limit_cov,
+                        ma_infinity_cov=limits.ma_infinity_cov)
+        assert dump_names(prefix) == sorted(expected)
+        for name, X in expected.items():
+            read = read_matrix(f"{prefix}_{name}.csv")
+            assert read.shape == X.shape and np.all(read == X), name
+            assert np.array_equal(np.signbit(read), np.signbit(X)), name
+
+    def test_report_holds_no_matrix_beyond_the_grid(self, capsys, diag_config):
+        code, report, err = run_cli(capsys, "moments", "--config", diag_config[0],
+                                    "--mc-reps", 5)
+        assert code == 0, err
+        larger = []
+
+        def walk(node, key):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    walk(v, k)
+            elif isinstance(node, list):
+                rows = [row for row in node if isinstance(row, list)]
+                if rows and (len(node) > 2 or any(len(row) > 2 for row in rows)):
+                    larger.append(key)
+                for v in node:
+                    walk(v, key)
+
+        walk(report["payload"], None)
+        assert sorted(larger) == sorted(["gamma", "mc_estimate", "mc_se"] * 6)
+
+    def test_aggregate_blocks_of_the_dumped_limits(self, capsys, tmp_path, diag_config):
+        config_path, doc = diag_config
+        prefix = tmp_path / "cov"
+        code, report, err = run_cli(capsys, "moments", "--config", config_path,
+                                    "--dump-cov", prefix)
+        assert code == 0, err
+        n, a, b = doc["n"], np.array(doc["a"]), np.array(doc["b"])
+        for name in LIMIT_DUMPS:
+            X = read_matrix(f"{prefix}_{name}.csv")
+            expected = np.array([[b @ X[:n, :n] @ b, b @ X[:n, n:] @ a],
+                                 [a @ X[n:, :n] @ b, a @ X[n:, n:] @ a]])
+            block = np.array(report["payload"]["limits"][f"aggregate_{name}"])
+            assert block.shape == (2, 2)
+            assert np.max(np.abs(block - expected)) <= 1e-14 * np.max(np.abs(expected)), name
+
+    def test_mc_grid_is_the_library_grid_digit_for_digit(self, capsys, diag_config):
+        # the report carries gamma, mc_estimate and mc_se as the library
+        # computes them, each float as its shortest round-trip decimal
+        config_path, doc = diag_config
+        code, report, err = run_cli(capsys, "moments", "--config", config_path,
+                                    "--mc-reps", 50)
+        assert code == 0, err
+        grid, _, mc = self.library_moments(doc, reps=50)
+        expected = [{"gamma": grid.gamma[key], "mc_estimate": mc[key][0], "mc_se": mc[key][1]}
+                    for key in sorted(grid.gamma)]
+        reported = [{k: e[k] for k in ("gamma", "mc_estimate", "mc_se")}
+                    for e in report["payload"]["grid"]]
+        assert json.dumps(reported) == json.dumps(cli._jsonable(expected))
+
 
 class TestVerify:
     def test_diagonalizable_config_passes(self, capsys, diag_config):
@@ -931,7 +1065,8 @@ class TestVerify:
         for start in ("zeros", f"csv:{z0}"):
             doc["run"]["z0"] = start
             config_path.write_text(json.dumps(doc))
-            _, simulated, _ = run_cli(capsys, "simulate", "--config", config_path)
+            _, simulated, _ = run_cli(capsys, "simulate", "--config", config_path,
+                                      "--out", tmp_path / "traj.csv")
             code, verified, _ = run_cli(capsys, "verify", "--config", config_path)
             assert code == 0
             details[start] = next(c["detail"] for c in verified["payload"]["checks"]
