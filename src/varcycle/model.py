@@ -58,8 +58,8 @@ class TransitionMatrix:
     M^T = diag(s) + V U.
 
     s holds 1-alpha n times, then 1-beta n times.  The columns of the
-    2n x 2 factor V are (0, alpha*a) and (-beta*b, 0), and the 2 x 2n
-    factor U has rows (1_n, 0) and (0, 1_n).  So one step is
+    2n x 2 factor V are (0, alpha*a) and (-beta*b, 0); U, with rows
+    (1_n, 0) and (0, 1_n), is constant and not stored.  So one step is
     x' = (1-alpha) x + alpha (a.y) 1 and y' = (1-beta) y - beta (b.x) 1:
     every row of the top-right block of M is alpha*a, every row of the
     bottom-left block is -beta*b.  Build through
@@ -68,7 +68,6 @@ class TransitionMatrix:
 
     s: np.ndarray
     V: np.ndarray
-    U: np.ndarray
     n: int
 
     @property
@@ -78,7 +77,7 @@ class TransitionMatrix:
     def apply(self, Z: np.ndarray) -> np.ndarray:
         """Z @ M.T over the last axis of Z, for any leading batch axes.
         O(n) per row of Z, and no dense M."""
-        return Z * self.s + (Z @ self.V) @ self.U
+        return Z * self.s + (Z @ self.V).repeat(self.n, axis=-1)
 
     @property
     def entries(self) -> np.ndarray:
@@ -214,10 +213,8 @@ def build_transition_matrix(params: ModelParams) -> TransitionMatrix:
     V = np.zeros((2 * n, 2))
     V[n:, 0] = alpha * params.a
     V[:n, 1] = -beta * params.b
-    U = np.zeros((2, 2 * n))
-    U[0, :n] = U[1, n:] = 1.0
     s = np.repeat([1.0 - alpha, 1.0 - beta], n)
-    return TransitionMatrix(s=_frozen(s), V=_frozen(V), U=_frozen(U), n=n)
+    return TransitionMatrix(s=_frozen(s), V=_frozen(V), n=n)
 
 
 def lint_params(params: ModelParams) -> list[str]:

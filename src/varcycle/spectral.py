@@ -27,10 +27,11 @@ deviations from the weighted aggregates, x = x_perp + (b.x) 1 and
 y = y_perp + (a.y) 1, plus the two aggregate directions, so
 M R = R J_R with the scalar rates 1 - alpha and 1 - beta on the
 deviations and the 2x2 aggregate map A = [[1-alpha, alpha],
-[-beta, 1-beta]].  R and R^-1 apply in O(n) and need no root of g and
-no division by alpha.  Where M is diagonalizable the paper's basis is
-Q = R blockdiag(I, V), with V the eigenvectors of A: only a 2x2 matrix
-depends on the regime.
+[-beta, 1-beta]].  R pivots each block on its largest weight, and R and
+R^-1 apply in O(n) with no root of g and no division by alpha.  Where M
+is diagonalizable the paper's basis is Q = R blockdiag(I, V), with V the
+eigenvectors of A: only a 2x2 matrix depends on the regime.  One exact
+O(n) check, verify_decomposition, judges both R and Q.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ BOUNDARY_TOL = 1e-10
 
 #: Threshold of the decomposition residuals in verify_decomposition.
 RESIDUAL_TOL = 1e-10
-
-#: Rows and seed of the probe block that verify_block_basis multiplies.
-PROBE_WIDTH, PROBE_SEED = 4, 0
 
 
 class Regime(enum.Enum):
@@ -98,39 +96,44 @@ class EigenStructure:
 class BlockBasis:
     """The real block basis R, with M R = R J_R in every regime.
 
-    w = R^-1 z holds the deviations x_{i+1} - b.x (i = 1..n-1), then
-    y_{i+1} - a.y, then the aggregates b.x and a.y: R's columns are
-    e_{i+1} - (b_{i+1}/b_1) e_1 in the x block (likewise with a in the
-    y block), (1_n, 0) and (0, 1_n).  J_R scales the deviations by
-    ``rates`` (1-alpha, then 1-beta) and maps the aggregate pair by
-    ``A``.  ``apply`` and ``solve`` act over the last axis, with any
-    leading batch axes, in O(n) per row.
+    Each block pivots on its largest weight, ``pivots`` = (argmax b,
+    argmax a), the first on ties.  w = R^-1 z holds x_q - b.x for the
+    agents q other than the x pivot p, in order, then y_q - a.y likewise,
+    then b.x and a.y: R's columns are e_q - (b_q/b_p) e_p (likewise with
+    a), (1_n, 0) and (0, 1_n), so every multiplier is at most 1 (Higham
+    2002, ch. 9).  J_R scales the deviations by ``rates`` (1-alpha, then
+    1-beta) and maps the aggregate pair by ``A``.  ``apply`` and
+    ``solve`` act over the last axis, with any leading batch axes, in
+    O(n) per row.
     """
 
     a: np.ndarray
     b: np.ndarray
     rates: np.ndarray
     A: np.ndarray
+    pivots: tuple[int, int]
 
     def apply(self, W: np.ndarray) -> np.ndarray:
         """z = R w for each w on the last axis of W."""
         n = len(self.a)
         Z = np.empty(W.shape)
-        for k, w in enumerate((self.b, self.a)):
+        for k, (w, p) in enumerate(zip((self.b, self.a), self.pivots)):
             dev, agg = W[..., k * (n - 1):(k + 1) * (n - 1)], W[..., 2 * n - 2 + k]
-            np.add(dev, agg[..., None], out=Z[..., k * n + 1:(k + 1) * n])
-            Z[..., k * n] = agg - dev @ (w[1:] / w[0])
+            np.add(dev[..., :p], agg[..., None], out=Z[..., k * n:k * n + p])
+            np.add(dev[..., p:], agg[..., None], out=Z[..., k * n + p + 1:(k + 1) * n])
+            Z[..., k * n + p] = agg - dev @ (np.delete(w, p) / w[p])
         return Z
 
     def solve(self, Z: np.ndarray) -> np.ndarray:
         """w = R^-1 z for each z on the last axis of Z."""
         n = len(self.a)
         W = np.empty(Z.shape)
-        for k, w in enumerate((self.b, self.a)):
-            half = Z[..., k * n:(k + 1) * n]
+        for k, (w, p) in enumerate(zip((self.b, self.a), self.pivots)):
+            half, dev = Z[..., k * n:(k + 1) * n], W[..., k * (n - 1):(k + 1) * (n - 1)]
             agg = W[..., 2 * n - 2 + k, None]
             np.matmul(half, w, out=agg[..., 0])
-            np.subtract(half[..., 1:], agg, out=W[..., k * (n - 1):(k + 1) * (n - 1)])
+            np.subtract(half[..., :p], agg, out=dev[..., :p])
+            np.subtract(half[..., p + 1:], agg, out=dev[..., p:])
         return W
 
 
@@ -318,7 +321,8 @@ def decompose(params: ModelParams) -> SpectralDecomposition:
     boundaries, regime, lam3, lam4 = _quadratic(alpha, beta)
     lam1, lam2 = 1.0 - alpha, 1.0 - beta
     R = BlockBasis(a=params.a, b=params.b, rates=np.repeat([lam1, lam2], n - 1),
-                   A=np.array([[lam1, alpha], [-beta, lam2]]))
+                   A=np.array([[lam1, alpha], [-beta, lam2]]),
+                   pivots=(int(np.argmax(params.b)), int(np.argmax(params.a))))
     V = blocks = None
     tau_minus = tau_plus = tau_tilde = None
     if regime is Regime.REPEATED_ROOT_JORDAN:
@@ -363,24 +367,25 @@ class DecompositionCheck:
 
 
 def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
-                         lam: tuple[float, float]) -> DecompositionCheck:
+                         L: np.ndarray) -> DecompositionCheck:
     """Measure ||MQ - QJ||, ||QQ^-1 - I||, and ||Q^-1 M Q - J|| in max norm
-    for the paper's basis Q = R blockdiag(I, V) and Q^-1 = blockdiag(I, V^-1)
-    R^-1, from the factors alone, in O(n) time and memory: no m x m array.
+    for Q = R blockdiag(I, V), Q^-1 = blockdiag(I, V^-1) R^-1 and J =
+    blockdiag(R's ``rates``, L), from the factors alone, in O(n) time and
+    memory: no m x m array.  The paper's basis passes its V and L =
+    diag(lambda3, lambda4); R itself passes V = I and L = R.A, so J = J_R.
 
-    J = diag(d) holds R's ``rates`` on the deviation columns and
-    ``lam`` = (lambda3, lambda4) on V's two columns.  M is diag(s) plus,
-    in every row of its x block (y block), column 0 (1) of its factor V,
-    as U marks them.  A deviation column of Q is e_p - rho e_f, with f
-    the block's first agent (R's pivot) and p the column's own agent, so
-    each deviation column of a residual takes one value at the first
-    agent, one at its own agent and one on the other agents of each
-    block; the two aggregate columns are computed whole.  Every entry is
-    computed, so a perturbed factor counts as it would in the dense
-    products.  V^-1 is V's exact inverse, and it, 1 - sum(w) and the 2x2
-    aggregate block are formed exactly or correctly rounded, so the
-    residuals are those of the factors rather than rounding of the check.
-    R's map A enters none of Q, Q^-1 and J: verify_block_basis checks it.  The
+    M is diag(s) plus, in every row of its x block (y block), column 0 (1)
+    of its factor V.  Each block is read pivot first, then its other
+    agents in order, which leaves every max-norm residual as it is.  A
+    deviation column of Q is then e_p - rho e_f, with f the pivot and p
+    the column's own agent, so each deviation column of a residual takes
+    one value at the pivot, one at its own agent and one on the other
+    agents of each block; the two aggregate columns are computed whole.
+    Every entry is computed, so a perturbed factor counts as it would in
+    the dense products.  V^-1 is V's exact inverse, and it, 1 - sum(w) and
+    the 2x2 aggregate block are formed exactly or correctly rounded, so
+    the residuals are those of the factors rather than rounding of the
+    check; a non-finite aggregate block is an infinite residual.  The
     MQ - QJ and similarity residuals are compared against RESIDUAL_TOL *
     ||M||_max, the inverse residual against RESIDUAL_TOL directly.
     ParameterError where V is singular.
@@ -388,7 +393,7 @@ def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
     n = M.n
     # bitwise the dense max|M|: each entry of M is one entry of s or V, or 0
     m_scale = float(max(np.max(np.abs(M.s)), np.max(np.abs(M.V))))
-    s, F, lam = M.s, M.V, np.asarray(lam, dtype=float)
+    L = np.asarray(L, dtype=float)
     # V^-1 exactly, so that V V^-1 = I: rational arithmetic on 2x2 values
     (a, b), (c, d) = [[Fraction(x) for x in row] for row in V.tolist()]
     det = a * d - b * c
@@ -396,43 +401,53 @@ def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
         raise ParameterError(f"V is singular: {V.tolist()}")
     Vinv_x = [[d / det, -b / det], [-c / det, a / det]]
     Vinv = np.array(Vinv_x, dtype=float)
-    weights = (R.b, R.a)  # R's x block pivots on b, its y block on a
-    # 1 - sum(w), correctly rounded: it is of the size of the residuals it enters
-    gaps = np.array([math.fsum(np.r_[1.0, -w].tolist()) for w in weights])
-    # S[g, k]: the rank-two part of M's block-g rows times Q's aggregate column k
-    S = np.array([F[:n].sum(axis=0), F[n:].sum(axis=0)]).T @ V
-    # the aggregate rows and columns of R^-1 M Q: w_g . (M Q)_g on block g
-    agg = V * np.array([w @ s[g * n:(g + 1) * n] for g, w in enumerate(weights)])[:, None]
-    agg += S * (1.0 - gaps)[:, None]
-    # the 2x2 aggregate block V^-1 agg - diag(lam) of Q^-1 M Q - J, exactly
-    block = [float(sum(Vinv_x[i][j] * Fraction(agg[j, k]) for j in (0, 1))
-                   - (i == k) * Fraction(lam[k])) for i in (0, 1) for k in (0, 1)]
-    r1, r2, r3 = [], [], [np.array(block)]
-    for k, w in enumerate(weights):
-        f, own, other = k * n, slice(k * n + 1, (k + 1) * n), 1 - k
-        sk, rho = s[f:f + n], w[1:] / w[0]
-        rate = R.rates[k * (n - 1):(k + 1) * (n - 1)]
-        T = F[own] - rho[:, None] * F[f]  # M's rank-two part on each deviation column, per block
-        # MQ - QJ: the deviation columns of block k (own agent, first agent,
-        # other block), then the aggregate columns on block k's rows
-        r1 += [T[:, k] + (s[own] - rate), T[:, k] - rho * (s[f] - rate), T[:, other],
-               np.ravel((sk[:, None] - lam) * V[k] + S[k])]
-        # QQ^-1 - I on block k's columns: R R^-1 - I, nonzero only in the
-        # first agent's row, since V V^-1 = I
-        r2.append(w * (rho.sum() + 1.0) - np.r_[1.0, rho])
-        # Q^-1 M Q - J: the deviation columns of block k (own row, the other
-        # block's rows, the aggregate rows), then the aggregate columns on
-        # block k's deviation rows, where s_p - w.s = ds_p + s_1 (1 - sum(w)) - w.ds
-        c = w[1:] * s[own] - rho * (w[0] * s[f])
-        E = T * gaps
-        K = T * (1.0 - gaps)
-        K[:, k] += c
-        ds = sk - sk[0]
-        r3 += [s[own] - rate + E[:, k] - c, E[:, other], np.ravel(K @ Vinv.T),
-               np.ravel((ds[1:] + (sk[0] * gaps[k] - w @ ds))[:, None] * V[k] + S[k] * gaps[k])]
-        if n >= 3:  # agents besides the pivot and the own agent
-            r1.append(T[:, k])
-            r3.append(E[:, k] - c)
+    s, F, weights = M.s, M.V, (R.b, R.a)  # R's x block pivots on b, its y block on a
+    # overflow near the float limit leaves a non-finite residual, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 1 - sum(w), correctly rounded: it is of the size of the residuals it enters
+        gaps = np.array([math.fsum(np.r_[1.0, -w].tolist()) for w in weights])
+        # S[g, k]: the rank-two part of M's block-g rows times Q's aggregate column k
+        S = np.array([F[:n].sum(axis=0), F[n:].sum(axis=0)]).T @ V
+        # the aggregate rows and columns of R^-1 M Q: w_g . (M Q)_g on block g
+        agg = V * np.array([w @ s[g * n:(g + 1) * n] for g, w in enumerate(weights)])[:, None]
+        agg += S * (1.0 - gaps)[:, None]
+        # the 2x2 aggregate block V^-1 agg - L of Q^-1 M Q - J, exactly
+        block = [math.inf]
+        if np.all(np.isfinite(agg)) and np.all(np.isfinite(L)):
+            block = [float(sum(Vinv_x[i][j] * Fraction(agg[j, k]) for j in (0, 1))
+                           - Fraction(L[i, k])) for i in (0, 1) for k in (0, 1)]
+        r1, r2, r3 = [], [], [np.array(block)]
+        # the deviation columns, each block read pivot first: R's column order
+        order = [np.r_[p, :p, p + 1:n] for p in R.pivots]
+        perm = np.r_[order[0], n + order[1]]
+        s, F, weights = s[perm], F[perm], (R.b[order[0]], R.a[order[1]])
+        for k, w in enumerate(weights):
+            f, own, other = k * n, slice(k * n + 1, (k + 1) * n), 1 - k
+            sk, rho = s[f:f + n], w[1:] / w[0]
+            rate = R.rates[k * (n - 1):(k + 1) * (n - 1)]
+            T = F[own] - rho[:, None] * F[f]  # M's rank-two part on each deviation column
+            # MQ - QJ: the deviation columns of block k (own agent, pivot, other
+            # block), then the aggregate columns on block k's rows
+            r1 += [T[:, k] + (s[own] - rate), T[:, k] - rho * (s[f] - rate), T[:, other],
+                   np.ravel((sk[:, None] - L.diagonal()) * V[k]
+                            - V[k, ::-1] * L[::-1].diagonal() + S[k])]
+            # QQ^-1 - I on block k's columns: R R^-1 - I, nonzero only in the
+            # pivot's row, since V V^-1 = I
+            r2.append(w * (rho.sum() + 1.0) - np.r_[1.0, rho])
+            # Q^-1 M Q - J: the deviation columns of block k (own row, the other
+            # block's rows, the aggregate rows), then the aggregate columns on
+            # block k's deviation rows, where s_p - w.s = ds_p + s_f (1 - sum(w)) - w.ds
+            c = w[1:] * s[own] - rho * (w[0] * s[f])
+            E = T * gaps
+            K = T * (1.0 - gaps)
+            K[:, k] += c
+            ds = sk - sk[0]
+            r3 += [s[own] - rate + E[:, k] - c, E[:, other], np.ravel(K @ Vinv.T),
+                   np.ravel((ds[1:] + (sk[0] * gaps[k] - w @ ds))[:, None] * V[k]
+                            + S[k] * gaps[k])]
+            if n >= 3:  # agents besides the pivot and the own agent
+                r1.append(T[:, k])
+                r3.append(E[:, k] - c)
     r1, r2, r3 = (float(np.max(np.abs(np.concatenate(r)))) for r in (r1, r2, r3))
     threshold = RESIDUAL_TOL * m_scale
     passed = (r1 < threshold) and (r2 < RESIDUAL_TOL) and (r3 < threshold)
@@ -445,18 +460,3 @@ def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
         passed=passed,
     )
 
-
-def verify_block_basis(M: TransitionMatrix, R: BlockBasis) -> tuple[float, float, bool]:
-    """Freivalds (1977) probe residuals max|M(RX) - R(J_R X)| and
-    max|R(R^-1 X) - X| on a fixed-seed standard-normal X of PROBE_WIDTH
-    rows, through the O(n) operators, and whether they are below
-    RESIDUAL_TOL * max|M| * max|X| and RESIDUAL_TOL * max|X|."""
-    X = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_WIDTH, M.shape[0]))
-    x_scale = float(np.max(np.abs(X)))
-    m_scale = float(max(np.max(np.abs(M.s)), np.max(np.abs(M.V))))
-    # overflow near the float limit leaves a non-finite residual, which fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        JX = apply_blockdiag(R.rates, R.A, X)
-        r1 = float(np.max(np.abs(M.apply(R.apply(X)) - R.apply(JX))))
-        r2 = float(np.max(np.abs(R.apply(R.solve(X)) - X)))
-    return r1, r2, r1 < RESIDUAL_TOL * m_scale * x_scale and r2 < RESIDUAL_TOL * x_scale

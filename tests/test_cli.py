@@ -555,6 +555,9 @@ BAD_INPUTS = {
                                      "--out", p / "c.csv"], "NonFiniteState"),
     "verify-float-limit": (lambda p: ["verify", "--config", config_with(
         p, alpha=1e308, beta=-1e308)], "NonFiniteState"),
+    # the complex regime, where the exact check of R runs at float scale
+    "verify-complex-float-scale": (lambda p: ["verify", "--config", config_with(
+        p, alpha=1e150, beta=1e150)], "NonFiniteState"),
 }
 
 #: Run sections that every model subcommand refuses, and the error type.
@@ -1020,6 +1023,18 @@ class TestMoments:
         assert json.dumps(reported) == json.dumps(cli._jsonable(expected))
 
 
+#: small weights that once failed verify: at the front of b (decomposition_residuals
+#: and block_basis_residuals), at the front of b at T = 500 (block_basis_residuals and
+#: explicit_equals_recursive), and at the front of b in the complex regime
+SMALL_WEIGHT_CONFIGS = {
+    "front-of-b": {"n": 3, "alpha": 0.1, "beta": 0.9,
+                   "b": [3.746544899230158e-07, 0.48712059498119836, 0.5128790303643118]},
+    "front-of-b-long": {"n": 3, "alpha": 0.1, "beta": 0.9, "a": [1 / 3] * 3,
+                        "b": [1e-9, 0.5, 0.499999999], "run": {"T": 500}},
+    "complex": {"n": 4, "alpha": 1.09804, "beta": 0.7, "b": [1e-7, 0.3, 0.3, 0.3999999]},
+}
+
+
 class TestVerify:
     def test_diagonalizable_config_passes(self, capsys, diag_config):
         config_path, _ = diag_config
@@ -1136,14 +1151,43 @@ class TestVerify:
         assert checks["regime_agreement"]["detail"] == \
             "spectral=diagonalizable_real cycle=distinct_real"
 
-    def test_block_detail_names_both_figures(self, capsys, diag_config):
+    def test_block_detail_names_all_three_figures(self, capsys, diag_config):
         config_path, _ = diag_config
         _, report, _ = run_cli(capsys, "verify", "--config", config_path)
         detail = next(c["detail"] for c in report["payload"]["checks"]
                       if c["name"] == "block_basis_residuals")
         figures = dict(item.split("=") for item in detail.split())
-        assert sorted(figures) == ["mr_rj", "rrinv"]
+        assert sorted(figures) == ["mr_rj", "rrinv", "similarity"]
         assert all(float(v) < 1e-14 for v in figures.values())
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+    @pytest.mark.parametrize("config", SMALL_WEIGHT_CONFIGS.values(),
+                             ids=SMALL_WEIGHT_CONFIGS.keys())
+    def test_small_weight_passes_in_either_agent_order(self, capsys, tmp_path, config, reverse):
+        # R once divided by the first weight; each block now pivots on its
+        # largest, so the order of the agents does not decide the verdict
+        doc = {k: v[::-1] if reverse and k in ("a", "b") else v for k, v in config.items()}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, report, err = run_cli(capsys, "verify", "--config", cfg)
+            assert code == 0, err
+            assert all(c["status"] in ("pass", "skipped") for c in report["payload"]["checks"])
+            code, report, err = run_cli(capsys, "decompose", "--config", cfg)
+        assert code == 0, err
+        residuals = report["payload"]["residuals"]
+        assert residuals is None or residuals["passed"] is True
+
+    def test_one_step_skips_only_the_cycle_reduction(self, capsys, tmp_path):
+        # T = 1 gives two states; the scalar equation needs three
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 3, "alpha": 0.1, "beta": 0.9, "run": {"T": 1}}))
+        code, report, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and report["payload"]["all_passed"] is True, err
+        checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
+        assert checks.pop("cycle_reduction") == "skipped"
+        assert set(checks.values()) == {"pass"} and len(checks) == 6
 
 
 

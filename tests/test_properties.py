@@ -38,9 +38,9 @@ from varcycle import (
     verify_decomposition,
 )
 from varcycle.cli import main
-from varcycle.spectral import verify_block_basis
+from varcycle.simulate import NoisePath
 
-from test_spectral import assert_matches_dense, factors
+from test_spectral import assert_matches_dense, dense_from_factors, factors
 
 BOUNDARY_FACTORS = {"d1": 3.0 - 2.0 * np.sqrt(2.0), "d2": 3.0 + 2.0 * np.sqrt(2.0)}
 SPECTRAL_TO_CYCLE = {
@@ -163,40 +163,47 @@ def test_decomposition_check_matches_dense_oracle(params):
     assert_matches_dense(verify_decomposition(**args), **args)
 
 
-def exact_residuals(M, R, V, lam):
+def exact_residuals(M, R, V, L):
     """The three residuals of the factors in rational arithmetic: Q's
-    deviation columns e_p - fl(w_p/w_1) e_1, R^-1's rows e_p - w and w,
-    and V^-1 exactly."""
+    deviation columns e_q - fl(w_q/w_p) e_p, with p the block's pivot and
+    q each other agent in order, R^-1's rows e_q - w and w, V^-1 exactly,
+    and J = blockdiag(R.rates, L), all in R's column order."""
     n, m = M.n, 2 * M.n
-    F = [Fraction(float(x)) for x in np.ravel(np.diag(M.s) + M.U.T @ M.V.T)]
+    F = [Fraction(float(x)) for x in np.ravel(dense_from_factors(M))]
     Mx = [F[i * m:(i + 1) * m] for i in range(m)]
     Vx = [[Fraction(float(x)) for x in row] for row in V]
     det = Vx[0][0] * Vx[1][1] - Vx[0][1] * Vx[1][0]
     Vinv = [[Vx[1][1] / det, -Vx[0][1] / det], [-Vx[1][0] / det, Vx[0][0] / det]]
     Q = [[Fraction(0)] * m for _ in range(m)]
     Qinv = [[Fraction(0)] * m for _ in range(m)]
-    for k, w in enumerate((R.b, R.a)):
+    for k, (w, pivot) in enumerate(zip((R.b, R.a), R.pivots)):
         wx = [Fraction(float(x)) for x in w]
-        for p in range(1, n):
-            col = k * (n - 1) + p - 1
-            Q[k * n + p][col], Q[k * n][col] = Fraction(1), -Fraction(float(w[p] / w[0]))
+        for i, q in enumerate(q for q in range(n) if q != pivot):
+            col = k * (n - 1) + i
+            Q[k * n + q][col] = Fraction(1)
+            Q[k * n + pivot][col] = -Fraction(float(w[q] / w[pivot]))
             for j in range(n):
-                Qinv[col][k * n + j] = (j == p) - wx[j]
+                Qinv[col][k * n + j] = (j == q) - wx[j]
         for i in range(n):
             for g in (0, 1):
                 Q[k * n + i][m - 2 + g] = Vx[k][g]
                 Qinv[m - 2 + g][k * n + i] = Vinv[g][k] * wx[i]
-    d = [Fraction(float(x)) for x in np.r_[R.rates, lam]]
+    J = [[Fraction(0)] * m for _ in range(m)]
+    for i, rate in enumerate(R.rates):
+        J[i][i] = Fraction(float(rate))
+    for g in (0, 1):
+        for h in (0, 1):
+            J[m - 2 + g][m - 2 + h] = Fraction(float(L[g][h]))
 
     def mul(A, B):
         return [[sum(A[i][j] * B[j][k] for j in range(m)) for k in range(m)] for i in range(m)]
 
-    MQ, QQinv = mul(Mx, Q), mul(Q, Qinv)
+    MQ, QJ, QQinv = mul(Mx, Q), mul(Q, J), mul(Q, Qinv)
     S = mul(Qinv, MQ)
     cells = [(i, j) for i in range(m) for j in range(m)]
-    return (float(max(abs(MQ[i][j] - Q[i][j] * d[j]) for i, j in cells)),
+    return (float(max(abs(MQ[i][j] - QJ[i][j]) for i, j in cells)),
             float(max(abs(QQinv[i][j] - (i == j)) for i, j in cells)),
-            float(max(abs(S[i][j] - (i == j) * d[j]) for i, j in cells)))
+            float(max(abs(S[i][j] - J[i][j]) for i, j in cells)))
 
 
 NEAR_D1 = (BOUNDARY_FACTORS["d1"] * 0.7 * (1 - 1e-6), 0.7)
@@ -254,8 +261,83 @@ def test_explicit_equals_recursive_property(params, seed):
 @given(params=BLOCK_MODELS)
 @regime_examples()
 def test_block_basis_residuals_pass(params):
-    r1, r2, passed = verify_block_basis(build_transition_matrix(params), decompose(params).R)
-    assert passed, (r1, r2)
+    R = decompose(params).R
+    check = verify_decomposition(build_transition_matrix(params), R, np.eye(2), R.A)
+    assert check.passed, check
+
+
+@st.composite
+def small_weight_models(draw):
+    """n in 1..6 with, from n = 2 on, one weight in [1e-12, 1e-3] at any
+    position of either block and the others drawn in [0.5, 1.5] before
+    normalising; (alpha, beta) in the regime drawn first, with every
+    eigenvalue of M inside the unit circle."""
+    n = draw(st.integers(1, 6))
+    regime = draw(st.sampled_from(list(Regime)))
+    beta = draw(st.floats(0.05, 1.9))
+    d1, d2 = BOUNDARY_FACTORS["d1"], BOUNDARY_FACTORS["d2"]
+    if regime is Regime.REPEATED_ROOT_JORDAN:
+        ratio = draw(st.sampled_from([d1, d2]))
+    elif regime is Regime.COMPLEX_CONJUGATE:
+        ratio = draw(st.floats(1.01 * d1, 0.99 * d2))
+    else:
+        ratio = draw(st.one_of(st.floats(0.01, 0.99 * d1), st.floats(1.01 * d2, 20.0)))
+    weights = [draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)) for _ in "ab"]
+    if n > 1:
+        block, position = draw(st.integers(0, 1)), draw(st.integers(0, n - 1))
+        weights[block][position] = 10.0 ** draw(st.floats(-12.0, -3.0))
+    a, b = (np.array(w) / sum(w) for w in weights)
+    params = validate_params({"n": n, "alpha": ratio * beta, "beta": beta, "a": a, "b": b})
+    eig = decompose(params).eig
+    assume(classify_regime(params.alpha, beta)[1] is regime)
+    assume(max(abs(v) for v in (eig.lambda1, eig.lambda2, eig.lambda3, eig.lambda4)) < 1.0)
+    return params
+
+
+@PROPERTY
+@given(params=small_weight_models())
+def test_small_weight_passes_every_check(params):
+    # R pivots each block on its largest weight, so a small weight in any
+    # position leaves every verify check and the decompose residuals passing
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"n": params.n, "alpha": params.alpha, "beta": params.beta,
+                                      "a": params.a.tolist(), "b": params.b.tolist()}))
+        payloads = {}
+        for command in ("verify", "decompose"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([command, "--config", str(config)]) == 0, command
+            payloads[command] = json.loads(out.getvalue())["payload"]
+    checks = payloads["verify"]["checks"]
+    assert all(c["status"] in ("pass", "skipped") for c in checks), checks
+    residuals = payloads["decompose"]["residuals"]
+    assert (residuals is None) == (decompose(params).V is None)
+    assert residuals is None or residuals["passed"], residuals
+
+
+#: how far a permutation of the agents may move the trajectories: the
+#: weighted sums add in another order, and nothing else changes
+PERMUTATION_TOL = 1e-12
+
+
+@PROPERTY
+@given(params=small_weight_models(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_permuting_the_agents_permutes_the_trajectories(params, seed, data):
+    n = params.n
+    perm = np.array(data.draw(st.permutations(range(n))))
+    both = np.r_[perm, n + perm]  # agent i's x and y
+    moved = validate_params({"n": n, "alpha": params.alpha, "beta": params.beta,
+                             "a": params.a[perm], "b": params.b[perm]})
+    spec = validate_noise({"mu": [0.0] * (2 * n), "sigma": [1.0] * (2 * n)}, n)
+    path = sample_noise_path(spec, params, 200, seed=seed)
+    moved_path = NoisePath(path.epsilon[:, perm], path.eta[:, perm], params.alpha, params.beta)
+    z0 = np.random.default_rng(seed).uniform(-1, 1, 2 * n)
+    for simulate, factor in ((simulate_recursive, build_transition_matrix),
+                             (simulate_explicit, decompose)):
+        want = simulate(params, factor(params), z0, path).z[:, both]
+        got = simulate(moved, factor(moved), z0[both], moved_path).z
+        assert np.max(np.abs(got - want)) <= PERMUTATION_TOL * (1.0 + np.max(np.abs(want)))
 
 
 MOMENT_MODELS = models(n_min=1, axes=True)

@@ -14,7 +14,7 @@ from varcycle import (
     verify_decomposition,
 )
 from varcycle.errors import NonFiniteResult, ParameterError, WrongRegime
-from varcycle.spectral import _eigen_order, _eigenbasis, eigen_coordinates, verify_block_basis
+from varcycle.spectral import _eigen_order, _eigenbasis, eigen_coordinates
 
 D1_FACTOR = 3.0 - 2.0 * np.sqrt(2.0)
 
@@ -238,20 +238,18 @@ class TestBasisInverse:
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_matches_row_operation_recipe(self, n):
         # oracle: reduce Q to diag{Q21, Q22} by two column operations,
-        # invert the blocks, and apply the same operations as row operations
+        # invert the blocks, and apply the same operations as row operations;
+        # each block's deviation rows e_q - w skip its pivot, the largest weight
         p = random_diagonalizable(np.random.default_rng(100 + n), n)
         dec = decompose(p)
         a, b = p.a, p.b
         (v11, v12), (v21, v22) = dec.V
         mix = v11 * v22 - v12 * v21
-        ones = np.ones(n - 1)
         q21 = np.zeros((n, n))
-        q21[: n - 1, 0] = -b[0]
-        q21[: n - 1, 1:] = np.eye(n - 1) - np.outer(ones, b[1:])
+        q21[: n - 1] = np.delete(np.eye(n), np.argmax(b), axis=0) - b
         q21[n - 1] = b
         q22 = np.zeros((n, n))
-        q22[: n - 1, 0] = -a[0]
-        q22[: n - 1, 1:] = np.eye(n - 1) - np.outer(ones, a[1:])
+        q22[: n - 1] = np.delete(np.eye(n), np.argmax(a), axis=0) - a
         q22[n - 1] = a / mix
         oracle = np.zeros((2 * n, 2 * n))
         oracle[:n, :n] = q21
@@ -288,16 +286,18 @@ class TestBasisInverse:
 
 
 def dense_block_basis(p):
-    """Oracle: R, R^-1 and J_R written out entry by entry."""
+    """Oracle: R, R^-1 and J_R written out entry by entry, each block
+    pivoted on its largest weight (the first on ties)."""
     n, m = p.n, 2 * p.n
     R, Rinv, J = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
     for half, w, rate in ((0, p.b, 1.0 - p.alpha), (1, p.a, 1.0 - p.beta)):
-        for i in range(n - 1):
+        pivot = int(np.argmax(w))
+        for i, q in enumerate(q for q in range(n) if q != pivot):
             col = half * (n - 1) + i
-            R[half * n, col] = -w[i + 1] / w[0]
-            R[half * n + i + 1, col] = 1.0
+            R[half * n + pivot, col] = -w[q] / w[pivot]
+            R[half * n + q, col] = 1.0
             Rinv[col, half * n:(half + 1) * n] = -w
-            Rinv[col, half * n + i + 1] += 1.0
+            Rinv[col, half * n + q] += 1.0
             J[col, col] = rate
         R[half * n:(half + 1) * n, m - 2 + half] = 1.0
         Rinv[m - 2 + half, half * n:(half + 1) * n] = w
@@ -333,8 +333,21 @@ class TestBlockBasis:
         M = build_transition_matrix(p).entries
         assert np.max(np.abs(M @ dense - dense @ J)) < 1e-15 * 4
         assert np.max(np.abs(dense @ dense_inv - np.eye(2 * n))) < 1e-15 * 4
-        r1, r2, passed = verify_block_basis(build_transition_matrix(p), decompose(p).R)
-        assert passed and r1 < 1e-14 and r2 < 1e-14
+        R = decompose(p).R
+        check = verify_decomposition(build_transition_matrix(p), R, np.eye(2), R.A)
+        assert check.passed
+        assert max(check.residual_mq_qj, check.residual_qqinv, check.residual_similarity) < 1e-14
+
+    @pytest.mark.parametrize("a, b, pivots", [([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], (0, 2)),
+                                              ([0.4, 0.4, 0.2], [0.1, 0.45, 0.45], (1, 0)),
+                                              ([1 / 3] * 3, [1 / 3] * 3, (0, 0))])
+    def test_each_block_pivots_on_its_largest_weight(self, a, b, pivots):
+        # (argmax b, argmax a), the first index on ties, so every multiplier
+        # w_q / w_pivot of R is at most 1
+        p = make_params(n=3, a=a, b=b)
+        R = decompose(p).R
+        assert R.pivots == pivots
+        assert np.max(np.abs(R.apply(np.eye(6)))) == 1.0
 
     def test_q_is_r_times_blockdiag_v(self):
         # the deviation columns of Q (rows of Q^-1) are R's (R^-1's) exactly;
@@ -361,17 +374,33 @@ class TestBlockBasis:
         p = random_weights_params(4, 1.09804, 0.7)
         R = decompose(p).R
         bad = dataclasses.replace(R, **{field: getattr(R, field) + np.asarray(delta)})
-        r1, r2, passed = verify_block_basis(build_transition_matrix(p), bad)
-        assert not passed and max(r1, r2) > 1e-8
+        check = verify_decomposition(build_transition_matrix(p), bad, np.eye(2), bad.A)
+        assert not check.passed
+        assert max(check.residual_mq_qj, check.residual_qqinv, check.residual_similarity) > 1e-8
+
+    @pytest.mark.parametrize("n, alpha, beta", BLOCK_CASES)
+    def test_perturbed_entry_fails_the_block_check(self, n, alpha, beta):
+        # the exact check of MR = RJ_R: a 1e-6 change to any one entry of a
+        # factor it reads fails it, in every regime
+        p = random_weights_params(n, alpha, beta, seed=n)
+        R = decompose(p).R
+        args = {"M": build_transition_matrix(p), "R": R, "V": np.eye(2), "L": R.A}
+        assert verify_decomposition(**args).passed
+        for name in ["M.s", "M.V", "R.a", "R.b", "R.rates", "L"]:
+            for index in range(factor(args, name).size):
+                bad = perturb(args, name, index)
+                check = verify_decomposition(**bad)
+                assert not check.passed, (name, index)
+                assert_matches_dense(check, **bad)
 
 
-def dense_residuals(M, d, Q, Qinv):
+def dense_residuals(M, J, Q, Qinv):
     """Oracle: the three residuals from dense products as written, each
     with the largest gap that rounding can open between it and the
     structured check (Higham's gamma_m for products of inner dimension
     m, with a safety factor of 4)."""
     m, eps = Q.shape[0], np.finfo(float).eps
-    J, aM, aQ, aQinv = np.diag(d), np.abs(M), np.abs(Q), np.abs(Qinv)
+    aM, aQ, aQinv = np.abs(M), np.abs(Q), np.abs(Qinv)
     return (
         (np.max(np.abs(M @ Q - Q @ J)), 4 * m * eps * np.max(aM @ aQ + aQ @ np.abs(J))),
         (np.max(np.abs(Q @ Qinv - np.eye(m))), 4 * m * eps * np.max(aQ @ aQinv)),
@@ -379,27 +408,34 @@ def dense_residuals(M, d, Q, Qinv):
     )
 
 
-def factor_residuals(M, R, V, lam):
+def factor_residuals(M, R, V, L):
     """dense_residuals on M, Q, Q^-1 and J built densely from the same
-    factors: J holds R's rates on the deviations and lam on V's columns,
-    and Q^-1 is the eigen coordinates of R^-1, as SpectralDecomposition
-    builds it."""
+    factors: J holds R's rates on the deviations and the 2x2 L on V's
+    columns, and Q^-1 is the eigen coordinates of R^-1, as
+    SpectralDecomposition builds it."""
     n = M.n
-    d = np.empty(2 * n)
-    d[_eigen_order(n)] = np.r_[R.rates, lam]
-    dense_M = np.diag(M.s) + M.U.T @ M.V.T
+    pos = _eigen_order(n)
+    J = np.zeros((2 * n, 2 * n))
+    J[pos[:-2], pos[:-2]] = R.rates
+    J[np.ix_(pos[-2:], pos[-2:])] = L
     Qinv = eigen_coordinates(V, R.solve(np.eye(2 * n)).T)
-    return dense_residuals(dense_M, d, _eigenbasis(R, V), Qinv)
+    return dense_residuals(dense_from_factors(M), J, _eigenbasis(R, V), Qinv)
 
 
-def assert_matches_dense(check, M, R, V, lam):
+def dense_from_factors(M):
+    """diag(s) + U^T V^T with every entry of M's factors, U the constant
+    block indicator that TransitionMatrix leaves implicit."""
+    return np.diag(M.s) + np.kron(np.eye(2), np.ones(M.n)).T @ M.V.T
+
+
+def assert_matches_dense(check, M, R, V, L):
     got = (check.residual_mq_qj, check.residual_qqinv, check.residual_similarity)
-    for value, (want, bound) in zip(got, factor_residuals(M, R, V, lam)):
+    for value, (want, bound) in zip(got, factor_residuals(M, R, V, L)):
         assert abs(value - want) <= bound
 
 
 def factors(dec, M):
-    return {"M": M, "R": dec.R, "V": dec.V, "lam": (dec.eig.lambda3, dec.eig.lambda4)}
+    return {"M": M, "R": dec.R, "V": dec.V, "L": np.diag([dec.eig.lambda3, dec.eig.lambda4])}
 
 
 def factor(args, name):
@@ -419,7 +455,7 @@ def perturb(args, name, index, delta=1e-6):
 
 
 #: every factor the check reads, with R.A left out: it enters none of Q, Q^-1 and J
-FACTORS = ["R.a", "R.b", "R.rates", "V", "lam", "M.s", "M.V"]
+FACTORS = ["R.a", "R.b", "R.rates", "V", "L", "M.s", "M.V"]
 
 
 class TestVerifyDecomposition:
@@ -461,7 +497,7 @@ class TestVerifyDecomposition:
         args = factors(decompose(p), build_transition_matrix(p))
         bad = perturb(args, "R.A", 1)
         assert verify_decomposition(**bad) == verify_decomposition(**args)
-        assert not verify_block_basis(args["M"], bad["R"])[2]
+        assert not verify_decomposition(args["M"], bad["R"], np.eye(2), bad["R"].A).passed
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_residuals_match_dense_oracle(self, n):
