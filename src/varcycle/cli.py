@@ -25,7 +25,8 @@ from typing import Any, BinaryIO, Iterator, NoReturn, Sequence
 import numpy as np
 
 from . import __version__, cycle as cycle_mod, moments as moments_mod
-from .errors import ConfigError, NonFiniteResult, RangeError, TooShort, VarcycleError
+from .errors import (ConfigError, DimensionMismatch, NonFiniteResult, RangeError, TooShort,
+                     VarcycleError)
 from .model import (
     ModelParams,
     NoiseSpec,
@@ -38,13 +39,7 @@ from .model import (
     validate_pair,
     validate_params,
 )
-from .simulate import (
-    Trajectory,
-    aggregates,
-    sample_noise_path,
-    simulate_explicit,
-    simulate_recursive,
-)
+from .simulate import aggregates, sample_noise_path, simulate_explicit, simulate_recursive
 from .spectral import BOUNDARY_TOL, SpectralDecomposition, decompose, verify_decomposition
 
 DEFAULT_SEED = 0
@@ -98,7 +93,10 @@ def resolve_config(doc: dict, args: argparse.Namespace | None = None
     uniform = {}
     if "n" in doc:
         n = _agent_count(doc["n"])
-        uniform = {"a": [1.0 / n] * n, "b": [1.0 / n] * n}
+        try:
+            uniform = {k: [1.0 / n] * n for k in ("a", "b") if k not in doc}
+        except (OverflowError, MemoryError) as exc:
+            raise DimensionMismatch(f"cannot hold uniform weights for n={n}: {exc}") from exc
     params = validate_params({**uniform, **doc})
     noise_doc = doc.get("noise")
     if noise_doc is None:
@@ -190,12 +188,12 @@ class CsvTable:
 
     Each column is a 1-D array or a 2-D array with one row per CSV row.
     Numbers are written as shortest round-trip decimals (the repr of a
-    Python float); with ``index`` each row starts with its row number.
+    Python float); with a header, whose first name is the index column,
+    each row starts with its row number.
     """
 
     header: str | None
     columns: tuple[np.ndarray, ...]
-    index: bool
 
     @property
     def _block_rows(self) -> int:
@@ -210,7 +208,7 @@ class CsvTable:
         block = np.column_stack([c[lo:hi] for c in self.columns])
         cells = iter(list(map(repr, block.ravel().tolist())))
         fields = [cells] * block.shape[1]
-        if self.index:
+        if self.header is not None:
             fields.insert(0, map(str, range(lo, hi)))
         lines = list(map(",".join, zip(*fields)))
         lines.append("")
@@ -302,7 +300,7 @@ def atomic_write(path: str, content: str | CsvTable) -> None:
 
 
 def matrix_csv(matrix: np.ndarray) -> CsvTable:
-    return CsvTable(None, (np.atleast_2d(matrix),), index=False)
+    return CsvTable(None, (np.atleast_2d(matrix),))
 
 
 def trajectory_csv(traj_z: np.ndarray, params: ModelParams) -> CsvTable:
@@ -314,13 +312,11 @@ def trajectory_csv(traj_z: np.ndarray, params: ModelParams) -> CsvTable:
         + ",".join(f"y_{i+1}" for i in range(n))
         + ",xbar,ybar"
     )
-    xbar = traj_z[:, :n] @ params.b
-    ybar = traj_z[:, n:] @ params.a
-    return CsvTable(header, (traj_z, xbar, ybar), index=True)
+    return CsvTable(header, (traj_z, *params.aggregate(traj_z[:, :n], traj_z[:, n:])))
 
 
 def cycle_csv(xbar: np.ndarray, h: np.ndarray) -> CsvTable:
-    return CsvTable("t,xbar,h", (xbar, h), index=True)
+    return CsvTable("t,xbar,h", (xbar, h))
 
 
 def _jsonable(obj: Any) -> Any:
@@ -368,11 +364,11 @@ class _Timer:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _method_deviation(recursive: Trajectory, explicit: Trajectory) -> tuple[float, float]:
-    """max|zr - ze| between the two methods' states, and that over
-    1 + max|zr|."""
-    dev = float(np.max(np.abs(recursive.z - explicit.z)))
-    return dev, dev / (1.0 + float(np.max(np.abs(recursive.z))))
+def _residual(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """max|r| and max|r| / (1 + max|z|), for a residual r of the state z:
+    the one rule that judges a residual on the scale of its state."""
+    worst = float(np.max(np.abs(r)))
+    return worst, worst / (1.0 + float(np.max(np.abs(z))))
 
 
 def _basis_residuals(M: TransitionMatrix, dec: SpectralDecomposition) -> dict[str, Any] | None:
@@ -456,8 +452,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "lint": lint_params(params),
     }
     if run["method"] == "both":
+        z = trajectories["recursive"].z
         payload["max_method_deviation"], payload["max_method_deviation_relative"] = (
-            _method_deviation(trajectories["recursive"], trajectories["explicit"]))
+            _residual(z - trajectories["explicit"].z, z))
     emit_report(config_echo(params, noise, run, output), payload, timer.stages)
     return 0
 
@@ -529,6 +526,8 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         raise ConfigError("cycle requires --out")
     alpha, beta, T = args.alpha, args.beta, args.T
     validate_pair(alpha, beta)
+    if T < 2:  # simulate_cycle's bound, stated before any shock is drawn
+        raise RangeError(f"T must be >= 2, got {T}")
     timer.mark("validate")
 
     model = cycle_mod.reduce_to_cycle(alpha, beta)
@@ -615,7 +614,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     noises = sample_noise_path(noise, params, run["T"], run["seed"])
     traj = simulate_recursive(params, M, z0, noises)
-    _, dev = _method_deviation(traj, simulate_explicit(params, dec, z0, noises))
+    _, dev = _residual(traj.z - simulate_explicit(params, dec, z0, noises).z, traj.z)
     record("explicit_equals_recursive", "pass" if dev < 1e-8 else "fail",
            f"relative deviation {dev:.3e}")
 
@@ -628,7 +627,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         h = cycle_mod.forcing_series(scalar_noise, alpha, beta)
         resid = agg.xbar[2:] + model.kappa1 * agg.xbar[1:-1] + model.kappa2 * agg.xbar[:-2]
         resid -= h[: len(resid)]
-        rr = float(np.max(np.abs(resid))) / (1.0 + float(np.max(np.abs(agg.xbar))))
+        # b . x rounds at the scale of x, not of xbar, so the state scales it
+        _, rr = _residual(resid, traj.z)
         record("cycle_reduction", "pass" if rr < 1e-10 else "fail",
                f"relative residual {rr:.3e}")
 

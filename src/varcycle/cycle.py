@@ -153,9 +153,7 @@ def sample_scalar_noise(
 
 def scalar_noise_from_vector(params: ModelParams, noises: NoisePath) -> ScalarNoise:
     """Aggregate a vector noise path: ebar = b . epsilon, nbar = a . eta."""
-    eps_bar = noises.epsilon @ params.b
-    eta_bar = noises.eta @ params.a
-    return ScalarNoise(eps_bar=eps_bar, eta_bar=eta_bar)
+    return ScalarNoise(*params.aggregate(noises.epsilon, noises.eta))
 
 
 def forcing_series(noise: ScalarNoise, alpha: float, beta: float) -> np.ndarray:

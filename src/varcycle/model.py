@@ -41,6 +41,11 @@ class ModelParams:
     a: np.ndarray
     b: np.ndarray
 
+    def aggregate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The aggregates (b . x, a . y) over the last axis: the one map from
+        the agents' outputs and sentiments, or their shocks, to xbar, ybar."""
+        return x @ self.b, y @ self.a
+
 
 @dataclass(frozen=True)
 class NoiseSpec:

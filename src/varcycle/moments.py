@@ -95,16 +95,17 @@ class LimitReport:
     solved in R's coordinates block by block.
     The two differ in general; both are reported with their gap, and the
     long-run Monte Carlo oracle matches the moving-average form.
-    ``truncation_terms`` is always None: no series is truncated.
+    ``truncation_terms`` is always None: no series is truncated.  Every
+    field after ``spectral_radius_ok`` is None where the limits are skipped.
     """
 
     lambda_tilde: tuple[float | complex | None, ...]
     spectral_radius_ok: bool
-    limiting_mean: np.ndarray | None
-    resolvent_limit_cov: np.ndarray | None
-    ma_infinity_cov: np.ndarray | None
-    truncation_terms: int | None
-    covariance_discrepancy: float | None
+    limiting_mean: np.ndarray | None = None
+    resolvent_limit_cov: np.ndarray | None = None
+    ma_infinity_cov: np.ndarray | None = None
+    truncation_terms: int | None = None
+    covariance_discrepancy: float | None = None
 
 
 @dataclass(frozen=True)
@@ -255,10 +256,10 @@ def _stein(R: BlockBasis, S: np.ndarray) -> np.ndarray:
 
 def _aggregate_cov(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """The 2x2 covariance of the aggregates (xbar, ybar) = W^T z for a
-    covariance X of z: W^T X W with W = [[b, 0], [0, a]]."""
-    zeros = np.zeros(params.n)
-    W = np.column_stack([np.r_[params.b, zeros], np.r_[zeros, params.a]])
-    return W.T @ X @ W
+    covariance X of z: W^T X W with W = [[b, 0], [0, a]], the aggregate
+    map applied to X's rows and then to the result's columns."""
+    n = params.n
+    return _congruence(lambda Z: np.stack(params.aggregate(Z[:, :n], Z[:, n:]), axis=-1), X)
 
 
 def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition) -> LimitReport:
@@ -275,15 +276,7 @@ def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition)
                       for lam in (eig.lambda1, eig.lambda2, eig.lambda3, eig.lambda4))
     rho = float(max(np.max(np.abs(R.rates), initial=0.0), abs(eig.lambda3), abs(eig.lambda4)))
     if not 0.0 < rho < 1.0:
-        return LimitReport(
-            lambda_tilde=lam_tilde,
-            spectral_radius_ok=False,
-            limiting_mean=None,
-            resolvent_limit_cov=None,
-            ma_infinity_cov=None,
-            truncation_terms=None,
-            covariance_discrepancy=None,
-        )
+        return LimitReport(lambda_tilde=lam_tilde, spectral_radius_ok=False)
 
     # the resolvent (I - M)^-1 = R (I - J_R)^-1 R^-1
     resolvent = partial(apply_blockdiag, 1.0 / (1.0 - R.rates), np.linalg.inv(np.eye(2) - R.A))
@@ -298,7 +291,6 @@ def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition)
         limiting_mean=mean,
         resolvent_limit_cov=claimed,
         ma_infinity_cov=ma_cov,
-        truncation_terms=None,
         covariance_discrepancy=float(np.max(np.abs(claimed - ma_cov))),
     )
 

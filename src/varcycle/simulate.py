@@ -215,7 +215,4 @@ def aggregates(trajectory: Trajectory, params: ModelParams) -> AggregateSeries:
         raise DimensionMismatch(
             f"trajectory state width {trajectory.z.shape[1]} does not match 2n={2*n}"
         )
-    return AggregateSeries(
-        xbar=trajectory.z[:, :n] @ params.b,
-        ybar=trajectory.z[:, n:] @ params.a,
-    )
+    return AggregateSeries(*params.aggregate(trajectory.z[:, :n], trajectory.z[:, n:]))

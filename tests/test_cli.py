@@ -349,6 +349,9 @@ class TestModelConfig:
 
 NAN, INF = float("nan"), float("inf")
 NO_AGENTS = json.dumps({"n": 0, "alpha": 0.1, "beta": 0.9})
+# uniform weights for these n fail at once, one by size and one by overflow;
+# a size that could be allocated, such as 1e9, is never run
+HUGE_AGENTS = {n: json.dumps({"n": n, "alpha": 0.1, "beta": 0.9}) for n in (1e18, 1e30)}
 
 
 def text_file(path, text):
@@ -395,8 +398,11 @@ BAD_INPUTS = {
                         "ParameterError"),
     "cycle-forbidden-pair": (lambda p: ["cycle", "--alpha", "1", "--beta", "1",
                                         "--out", p / "c.csv"], "ForbiddenPair"),
-    "cycle-T-zero": (lambda p: ["cycle", "--T", "0", "--out", p / "c.csv"], "RangeError"),
-    "cycle-T-one": (lambda p: ["cycle", "--T", "1", "--out", p / "c.csv"], "RangeError"),
+    # one lower bound for --T, stated before any draw
+    "cycle-T-zero": (lambda p: ["cycle", "--T", "0", "--out", p / "c.csv"],
+                     "RangeError: T must be >= 2, got 0"),
+    "cycle-T-one": (lambda p: ["cycle", "--T", "1", "--out", p / "c.csv"],
+                    "RangeError: T must be >= 2, got 1"),
     "cycle-eps-sd-negative": (lambda p: ["cycle", "--eps-sd", "-1", "--out", p / "c.csv"],
                               "RangeError"),
     "cycle-eta-sd-negative": (lambda p: ["cycle", "--eta-sd", "-1", "--out", p / "c.csv"],
@@ -518,6 +524,10 @@ BAD_INPUTS = {
                                    "--out", p / "s.csv"], "DimensionMismatch"),
     "moments-n-zero": (lambda p: ["moments", "--config", text_file(p / "c.json", NO_AGENTS)],
                        "DimensionMismatch"),
+    "decompose-n-1e18-uniform": (lambda p: ["decompose", "--config", text_file(
+        p / "c.json", HUGE_AGENTS[1e18])], "DimensionMismatch"),
+    "verify-n-1e30-uniform": (lambda p: ["verify", "--config", text_file(
+        p / "c.json", HUGE_AGENTS[1e30])], "DimensionMismatch"),
     "config-section-not-object": (lambda p: ["decompose", "--config", config_with(
         p, noise=[0.0, 1.0])], "ConfigError"),
     "config-not-json": (lambda p: ["decompose", "--config", text_file(p / "c.json", "{n: 2")],
@@ -574,6 +584,7 @@ BAD_RUN_SECTIONS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
+    # the expected error is a type, or a type and the start of its message
     argv, error = BAD_INPUTS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -582,7 +593,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert code == 2
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
+    error_type, _, message = error.partition(": ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error_type}: {message}")
     assert not list(tmp_path.rglob("*.csv"))
     assert not list(tmp_path.rglob(".tmp-*"))
 
@@ -656,6 +668,12 @@ class TestOutputMode:
         assert run_cli(capsys, "cycle", "--T", 30, "--out", out)[0] == 0
         assert out.read_text().startswith("t,xbar,h\n")
         assert file_mode(out) == 0o640
+
+
+def test_numpy_scalars_become_python_numbers():
+    out = cli._jsonable({"x": np.float64(0.1), "k": [np.int64(3)]})
+    assert out == {"x": 0.1, "k": [3]}
+    assert type(out["x"]) is float and type(out["k"][0]) is int
 
 
 @pytest.mark.parametrize("argv,key,value", [
@@ -1323,12 +1341,14 @@ class TestRowWriter:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         x = awkward_values(rows, 1, rows + 3)[:, 0]
         indexed = "t,x\n" + "".join(f"{t},{float(v)!r}\n" for t, v in enumerate(x))
-        assert_same_lines(csv_text(CsvTable("t,x", (x,), index=True)), indexed)
-        assert_same_lines(csv_text(CsvTable(None, (x,), index=False)),
-                          per_cell_matrix_csv(x[:, None]))
+        assert_same_lines(csv_text(CsvTable("t,x", (x,))), indexed)
+        assert_same_lines(csv_text(CsvTable(None, (x,))), per_cell_matrix_csv(x[:, None]))
+        # a header names the index column first, and every row carries its index
         z = awkward_values(rows, 3, rows + 4)
-        assert_same_lines(csv_text(CsvTable("u,v,w", (z[:, :2], z[:, 2]), index=False)),
-                          "u,v,w\n" + per_cell_matrix_csv(z))
+        rows_indexed = "".join(f"{t},{line}\n" for t, line in
+                               enumerate(per_cell_matrix_csv(z).splitlines()))
+        assert_same_lines(csv_text(CsvTable("t,u,v,w", (z[:, :2], z[:, 2]))),
+                          "t,u,v,w\n" + rows_indexed)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("width", [_CSV_BLOCK_CELLS - 1, _CSV_BLOCK_CELLS + 1])

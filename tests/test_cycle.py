@@ -327,6 +327,10 @@ class TestFitConstants:
 
 
 class TestHomogeneousSolution:
+    def test_wrong_regime(self):
+        with pytest.raises(WrongRegime):
+            homogeneous_solution(reduce_to_cycle(0.1, 0.9), 1.0, 0.0, 10)
+
     def test_zero_amplitude(self):
         m = reduce_to_cycle(BENCH_ALPHA, BENCH_BETA)
         sol = homogeneous_solution(m, 0.0, 1.3, 20)

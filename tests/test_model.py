@@ -121,6 +121,10 @@ class TestValidateNoise:
         with pytest.raises(DimensionMismatch):
             validate_noise({"mu": [0.0] * 4, "sigma": [1.0] * 6}, 3)
 
+    def test_wrong_sigma_length(self):
+        with pytest.raises(DimensionMismatch, match="noise sigma"):
+            validate_noise({"mu": [0.0] * 6, "sigma": [1.0] * 5}, 3)
+
     def test_zero_sigma_accepted(self):
         spec = validate_noise({"mu": [0.0] * 4, "sigma": [1.0, 1.0, 0.0, -0.0]}, 2)
         assert spec.sigma.tolist() == [1.0, 1.0, 0.0, 0.0]

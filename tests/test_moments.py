@@ -21,7 +21,7 @@ from varcycle import (
     validate_noise,
     validate_params,
 )
-from varcycle.errors import NonFiniteResult, ParameterError, RangeError
+from varcycle.errors import DimensionMismatch, NonFiniteResult, ParameterError, RangeError
 import varcycle.moments as moments_mod
 from varcycle.simulate import NoisePath, _iterate
 from varcycle.spectral import apply_blockdiag, eigen_coordinates
@@ -285,6 +285,18 @@ class TestStationarityDiagnostic:
         inputs = moment_inputs(params, spec)
         with pytest.raises(RangeError):
             stationarity_diagnostic(inputs, dec, [], [0])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda p, s: moment_inputs(p, s, G=np.zeros((4, 4))), DimensionMismatch,
+         "G must be 2n x 2n"),
+        (lambda p, s: mc_long_run(p, s, reps=4, t_burn=10, t_final=10, seed=0), RangeError,
+         "t_burn < t_final"),
+        (lambda p, s: mc_long_run(p, s, reps=1, t_burn=5, t_final=10, seed=0), RangeError,
+         "reps >= 2"),
+    ])
+    def test_input_errors(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(*setup_model())
 
     def test_mc_attachment(self):
         params, spec = setup_model(n=2)

@@ -6,11 +6,13 @@ down to |alpha| = 1e-320 |beta|.  The block basis properties reach down to
 check's properties take n = 1 and alpha*beta = 0 too."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from varcycle import (
     validate_params,
     verify_decomposition,
 )
+import varcycle.cycle
 from varcycle.cli import main
 from varcycle.simulate import NoisePath
 
@@ -73,13 +76,18 @@ def pairs(draw, closest=-8.0, axes=False):
     return alpha, beta
 
 
-@st.composite
-def models(draw, n_min=2, closest=-8.0, axes=False):
-    alpha, beta = draw(pairs(closest, axes))
-    n = draw(st.integers(n_min, 8))
+def with_weights(draw, n, alpha, beta):
+    """The model of (alpha, beta) with n agents whose weights are drawn in
+    [0.5, 1.5] before normalising."""
     weights = [draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)) for _ in "ab"]
     a, b = (np.array(w) / sum(w) for w in weights)
     return validate_params({"n": n, "alpha": alpha, "beta": beta, "a": a, "b": b})
+
+
+@st.composite
+def models(draw, n_min=2, closest=-8.0, axes=False):
+    alpha, beta = draw(pairs(closest, axes))
+    return with_weights(draw, draw(st.integers(n_min, 8)), alpha, beta)
 
 
 @PROPERTY
@@ -407,6 +415,88 @@ def test_cycle_reduction_residual(params, seed):
     h = forcing_series(scalar_noise_from_vector(params, path), alpha, beta)
     resid = xbar[2:] + model.kappa1 * xbar[1:-1] + model.kappa2 * xbar[:-2] - h[: T - 1]
     assert np.max(np.abs(resid)) / (1.0 + np.max(np.abs(xbar))) < 1e-10
+
+
+def run_verify(params, run=None):
+    """verify's exit status and its checks by name, or the one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"n": params.n, "alpha": params.alpha, "beta": params.beta,
+                                      "a": params.a.tolist(), "b": params.b.tolist(),
+                                      "run": run or {}}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--config", str(config)])
+    if code == 2:
+        return code, err.getvalue()
+    return code, {c["name"]: c for c in json.loads(out.getvalue())["payload"]["checks"]}
+
+
+@st.composite
+def outgrowing_models(draw):
+    """Models whose deviation modes outgrow their aggregate modes.  One of
+    alpha, beta is g in [-3, -0.05] or [2.05, 3], so that its deviation
+    rate |1 - g| exceeds 1; the other is g q with q in [1e-3, 0.99 d1],
+    which puts the pair in the real regime with alpha*beta > 0.  There the
+    aggregate roots lie strictly between 1 - alpha and 1 - beta, so every
+    aggregate mode is smaller than |1 - g|.  n in 2..7."""
+    g = draw(st.one_of(st.floats(-3.0, -0.05), st.floats(2.05, 3.0)))
+    other = g * draw(st.floats(1e-3, 0.99 * BOUNDARY_FACTORS["d1"]))
+    alpha, beta = draw(st.sampled_from([(g, other), (other, g)]))
+    return with_weights(draw, draw(st.integers(2, 7)), alpha, beta)
+
+
+#: the vector model of a run whose cycle_reduction once read 4.0e-10,
+#: judged on the scale of xbar while b . x rounds at the scale of x
+OUTGROWING_EXAMPLE = validate_params({
+    "n": 4, "alpha": 2.6421829536817425, "beta": 0.26887629371344735,
+    "a": [0.23294211436101436, 0.3361385909688015, 0.20175210900739443, 0.22916718566278985],
+    "b": [0.33384790337961584, 0.17062238960141077, 0.1650105557329342, 0.3305191512860392]})
+
+
+@PROPERTY
+@given(params=outgrowing_models(), T=st.integers(20, 119), seed=st.integers(0, 2**32 - 1))
+@example(params=OUTGROWING_EXAMPLE, T=49, seed=0)
+def test_verify_passes_where_deviations_outgrow_the_aggregates(params, T, seed):
+    # every residual is judged on the scale of the state it came from, so
+    # deviations that cancel in the aggregate fail no check
+    model = reduce_to_cycle(params.alpha, params.beta)
+    assert max(abs(model.rho1), abs(model.rho2)) < max(abs(1.0 - params.alpha),
+                                                       abs(1.0 - params.beta))
+    code, checks = run_verify(params, {"T": T, "seed": seed})
+    if code == 2:
+        assert checks.startswith("error: NonFiniteState: "), checks
+        return
+    assert code == 0, checks
+    assert all(c["status"] == "pass" for c in checks.values()), checks
+
+
+@st.composite
+def stable_models(draw):
+    """alpha, beta in [0.1, 1.9] with every eigenvalue of M inside the unit
+    circle; n in 1..6.  Both stay away from 0, where xbar would be small
+    against the state and a wrong kappa1 would move the residual little."""
+    alpha, beta = draw(st.floats(0.1, 1.9)), draw(st.floats(0.1, 1.9))
+    model = reduce_to_cycle(alpha, beta)
+    assume(max(abs(model.rho1), abs(model.rho2)) < 1.0)
+    return with_weights(draw, draw(st.integers(1, 6)), alpha, beta)
+
+
+@PROPERTY
+@given(params=stable_models(), seed=st.integers(0, 2**32 - 1))
+def test_cycle_reduction_fails_a_shifted_kappa1(params, seed):
+    # wrong code: kappa1 off by 1e-8 moves the residual by 1e-8 xbar, which
+    # the state's scale leaves well above the 1e-10 bound on stable models
+    reduce = varcycle.cycle.reduce_to_cycle
+
+    def shifted(alpha, beta):
+        model = reduce(alpha, beta)
+        return dataclasses.replace(model, kappa1=model.kappa1 + 1e-8)
+
+    with mock.patch.object(varcycle.cycle, "reduce_to_cycle", shifted):
+        code, checks = run_verify(params, {"seed": seed})
+    assert code == 1
+    assert [name for name, c in checks.items() if c["status"] == "fail"] == ["cycle_reduction"]
 
 
 @st.composite

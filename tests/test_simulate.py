@@ -15,7 +15,8 @@ from varcycle import (
     validate_noise,
     validate_params,
 )
-from varcycle.errors import NonFiniteState
+from varcycle.errors import DimensionMismatch, NonFiniteState, RangeError
+from varcycle.simulate import Trajectory
 
 
 def setup_model(n=3, alpha=0.1, beta=0.9, mu=None, sigma=None):
@@ -276,6 +277,27 @@ class TestAggregates:
         r2 = agg.ybar[1:] - ((1 - beta) * agg.ybar[:-1] - beta * agg.xbar[:-1] - beta * nbar)
         assert np.max(np.abs(r1)) < 1e-12 * scale
         assert np.max(np.abs(r2)) < 1e-12 * scale
+
+
+def _run_from(z0):
+    params, spec = setup_model()
+    return simulate_recursive(params, build_transition_matrix(params), z0,
+                              sample_noise_path(spec, params, 3, seed=0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: NoisePath(np.zeros((4, 3)), np.zeros((4, 2)), 0.1, 0.9), DimensionMismatch,
+     "epsilon and eta"),
+    (lambda: NoisePath(np.zeros(3), np.zeros(3), 0.1, 0.9), DimensionMismatch,
+     "epsilon and eta"),
+    (lambda: sample_noise_path(*setup_model(), 0, seed=0), RangeError, "T must be >= 1"),
+    (lambda: _run_from(np.zeros(5)), DimensionMismatch, "z0 must have length"),
+    (lambda: aggregates(Trajectory(np.zeros((4, 4))), setup_model()[0]), DimensionMismatch,
+     "state width 4"),
+])
+def test_shape_and_range_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_single_agent_simulation_supported():
