@@ -157,6 +157,15 @@ def _congruence(f, X: np.ndarray) -> np.ndarray:
     return f(f(X).T).T
 
 
+def _symmetric(X: np.ndarray) -> np.ndarray:
+    """X with its upper triangle copied onto its lower one, in place: a
+    covariance that is symmetric in exact arithmetic, reported bitwise
+    symmetric."""
+    lower = np.tri(len(X), k=-1, dtype=bool)
+    X[lower] = X.T[lower]
+    return X
+
+
 def _check_grid(t_grid: list[int], tau_grid: list[int]) -> None:
     """RangeError unless both grids are nonempty and every point lies in
     the formula's domain t >= 2, tau' >= 0."""
@@ -195,9 +204,10 @@ def stationarity_diagnostic(
     coordinates where Q exists, from one pass: P steps once to
     max(t_grid), and at each grid t a copy takes the tau' steps in
     increasing order, so each entry is bitwise the one a pass for that
-    point alone gives.  For every lag in ``tau_grid`` the gap compares
-    covariances across all pairs of times in ``t_grid``; a positive gap
-    exhibits the dependence on t that rules out second-order
+    point alone gives.  Each lag-0 covariance has its upper triangle
+    copied onto its lower one.  For every lag in ``tau_grid`` the gap
+    compares covariances across all pairs of times in ``t_grid``; a
+    positive gap exhibits the dependence on t that rules out second-order
     stationarity.
     """
     _check_grid(t_grid, tau_grid)
@@ -205,6 +215,9 @@ def stationarity_diagnostic(
     J = partial(apply_blockdiag, R.rates, R.A)
     grid_o: dict[tuple[int, int], np.ndarray] = {}
     grid_t: dict[tuple[int, int], np.ndarray] | None = None if V is None else {}
+    coordinates = [(grid_o, R.apply)]
+    if grid_t is not None:
+        coordinates.append((grid_t, partial(eigen_coordinates, V)))
     ts, taus = set(t_grid), sorted(set(tau_grid))
     with np.errstate(over="ignore", invalid="ignore"):
         S = _congruence(R.solve, inputs.Sigma0)  # X~ = R^-1 X R^-T
@@ -218,11 +231,12 @@ def stationarity_diagnostic(
                 for _ in range(tau - lag):
                     lagged = J(lagged.T).T
                 lag = tau
-                grid_o[(t, tau)] = _congruence(R.apply, lagged)
-                if grid_t is not None:
-                    grid_t[(t, tau)] = _congruence(partial(eigen_coordinates, V), lagged)
+                for grid, f in coordinates:
+                    X = grid[(t, tau)] = _congruence(f, lagged)
+                    if tau == 0:
+                        _symmetric(X)
     for t, tau in grid_o:
-        if not all(np.all(np.isfinite(g[(t, tau)])) for g in (grid_o, grid_t) if g is not None):
+        if not all(np.all(np.isfinite(grid[(t, tau)])) for grid, _ in coordinates):
             raise NonFiniteResult(f"cross-covariance at t={t}, tau'={tau} is not finite")
 
     def gap(grid: dict[tuple[int, int], np.ndarray]) -> float:
@@ -259,7 +273,8 @@ def _aggregate_cov(params: ModelParams, X: np.ndarray) -> np.ndarray:
     covariance X of z: W^T X W with W = [[b, 0], [0, a]], the aggregate
     map applied to X's rows and then to the result's columns."""
     n = params.n
-    return _congruence(lambda Z: np.stack(params.aggregate(Z[:, :n], Z[:, n:]), axis=-1), X)
+    return _symmetric(
+        _congruence(lambda Z: np.stack(params.aggregate(Z[:, :n], Z[:, n:]), axis=-1), X))
 
 
 def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition) -> LimitReport:
@@ -282,8 +297,8 @@ def limiting_moments(inputs: MomentInputs, decomposition: SpectralDecomposition)
     resolvent = partial(apply_blockdiag, 1.0 / (1.0 - R.rates), np.linalg.inv(np.eye(2) - R.A))
     S = _congruence(R.solve, inputs.Sigma0)
     mean = R.apply(resolvent(R.solve(inputs.mu_gamma)))
-    claimed = _congruence(R.apply, _congruence(resolvent, S))
-    ma_cov = _congruence(R.apply, _stein(R, S))
+    claimed = _symmetric(_congruence(R.apply, _congruence(resolvent, S)))
+    ma_cov = _symmetric(_congruence(R.apply, _stein(R, S)))
 
     return LimitReport(
         lambda_tilde=lam_tilde,
@@ -317,8 +332,10 @@ def mc_cross_covariance(
     rng = _generator(seed)
     M = build_transition_matrix(params)
     if np.any(G):
-        L = np.linalg.cholesky(G + 1e-15 * np.trace(G) * np.eye(G.shape[0]))
-        z0 = rng.standard_normal((reps, G.shape[0])) @ L.T
+        # a square root of G from its eigenvalues, clipped at 0: moment_inputs
+        # accepts eigenvalues a rounding below 0, which Cholesky refuses
+        lam, U = np.linalg.eigh((G + G.T) / 2.0)
+        z0 = rng.standard_normal((reps, G.shape[0])) @ (U * np.sqrt(np.maximum(lam, 0.0))).T
     else:
         z0 = np.zeros((reps, 2 * params.n))
     gamma = sample_noise_path(spec, params, max(t_grid) + max(tau_grid), rng, reps=reps).gamma

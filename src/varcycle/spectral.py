@@ -175,8 +175,11 @@ class SpectralDecomposition:
     @cached_property
     def Q(self) -> np.ndarray | None:
         """Q = R blockdiag(I, V) in the column order of ``diag``, or None
-        where V is."""
-        return None if self.V is None else _eigenbasis(self.R, self.V)
+        where V is: the rows of R^T moved to Q's column order, the
+        aggregate pair mixed by V^T, then transposed."""
+        if self.V is None:
+            return None
+        return _eigen_order(self.R.apply(np.eye(2 * self.eig.n)), self.V.T).T
 
     @cached_property
     def Qinv(self) -> np.ndarray | None:
@@ -200,8 +203,7 @@ class SpectralDecomposition:
         if self.V is None:
             raise WrongRegime(f"no explicit basis in regime {self.regime.value}: it needs "
                               "diagonalizable_real with two distinct quadratic roots")
-        return np.repeat([eig.lambda1, eig.lambda3, eig.lambda2, eig.lambda4],
-                         [eig.n - 1, 1, eig.n - 1, 1])
+        return _eigen_order(np.r_[self.R.rates, eig.lambda3, eig.lambda4])
 
 
 def _quadratic(alpha: float, beta: float) -> tuple[RegimeBoundaries, Regime,
@@ -266,35 +268,26 @@ def _basis(A: np.ndarray, lam3: float, lam4: float) -> np.ndarray:
     return np.array(cols).T
 
 
-def _eigen_order(n: int) -> np.ndarray:
-    """Where each of R's columns sits in Q: the x deviations, lambda3's
-    column, the y deviations, lambda4's column (the order of ``diag``)."""
-    m = 2 * n
-    return np.r_[0:n - 1, n:m - 1, n - 1, m - 1]
+def _eigen_order(W: np.ndarray, F: np.ndarray | None = None, det: float = 1.0) -> np.ndarray:
+    """The rows of W, given in R's coordinate order, moved to Q's column
+    order: the x deviations, lambda3's row, the y deviations, lambda4's row
+    (the order of ``diag``).  With a 2x2 F the aggregate pair of rows
+    becomes F @ pair / det; without one it stays as it is."""
+    n = W.shape[0] // 2
+    pos = np.r_[0:n - 1, n:2 * n - 1, n - 1, 2 * n - 1]
+    out = np.empty(W.shape)
+    out[pos] = W
+    if F is not None:
+        out[pos[-2:]] = F @ out[pos[-2:]] / det
+    return out
 
 
 def eigen_coordinates(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Q^-1 R W = P blockdiag(I, V^-1) W for a 2n-row W in R's coordinate
-    order: the aggregate pair of rows mixed by V^-1, then every row moved
-    to its place in Q's column order (P)."""
-    pos = _eigen_order(W.shape[0] // 2)
-    out = np.empty(W.shape)
-    out[pos] = W
+    order: the aggregate pair of rows mixed by V^-1 = adj(V) / det(V), and
+    every row moved to its place in Q's column order (P)."""
     (a, b), (c, d) = V
-    out[pos[-2:]] = np.array([[d, -b], [-c, a]]) @ out[pos[-2:]] / (a * d - b * c)
-    return out
-
-
-def _eigenbasis(R: BlockBasis, V: np.ndarray) -> np.ndarray:
-    """Q = R blockdiag(I, V) as a dense array, its columns in the order
-    of ``diag``."""
-    n, m = len(R.a), 2 * len(R.a)
-    pos = _eigen_order(n)
-    out = np.empty((m, m))  # the rows of Q^T
-    for lo in range(0, m, 128):  # unit rows a block at a time: no second m x m array
-        out[pos[lo:lo + 128]] = R.apply(np.eye(min(128, m - lo), m, lo))
-    out[pos[-2:]] = V.T @ out[pos[-2:]]
-    return out.T
+    return _eigen_order(W, np.array([[d, -b], [-c, a]]), a * d - b * c)
 
 
 def _runs(*runs: tuple[float, int, int]) -> tuple[tuple[float, int, int], ...]:
@@ -382,10 +375,14 @@ def verify_decomposition(M: TransitionMatrix, R: BlockBasis, V: np.ndarray,
     one value at the pivot, one at its own agent and one on the other
     agents of each block; the two aggregate columns are computed whole.
     Every entry is computed, so a perturbed factor counts as it would in
-    the dense products.  V^-1 is V's exact inverse, and it, 1 - sum(w) and
-    the 2x2 aggregate block are formed exactly or correctly rounded, so
-    the residuals are those of the factors rather than rounding of the
-    check; a non-finite aggregate block is an infinite residual.  The
+    the dense products.  V^-1 is V's exact inverse, so QQ^-1 - I is R's
+    own rounding, and 1 - sum(w) is correctly rounded.  The 2x2
+    aggregate block is exact only in its last step: ``agg`` is summed in
+    floating point, and near d1 and d2 |V^-1| amplifies that rounding, so
+    there the similarity residual can be the check's rounding more than
+    the factors' (3.2e-15 against the exact 3.1e-14 at n = 3, alpha =
+    0.12010089257665411, beta = 0.7, a = b = (0.5, 0.2, 0.3)).  A
+    non-finite aggregate block is an infinite residual.  The
     MQ - QJ and similarity residuals are compared against RESIDUAL_TOL *
     ||M||_max, the inverse residual against RESIDUAL_TOL directly.
     ParameterError where V is singular.

@@ -180,7 +180,7 @@ class TestSimulate:
         assert first["payload"] == second["payload"]
 
     def test_config_echo_bytes_match_echo_of_lists(self):
-        # the echo hands its vectors to _jsonable as arrays; the report
+        # the echo hands its vectors to the encoder as arrays; the report
         # holds the same bytes as an echo of Python lists
         params = validate_params({"n": 3, "alpha": 0.1, "beta": 0.9,
                                   "a": [0.2, 0.3, 0.5], "b": [0.1, 0.6, 0.3]})
@@ -193,7 +193,7 @@ class TestSimulate:
                   "b": params.b.tolist(),
                   "noise": {"mu": noise.mu.tolist(), "sigma": noise.sigma.tolist()},
                   "run": run, "output": output}
-        assert json.dumps(cli._jsonable(echo)) == json.dumps(listed)
+        assert json.dumps(echo, default=cli._json_default) == json.dumps(listed)
 
     def test_integral_float_run_values_match_ints(self, capsys, tmp_path, diag_config):
         config_path, doc = diag_config
@@ -671,9 +671,11 @@ class TestOutputMode:
 
 
 def test_numpy_scalars_become_python_numbers():
-    out = cli._jsonable({"x": np.float64(0.1), "k": [np.int64(3)]})
-    assert out == {"x": 0.1, "k": [3]}
-    assert type(out["x"]) is float and type(out["k"][0]) is int
+    out = json.dumps({"x": np.float64(0.1), "k": [np.int64(3)], "f": np.float32(0.5),
+                      "z": np.complex128(1 - 2j), "m": (np.float64(-0.0), 1j)},
+                     default=cli._json_default)
+    assert out == json.dumps({"x": 0.1, "k": [3], "f": 0.5, "z": {"re": 1.0, "im": -2.0},
+                              "m": [-0.0, {"re": 0.0, "im": 1.0}]})
 
 
 @pytest.mark.parametrize("argv,key,value", [
@@ -892,7 +894,7 @@ class TestMoments:
         code, report, err = run_cli(capsys, "verify", "--config", config_path)
         assert code == 0, err
         checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
-        assert checks["decomposition_residuals"] == checks["transition_blocks"] == "pass"
+        assert checks["decomposition_residuals"] == checks["block_basis_residuals"] == "pass"
         code, report, err = run_cli(capsys, "simulate", "--config", config_path,
                                     "--method", "both", "--out", tmp_path / "traj.csv")
         assert code == 0, err
@@ -1038,7 +1040,7 @@ class TestMoments:
                     for key in sorted(grid.gamma)]
         reported = [{k: e[k] for k in ("gamma", "mc_estimate", "mc_se")}
                     for e in report["payload"]["grid"]]
-        assert json.dumps(reported) == json.dumps(cli._jsonable(expected))
+        assert json.dumps(reported) == json.dumps(expected, default=cli._json_default)
 
 
 #: small weights that once failed verify: at the front of b (decomposition_residuals
@@ -1062,20 +1064,24 @@ class TestVerify:
         assert checks["decomposition_residuals"] == "pass"
         assert checks["explicit_equals_recursive"] == "pass"
         assert checks["cycle_reduction"] == "pass"
-        assert checks["regime_agreement"] == "pass"
 
-    def test_regimes_agree_at_the_band_edge(self, capsys, tmp_path):
-        # two discriminants, rounded apart, once put this point on either
-        # side of the repeated-root band
+    @pytest.mark.parametrize("alpha, beta", [(0.1, 0.9), (1.09804, 0.7),
+                                             (0.003944575970102982, 0.022990669098271105),
+                                             (0.0, 1e-6)],
+                             ids=["diagonalizable", "complex", "band-edge", "zero-alpha"])
+    def test_regime_field_is_the_decompose_regime(self, capsys, tmp_path, alpha, beta):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"n": 2, "alpha": 0.003944575970102982,
-                                   "beta": 0.022990669098271105,
-                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
-        code, report, _ = run_cli(capsys, "verify", "--config", cfg)
-        assert code == 0 and report["payload"]["all_passed"] is True
-        checks = {c["name"]: c for c in report["payload"]["checks"]}
-        assert checks["regime_agreement"]["status"] == "pass"
-        assert checks["regime"]["detail"] == "repeated_root_jordan"
+        cfg.write_text(json.dumps({"n": 2, "alpha": alpha, "beta": beta,
+                                   "a": [0.3, 0.7], "b": [0.6, 0.4]}))
+        code, report, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and report["payload"]["all_passed"] is True, err
+        assert [c["name"] for c in report["payload"]["checks"]] == [
+            "decomposition_residuals", "block_basis_residuals", "explicit_equals_recursive",
+            "cycle_reduction"]
+        regime = report["payload"]["regime"]
+        code, report, err = run_cli(capsys, "decompose", "--config", cfg)
+        assert code == 0, err
+        assert regime == report["payload"]["regime"]
 
     @pytest.mark.parametrize("alpha", [1e-200, 1e-310, 5e-324])
     def test_tiny_alpha_passes_the_basis_check(self, capsys, tmp_path, alpha):
@@ -1158,17 +1164,6 @@ class TestVerify:
         checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
         assert checks["decomposition_residuals"] == checks["block_basis_residuals"] == "pass"
 
-    def test_zero_alpha_regimes_agree(self, capsys, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"n": 2, "alpha": 0.0, "beta": 1e-6,
-                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
-        code, report, _ = run_cli(capsys, "verify", "--config", cfg)
-        assert code == 0 and report["payload"]["all_passed"] is True
-        checks = {c["name"]: c for c in report["payload"]["checks"]}
-        assert checks["regime_agreement"]["status"] == "pass"
-        assert checks["regime_agreement"]["detail"] == \
-            "spectral=diagonalizable_real cycle=distinct_real"
-
     def test_block_detail_names_all_three_figures(self, capsys, diag_config):
         config_path, _ = diag_config
         _, report, _ = run_cli(capsys, "verify", "--config", config_path)
@@ -1205,7 +1200,7 @@ class TestVerify:
         assert code == 0 and report["payload"]["all_passed"] is True, err
         checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
         assert checks.pop("cycle_reduction") == "skipped"
-        assert set(checks.values()) == {"pass"} and len(checks) == 6
+        assert set(checks.values()) == {"pass"} and len(checks) == 3
 
 
 

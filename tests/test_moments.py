@@ -70,7 +70,8 @@ def brute_cross_cov(J, Gt, S0t, t, tau):
 
 def per_point_covariance(inputs, dec, t, tau):
     """Oracle: one grid point on its own, P stepped from t = 0 in R's
-    coordinates, then tau' lag steps."""
+    coordinates, then tau' lag steps; at lag 0 the upper triangle is
+    copied onto the lower one."""
     R = dec.R
     J = partial(apply_blockdiag, R.rates, R.A)
     S, P = (moments_mod._congruence(R.solve, X) for X in (inputs.Sigma0, inputs.G))
@@ -78,10 +79,13 @@ def per_point_covariance(inputs, dec, t, tau):
         P = moments_mod._congruence(J, P) + S
     for _ in range(tau):
         P = J(P.T).T
-    tilde = None if dec.V is None else moments_mod._congruence(
-        partial(eigen_coordinates, dec.V), P)
-    return moments_mod.CrossCovariance(gamma_tilde=tilde,
-                                       gamma=moments_mod._congruence(R.apply, P))
+
+    def cov(f):
+        X = moments_mod._congruence(f, P)
+        return np.where(np.tri(len(X), k=-1, dtype=bool), X.T, X) if tau == 0 else X
+
+    tilde = None if dec.V is None else cov(partial(eigen_coordinates, dec.V))
+    return moments_mod.CrossCovariance(gamma_tilde=tilde, gamma=cov(R.apply))
 
 
 def truncated_ma_sum(inputs, dec, tail_tol=1e-12):
@@ -470,6 +474,40 @@ class TestLimitingMoments:
         )
 
 
+#: one config per regime, the first the paper's complex benchmark with
+#: non-uniform weights
+SYMMETRY_CONFIGS = [
+    {"n": 5, "alpha": 1.09804, "beta": 0.7, "a": [0.1, 0.2, 0.3, 0.2, 0.2],
+     "b": [0.3, 0.3, 0.1, 0.1, 0.2]},
+    {"n": 4, "alpha": 0.1, "beta": 0.9, "a": [0.1, 0.2, 0.3, 0.4], "b": [0.4, 0.3, 0.2, 0.1]},
+    {"n": 4, "alpha": (3 - 2 * np.sqrt(2)) * 0.7, "beta": 0.7, "a": [0.1, 0.2, 0.3, 0.4],
+     "b": [0.25, 0.25, 0.3, 0.2]},
+]
+
+
+@pytest.mark.parametrize("doc", SYMMETRY_CONFIGS,
+                         ids=["complex", "diagonalizable", "repeated_root"])
+def test_covariances_are_bitwise_symmetric(doc):
+    # covariances symmetric in exact arithmetic are reported bitwise symmetric:
+    # the lag-0 grid, in both coordinates, the two limit covariances and their
+    # aggregate blocks
+    params = validate_params(doc)
+    spec = validate_noise({"mu": [0.1] * 2 * params.n,
+                           "sigma": np.linspace(0.5, 2.0, 2 * params.n).tolist()}, params.n)
+    dec = decompose(params)
+    inputs = moment_inputs(params, spec)
+    report = stationarity_diagnostic(inputs, dec, [2, 5, 10], [0, 1])
+    limits = limiting_moments(inputs, dec)
+    assert limits.spectral_radius_ok
+    covs = [report.gamma[(t, 0)] for t in (2, 5, 10)]
+    if report.gamma_tilde is not None:
+        covs += [report.gamma_tilde[(t, 0)] for t in (2, 5, 10)]
+    for X in (limits.resolvent_limit_cov, limits.ma_infinity_cov):
+        covs += [X, moments_mod._aggregate_cov(params, X)]
+    for X in covs:
+        assert np.array_equal(X, X.T)
+
+
 class TestMCCrossCovariance:
     def test_formula_vs_sample(self):
         params, spec = setup_model(n=2)
@@ -490,6 +528,18 @@ class TestMCCrossCovariance:
                                       reps=20000, seed=505)[(3, 0)]
         assert np.all(np.abs(est - theory) < 5 * se)
 
+    def test_initial_covariance_a_rounding_below_psd(self):
+        # moment_inputs accepts eigenvalues down to -1e-12 * scale, which a
+        # Cholesky factor of G refuses; the draw takes any G it accepts
+        params, spec = setup_model(n=2)
+        v = np.array([1.0, 2.0, -1.0, 0.5])
+        G = np.outer(v, v) - 5e-13 * np.eye(4)
+        inputs = moment_inputs(params, spec, G=G)
+        theory = cross_covariance(inputs, decompose(params), 3, 0).gamma
+        est, se = mc_cross_covariance(params, spec, G, [3], [0], reps=5000, seed=606)[(3, 0)]
+        assert np.all(np.isfinite(est)) and np.all(np.isfinite(se))
+        assert np.all(np.abs(est - theory) < 5 * se)
+
     @pytest.mark.parametrize("G_scale", [0.0, 0.25])
     def test_matches_product_tensor_oracle(self, G_scale):
         params, spec = setup_model(n=3, mu=[0.1, 0.0, -0.2, 0.3, 0.0, 1.0],
@@ -503,8 +553,8 @@ class TestMCCrossCovariance:
         # draws of one generator (z_0 first, then the noise batch)
         rng = np.random.default_rng(seed)
         if G_scale:
-            L = np.linalg.cholesky(G + 1e-15 * np.trace(G) * np.eye(6))
-            z0 = rng.standard_normal((reps, 6)) @ L.T
+            lam, U = np.linalg.eigh(G)
+            z0 = rng.standard_normal((reps, 6)) @ (U * np.sqrt(lam)).T
         else:
             z0 = np.zeros((reps, 6))
         mat_t = build_transition_matrix(params).entries.T

@@ -102,9 +102,12 @@ def test_spectral_and_scalar_trichotomies_agree(pair):
 @example(params=validate_params({"n": 2, "alpha": 0.003944575970102982,
                                  "beta": 0.022990669098271105, "a": [0.5, 0.5],
                                  "b": [0.5, 0.5]}))
+@example(params=validate_params({"n": 2, "alpha": 0.0, "beta": 1e-6, "a": [0.5, 0.5],
+                                 "b": [0.5, 0.5]}))
 def test_cycle_roots_are_the_spectral_roots(params):
     # one solution of the quadratic factor serves both models, bit for bit,
-    # down to the repeated-root band's edge
+    # down to the repeated-root band's edge and on an axis whose Delta lies
+    # inside the band
     def bits(z):
         return np.array([z.real, z.imag]).tobytes()
 

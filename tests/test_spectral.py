@@ -14,7 +14,7 @@ from varcycle import (
     verify_decomposition,
 )
 from varcycle.errors import NonFiniteResult, ParameterError, WrongRegime
-from varcycle.spectral import _eigen_order, _eigenbasis, eigen_coordinates
+from varcycle.spectral import _eigen_order
 
 D1_FACTOR = 3.0 - 2.0 * np.sqrt(2.0)
 
@@ -411,15 +411,15 @@ def dense_residuals(M, J, Q, Qinv):
 def factor_residuals(M, R, V, L):
     """dense_residuals on M, Q, Q^-1 and J built densely from the same
     factors: J holds R's rates on the deviations and the 2x2 L on V's
-    columns, and Q^-1 is the eigen coordinates of R^-1, as
-    SpectralDecomposition builds it."""
+    columns, in Q's column order, and Q and Q^-1 are built as
+    SpectralDecomposition builds them."""
     n = M.n
-    pos = _eigen_order(n)
     J = np.zeros((2 * n, 2 * n))
-    J[pos[:-2], pos[:-2]] = R.rates
-    J[np.ix_(pos[-2:], pos[-2:])] = L
-    Qinv = eigen_coordinates(V, R.solve(np.eye(2 * n)).T)
-    return dense_residuals(dense_from_factors(M), J, _eigenbasis(R, V), Qinv)
+    np.fill_diagonal(J[:-2, :-2], R.rates)
+    J[-2:, -2:] = L
+    dec = dataclasses.replace(decompose(make_params(n=n)), R=R, V=V)
+    return dense_residuals(dense_from_factors(M), _eigen_order(_eigen_order(J).T).T,
+                           dec.Q, dec.Qinv)
 
 
 def dense_from_factors(M):
@@ -520,6 +520,19 @@ class TestVerifyDecomposition:
         check = verify_decomposition(**args)
         assert check.passed
         assert_matches_dense(check, **args)
+
+    @pytest.mark.parametrize("wrong", ["a and b swapped", "beta's sign", "one entry of s"])
+    def test_block_check_fails_on_wrong_transition_factors(self, wrong):
+        # the exact check of R reads every entry of M's factors, so it stands
+        # in for a bitwise comparison of M with the products that build it
+        p = make_params(n=3, a=[0.2, 0.3, 0.5], b=[0.5, 0.1, 0.4])
+        M, R, zeros = build_transition_matrix(p), decompose(p).R, np.zeros(3)
+        bad = {"a and b swapped": {"V": np.column_stack([np.r_[zeros, p.alpha * p.b],
+                                                         np.r_[-p.beta * p.a, zeros]])},
+               "beta's sign": {"V": M.V * [1.0, -1.0]},
+               "one entry of s": {"s": M.s + np.r_[0.0, 1e-9, np.zeros(4)]}}[wrong]
+        assert verify_decomposition(M, R, np.eye(2), R.A).passed
+        assert not verify_decomposition(dataclasses.replace(M, **bad), R, np.eye(2), R.A).passed
 
     def test_singular_v_is_parameter_error(self):
         p = make_params(n=2, a=[0.5, 0.5], b=[0.5, 0.5])
