@@ -1083,6 +1083,21 @@ class TestVerify:
         assert code == 0, err
         assert regime == report["payload"]["regime"]
 
+    def test_regimes_agree_at_the_band_edge(self, capsys, tmp_path):
+        # two discriminants, rounded apart, once put this point on either
+        # side of the repeated-root band; verify and cycle now read one solve
+        alpha, beta = 0.003944575970102982, 0.022990669098271105
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 2, "alpha": alpha, "beta": beta,
+                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
+        code, report, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and report["payload"]["all_passed"] is True, err
+        assert report["payload"]["regime"] == "repeated_root_jordan"
+        code, report, err = run_cli(capsys, "cycle", "--alpha", repr(alpha), "--beta",
+                                    repr(beta), "--out", tmp_path / "c.csv")
+        assert code == 0, err
+        assert report["payload"]["regime"] == "repeated_real"
+
     @pytest.mark.parametrize("alpha", [1e-200, 1e-310, 5e-324])
     def test_tiny_alpha_passes_the_basis_check(self, capsys, tmp_path, alpha):
         cfg = tmp_path / "c.json"
@@ -1163,6 +1178,18 @@ class TestVerify:
         assert code == 0 and report["payload"]["all_passed"] is True, err
         checks = {c["name"]: c["status"] for c in report["payload"]["checks"]}
         assert checks["decomposition_residuals"] == checks["block_basis_residuals"] == "pass"
+
+    def test_zero_alpha_regimes_agree(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 2, "alpha": 0.0, "beta": 1e-6,
+                                   "a": [0.5, 0.5], "b": [0.5, 0.5]}))
+        code, report, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and report["payload"]["all_passed"] is True, err
+        assert report["payload"]["regime"] == "diagonalizable_real"
+        code, report, err = run_cli(capsys, "cycle", "--alpha", "0.0", "--beta", "1e-6",
+                                    "--out", tmp_path / "c.csv")
+        assert code == 0, err
+        assert report["payload"]["regime"] == "distinct_real"
 
     def test_block_detail_names_all_three_figures(self, capsys, diag_config):
         config_path, _ = diag_config
