@@ -1,0 +1,280 @@
+"""CSV text of float64 blocks, each cell the shortest round-trip decimal.
+
+The bytes are those of ``",".join(map(repr, row))`` per row, with the row
+number first where asked, but the digits come from whole-array uint64
+arithmetic rather than one ``float.__repr__`` per cell.
+
+Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+2020), the algorithm behind Java's ``Double.toString``; it is exact and
+needs only 64x64 -> 128-bit high products, built here from 32-bit halves.
+``repr`` differs from Java's output, so three parts of the Java code differ:
+tiny subnormals take no ``10 * t`` path, a one-digit-shorter candidate is
+tried from two digits on (``s >= 10``, Java: 100), and NaN prints ``nan``
+whatever its sign bit.
+
+Text: the 17 digits of each cell, left aligned, its exponent digits and a
+few constant bytes form a 32-byte record.  Each cell's text is one gather
+from its record through a template chosen by (layout, significant digits,
+sign, separator); NUL bytes pad the templates and are dropped.  The layouts
+follow ``repr``: exponent form when the decimal exponent is below -4 or at
+least 16 (1e-05 and 1e+16, but 0.0001 and 9999999999999998.0), two
+exponent digits at least, and ``.0`` on integral values.
+
+Every constant mixed with a uint64 array is an ``np.uint64``: under the
+value-based casting of numpy < 2, uint64 with int64 gives float64.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+_U = np.uint64
+_K_MIN = -324  # smallest and largest k = floor(log10(2^q)) of a double
+_K_MAX = 292
+_C_MIN = _U(1 << 52)
+_T_MASK = _U((1 << 52) - 1)
+_M32 = _U(0xFFFFFFFF)
+_M63 = _U((1 << 63) - 1)
+_INF = _U(0x7FF << 52)
+_ONE = _U(0x3FF << 52)
+
+#: A cell's record is 16 uint16 planes, two bytes of every cell in each:
+#: "0", the 17 digits, the exponent's sign and three digits, then constant
+#: bytes.  Byte j of cell c sits at (j >> 1) * 2 * cells + 2 * c + (j & 1).
+_SIGN, _HUNDREDS, _TENS, _UNITS = 18, 19, 20, 21
+_CONST = b"-.e,\nnaif\0"
+_MINUS, _POINT, _E, _COMMA, _NEWLINE, _N, _A, _I, _F, _NUL = range(22, 32)
+_ZERO = 0
+#: Widest cell: "-1.2345678901234567e-308,".
+_WIDTH = 25
+
+#: Layouts: fixed point with the decimal point at p = -3 .. 16 (0 .. 19),
+#: exponent form with two or three exponent digits, 0.0, inf, nan, and a
+#: row number.  A template is chosen by ((layout * 17 + n - 1) * 2 + sign)
+#: * 2 + last, for n significant digits and the last cell of a row.
+_FIXED_MIN, _FIXED_MAX = -3, 16
+_PER_LAYOUT = 17 * 2 * 2
+_EXP2, _EXP3, _ZERO_L, _INF_L, _NAN_L, _INT_L = range(20, 26)
+_POINT_BIAS = 324  # the point of a double lies in -323 .. 309
+#: Cells per step of the gather loop, which keeps its byte offsets small.
+_CHUNK = 2048
+
+
+def _template(layout: int, n: int, neg: int, last: int) -> list[int]:
+    digits = list(range(1, 18))
+    sign = [_MINUS] if neg and layout != _NAN_L else []
+    if layout <= _FIXED_MAX - _FIXED_MIN:
+        p = layout + _FIXED_MIN
+        if p <= 0:
+            body = [_ZERO, _POINT] + [_ZERO] * -p + digits[:n]
+        else:  # digits past n are "0", so digits[:p] pads an integral value
+            body = digits[:p] + [_POINT] + (digits[p:n] if n > p else [_ZERO])
+    elif layout in (_EXP2, _EXP3):
+        mantissa = digits[:1] + ([_POINT] + digits[1:n] if n > 1 else [])
+        exponent = [_HUNDREDS, _TENS, _UNITS][layout == _EXP2:]
+        body = mantissa + [_E, _SIGN] + exponent
+    elif layout == _ZERO_L:
+        body = [_ZERO, _POINT, _ZERO]
+    elif layout == _INF_L:
+        body = [_I, _N, _F]
+    elif layout == _NAN_L:
+        body = [_N, _A, _N]
+    else:
+        body = digits[:n]
+    cell = sign + body + [_NEWLINE if last else _COMMA]
+    return cell + [_NUL] * (_WIDTH - len(cell))
+
+
+def _chars(text: bytes) -> np.ndarray:
+    """Pairs of bytes as uint16, in memory order on any platform."""
+    return np.frombuffer(text, dtype=np.uint16)
+
+
+@functools.cache
+def _tables() -> dict[str, np.ndarray]:
+    """Built on first use, so that importing the CLI stays cheap."""
+    # g = floor(10^-k 2^-r) + 1 in [2^125, 2^126), split 63 + 63 bits and
+    # each half again into 32-bit halves for the high products
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k <= 0:
+            p = 10 ** -k
+            r = p.bit_length() - 126
+            g.append((p >> r if r >= 0 else p << -r) + 1)
+        else:
+            g.append((1 << (125 + (10 ** k).bit_length())) // 10 ** k + 1)
+    g1 = np.array([v >> 63 for v in g], dtype=_U)
+    g0 = np.array([v & ((1 << 63) - 1) for v in g], dtype=_U)
+    t = {"g1": g1, "g1_hi": g1 >> _U(32), "g1_lo": g1 & _M32,
+         "g0_hi": g0 >> _U(32), "g0_lo": g0 & _M32,
+         "pow10": np.array([10 ** i for i in range(18)], dtype=_U)}
+    # digit pair i of 8 (digits 2i + 2 and 2i + 3) at 100 i + its value,
+    # and what its last nonzero digit adds to the template number
+    t["pairs"] = _chars(b"".join(b"%02d" % v for v in range(100)) * 8)
+    t["last"] = np.array([0 if v == 0 else 4 * (2 * i + 1 + (v % 10 != 0))
+                          for i in range(8) for v in range(100)], dtype=np.uint8)
+    # per decimal point position: the layout, and the exponent's bytes
+    layout, head, tail = [], [], []
+    for p in range(-_POINT_BIAS, 310):
+        e = abs(p - 1)
+        layout.append(_PER_LAYOUT * (p - _FIXED_MIN if _FIXED_MIN <= p <= _FIXED_MAX
+                                     else _EXP3 if e >= 100 else _EXP2))
+        head.append(b"%c%d" % (b"-+"[p > 0], e // 100 % 10))
+        tail.append(b"%02d" % (e % 100))
+    t["layout"] = np.array(layout, dtype=np.intp)
+    t["exp_head"], t["exp_tail"] = _chars(b"".join(head)), _chars(b"".join(tail))
+    t["const"] = _chars(_CONST)[:, None, None]
+    templates = np.array([_template(layout, n, neg, last)
+                          for layout in range(_INT_L + 1) for n in range(1, 18)
+                          for neg in (0, 1) for last in (0, 1)], dtype=np.intp)
+    t["plane"], t["byte"] = templates >> 1, templates & 1
+    return t
+
+
+def _mulhi(out: np.ndarray, tmp: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray,
+           b_hi: np.ndarray, b_lo: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a b into `out`, from 32-bit
+    halves, for a < 2^63 and b < 2^60, whose cross terms sum below 2^64.
+    In place: a fresh array per step costs more than the step."""
+    np.multiply(a_lo, b_lo, out=out)
+    out >>= _U(32)
+    out += np.multiply(a_lo, b_hi, out=tmp)
+    out += np.multiply(a_hi, b_lo, out=tmp)
+    out >>= _U(32)
+    out += np.multiply(a_hi, b_hi, out=tmp)
+    return out
+
+
+def _shortest(x: np.ndarray, t: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Schubfach on the bits of finite positive doubles: (f, k) with
+    f 10^k the shortest decimal that rounds to each, the closest to it of
+    those, and an even f on a tie.  f < 10^17."""
+    bq = x >> _U(52)
+    c = x & _T_MASK
+    irregular = (c == 0) & (bq > 1)
+    c |= (bq > 0) * _C_MIN
+    q = np.maximum(bq, _U(1)).astype(np.int64) - 1075
+    # the spacing below a power of two is half that above it, except at
+    # the smallest normal exponent
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(_U)
+    g = [np.take(t[name], k + -_K_MIN, mode="clip")
+         for name in ("g1", "g1_hi", "g1_lo", "g0_hi", "g0_lo")]
+    # the value and both ends of its rounding interval, scaled by 4 10^-k
+    cp = np.empty((3,) + x.shape, dtype=_U)
+    np.left_shift(c, h + _U(2), out=cp[0])
+    delta = _U(2) << h
+    np.subtract(cp[0], delta >> irregular, out=cp[1])
+    np.add(cp[0], delta, out=cp[2])
+    cp_hi, cp_lo = cp >> _U(32), cp & _M32
+    # rop of Schubfach: the high product rounded to odd
+    z = np.multiply(g[0], cp, out=cp)
+    z >>= _U(1)
+    vb, tmp = np.empty_like(z), np.empty_like(z)
+    z += _mulhi(vb, tmp, g[3], g[4], cp_hi, cp_lo)
+    _mulhi(vb, tmp, g[1], g[2], cp_hi, cp_lo)
+    vb += np.right_shift(z, _U(63), out=cp_hi)
+    z &= _M63
+    z += _M63
+    z >>= _U(63)
+    vb |= z
+    vb, vbl, vbr = vb
+    out = c & _U(1)  # an odd c's interval is open
+    vbl += out
+    s = vb >> _U(2)
+    sp10 = s // _U(10) * _U(10)
+    upin = vbl <= sp10 << _U(2)
+    shorter = (s >= _U(10)) & (upin != (((sp10 + _U(10)) << _U(2)) + out <= vbr))
+    uin = vbl <= s << _U(2)
+    win = ((s + _U(1)) << _U(2)) + out <= vbr
+    mid = (s << _U(2)) + _U(2)
+    down = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0)))
+    return np.where(shorter, sp10 + _U(10) * ~upin, s + ~down), k
+
+
+@functools.lru_cache(maxsize=2)
+def _offsets(cells: int) -> np.ndarray:
+    """The templates as byte offsets into the records of `cells` cells."""
+    t = _tables()
+    return t["plane"] * (2 * cells) + t["byte"]
+
+
+def _records(block: np.ndarray, first_row: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's record, and the number of its template."""
+    t = _tables()
+    rows, width = block.shape
+    lead = first_row is not None
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(_U)
+    x = bits & _M63
+    special = (x == 0) | (x >= _INF)
+    # zeros, infinities and NaNs run through as 1.0; their template drops it
+    x[special] = _ONE
+    f, k = _shortest(x, t)
+    # a normal double has 16 or 17 digits
+    length = (f >= _U(10 ** 16)) + 16
+    subnormal = x < _C_MIN
+    if subnormal.any():
+        length[subnormal] = np.searchsorted(t["pow10"], f[subnormal], side="right")
+    point = length + k + _POINT_BIAS
+    layout = np.take(t["layout"], point)
+    if special.any():
+        kind = bits[special] & _M63
+        layout[special] = _PER_LAYOUT * np.where(kind == 0, _ZERO_L,
+                                                 np.where(kind == _INF, _INF_L, _NAN_L))
+    # each cell's 17 digits, left aligned, and its template number but n
+    digits = np.empty((rows, width + lead), dtype=_U)
+    digits[:, lead:] = f * np.take(t["pow10"], 17 - length)
+    choice = np.empty((rows, width + lead), dtype=np.intp)
+    choice[:, lead:] = layout + 2 * (bits >> _U(63)).astype(np.intp)
+    if lead:
+        index = np.arange(first_row, first_row + rows, dtype=_U)
+        index_length = np.maximum(np.searchsorted(t["pow10"], index, side="right"), 1)
+        digits[:, 0] = index * np.take(t["pow10"], 17 - index_length)
+    # "0" and the first digit, then eight pairs of digits
+    record = np.empty((16,) + digits.shape, dtype=np.uint16)
+    high = digits // _U(10 ** 8)
+    low = (digits - high * _U(10 ** 8)).astype(np.uint32)
+    high = high.astype(np.uint32)
+    head = high // np.uint32(10 ** 8)
+    high -= head * np.uint32(10 ** 8)
+    np.take(t["pairs"], head, out=record[0], mode="clip")
+    pairs = np.empty((8,) + digits.shape, dtype=np.uint32)
+    quads = pairs[::2]
+    np.floor_divide(high, np.uint32(10 ** 4), out=quads[0])
+    np.floor_divide(low, np.uint32(10 ** 4), out=quads[2])
+    quads[1] = high - quads[0] * np.uint32(10 ** 4)
+    quads[3] = low - quads[2] * np.uint32(10 ** 4)
+    tens = quads // np.uint32(100)
+    pairs[1::2] = quads - tens * np.uint32(100)
+    pairs[::2] = tens
+    pairs += np.arange(0, 800, 100, dtype=np.uint32)[:, None, None]
+    np.take(t["pairs"], pairs, out=record[1:9], mode="clip")
+    # n: up to the last nonzero digit, or all the digits of a row number
+    choice += np.take(t["last"], pairs).max(axis=0)
+    if lead:
+        choice[:, 0] = _PER_LAYOUT * _INT_L + 4 * (index_length - 1)
+    choice[:, -1] += 1
+    record[9][:, lead:] = np.take(t["exp_head"], point)
+    record[10][:, lead:] = np.take(t["exp_tail"], point)
+    record[11:] = t["const"]
+    return record, choice.ravel()
+
+
+def csv_rows(block: np.ndarray, first_row: int | None = None) -> bytes:
+    """The CSV lines of a 2-D float64 block, each cell as its repr; with
+    `first_row`, each line starts with its row number, counted from it."""
+    record, choice = _records(block, first_row)
+    cells = choice.size
+    offsets = _offsets(cells)
+    source = record.view(np.uint8).ravel()
+    text = np.empty((cells, _WIDTH), dtype=np.uint8)
+    # the byte offsets of a few cells at a time keep the memory small
+    index = np.empty((min(cells, _CHUNK), _WIDTH), dtype=np.intp)
+    for lo in range(0, cells, _CHUNK):
+        part = index[:min(_CHUNK, cells - lo)]
+        np.take(offsets, choice[lo:lo + len(part)], axis=0, out=part, mode="clip")
+        part += np.arange(2 * lo, 2 * (lo + len(part)), 2)[:, None]
+        np.take(source, part, out=text[lo:lo + len(part)], mode="clip")
+    return text[text != 0].tobytes()

@@ -163,7 +163,7 @@ def _parse_ints(text: str) -> list[int]:
 #: Cells formatted together: a block holds as many rows as fit, and at
 #: least one.  The parts a CSV is split into between processes are whole
 #: runs of blocks.
-_CSV_BLOCK_CELLS = 2048
+_CSV_BLOCK_CELLS = 8192
 
 
 def _usable_cpus() -> int:
@@ -202,17 +202,11 @@ class CsvTable:
         return max(1, _CSV_BLOCK_CELLS // width)
 
     def _format(self, lo: int, hi: int) -> bytes:
-        # tolist() yields Python floats, whose repr is the shortest
-        # round-trip decimal.  zip over one iterator repeated per column
-        # takes the row-major cells a row at a time.
+        # imported here, so that commands which write no CSV do not load it
+        from ._decimal import csv_rows
+
         block = np.column_stack([c[lo:hi] for c in self.columns])
-        cells = iter(list(map(repr, block.ravel().tolist())))
-        fields = [cells] * block.shape[1]
-        if self.header is not None:
-            fields.insert(0, map(str, range(lo, hi)))
-        lines = list(map(",".join, zip(*fields)))
-        lines.append("")
-        return "\n".join(lines).encode()
+        return csv_rows(block, None if self.header is None else lo)
 
     def _blocks(self, lo: int, hi: int) -> Iterator[bytes]:
         block = self._block_rows

@@ -1334,7 +1334,11 @@ def awkward_values(rows, cols, seed):
     return values
 
 
-SIZES = [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 17]
+#: Rows of a cycle table: none, one, and a quarter block and a whole block,
+#: each with one row and with three such runs and 17 rows more.
+_QUARTER_ROWS = _CSV_BLOCK_ROWS // 4
+SIZES = [0, 1, _QUARTER_ROWS, _QUARTER_ROWS + 1, 3 * _QUARTER_ROWS + 17,
+         _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 17]
 
 
 class TestRowWriter:
@@ -1373,14 +1377,17 @@ class TestRowWriter:
                           "t,u,v,w\n" + rows_indexed)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("width", [_CSV_BLOCK_CELLS - 1, _CSV_BLOCK_CELLS + 1])
+    @pytest.mark.parametrize("width", [_CSV_BLOCK_CELLS // 4 - 1, _CSV_BLOCK_CELLS // 4 + 1,
+                                       _CSV_BLOCK_CELLS - 1, _CSV_BLOCK_CELLS + 1])
     def test_wide_rows_fill_blocks_by_cells(self, monkeypatch, cpus, width):
         # a block holds as many rows as fit in the cell budget, at least one
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         m = awkward_values(7, width, width)
         table = matrix_csv(m)
-        assert table._block_rows == 1
-        assert [b.count(b"\n") for b in table._blocks(0, 7)] == [1] * 7
+        per_block = max(1, _CSV_BLOCK_CELLS // width)
+        assert table._block_rows == per_block
+        assert [b.count(b"\n") for b in table._blocks(0, 7)] == \
+            [per_block] * (7 // per_block) + [7 % per_block] * (7 % per_block > 0)
         assert_same_lines(csv_text(table), per_cell_matrix_csv(m))
         narrow = matrix_csv(m[:, :3])
         assert narrow._block_rows == _CSV_BLOCK_CELLS // 3
@@ -1425,7 +1432,8 @@ class TestRowWriter:
 
         monkeypatch.setattr(cli.CsvTable, "_format", fail_past_first_block)
         out = tmp_path / "c.csv"
-        code, report, err = run_cli(capsys, "cycle", "--T", 3000, "--out", out)
+        # two blocks of rows and one more, so that the child formats rows
+        code, report, err = run_cli(capsys, "cycle", "--T", 2 * _CSV_BLOCK_ROWS, "--out", out)
         assert code == 2 and report is None
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: OSError: ")

@@ -17,6 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from varcycle import (
     CycleRegime,
@@ -40,7 +41,7 @@ from varcycle import (
     verify_decomposition,
 )
 import varcycle.cycle
-from varcycle.cli import main
+from varcycle.cli import CsvTable, cycle_csv, main, matrix_csv
 from varcycle.simulate import NoisePath
 
 from test_spectral import assert_matches_dense, dense_from_factors, factors
@@ -564,3 +565,62 @@ def test_every_report_is_strict_json(params):
             else:
                 assert code == 0 or (code == 1 and argv[0] == "verify"), (argv, code)
                 json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+def double_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+#: Sign bit either way on any magnitude, a subnormal, a NaN payload or one
+#: of hypothesis' own floats, which lean to round and boundary values.
+FLOAT_BITS = st.builds(
+    int.__or__, st.sampled_from([0, 1 << 63]),
+    st.one_of(st.integers(0, (1 << 63) - 1), st.integers(1, (1 << 52) - 1),
+              st.integers(0x7FF0000000000001, (1 << 63) - 1),
+              st.floats().map(lambda v: int(double_bits(v)))))
+
+EDGE_DOUBLES = double_bits(
+    [0.0, -0.0, np.inf, -np.inf]
+    # 5e-324 .. 1e-322: subnormals whose shortest decimal has one digit
+    + [i * 5e-324 for i in range(1, 21)]
+    + [2.2250738585072014e-308, float(np.nextafter(2.2250738585072014e-308, 0.0)),
+       1.7976931348623157e308]
+    + [2.0 ** e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
+    + [float(2 ** 53 + d) for d in range(-4, 5)]
+    # a few of these lie midway between two 17-digit decimals, which round
+    # to the even one: 3 * 2**-24 is 1.7881393432617188e-07, not ...87e-07
+    + [m * 2.0 ** e for m in range(1, 32, 2) for e in range(-30, -18)]
+    # where repr switches between fixed point and exponent form
+    + [1e-4, 1e-5, 1e16, 9999999999999998.0])
+EDGE_BITS = np.concatenate([EDGE_DOUBLES, EDGE_DOUBLES | np.uint64(1 << 63), np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, (1 << 64) - 1],
+    dtype=np.uint64)])
+
+
+def repr_lines(values, indexed):
+    return "".join((f"{t}," if indexed else "") + ",".join(map(repr, row)) + "\n"
+                   for t, row in enumerate(values.tolist())).encode()
+
+
+def csv_bytes(table):
+    buf = io.BytesIO()
+    table.write(buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bits=hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                       elements=FLOAT_BITS))
+@example(bits=EDGE_BITS[:, None])
+@example(bits=EDGE_BITS[:EDGE_BITS.size // 4 * 4].reshape(-1, 4))
+# the smallest blocks: a 1 x 1 matrix and a one-row cycle table
+@example(bits=double_bits([[1.7976931348623157e308]]))
+@example(bits=double_bits([[5e-324, -2.2250738585072014e-308]]))
+def test_csv_cells_are_the_repr_of_each_double(bits):
+    values = bits.view(np.float64)
+    assert csv_bytes(matrix_csv(values)) == repr_lines(values, indexed=False)
+    header = ",".join(["t"] + [f"v{j}" for j in range(values.shape[1])])
+    indexed = repr_lines(values, indexed=True)
+    assert csv_bytes(CsvTable(header, (values,))) == f"{header}\n".encode() + indexed
+    if values.shape[1] == 2:
+        assert csv_bytes(cycle_csv(*values.T)) == b"t,xbar,h\n" + indexed
