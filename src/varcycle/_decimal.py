@@ -1,8 +1,10 @@
-"""CSV text of float64 blocks, each cell the shortest round-trip decimal.
+"""CSV text of float64 blocks, each cell the shortest round-trip decimal,
+and the JSON text of float64 arrays built from it.
 
 The bytes are those of ``",".join(map(repr, row))`` per row, with the row
 number first where asked, but the digits come from whole-array uint64
-arithmetic rather than one ``float.__repr__`` per cell.
+arithmetic rather than one ``float.__repr__`` per cell.  ``JsonText``
+writes what ``json.dumps`` writes for a text with arrays in it.
 
 Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020), the algorithm behind Java's ``Double.toString``; it is exact and
@@ -27,6 +29,7 @@ value-based casting of numpy < 2, uint64 with int64 gives float64.
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -62,74 +65,95 @@ _POINT_BIAS = 324  # the point of a double lies in -323 .. 309
 _CHUNK = 2048
 
 
-def _template(layout: int, n: int, neg: int, last: int) -> list[int]:
+def _padded(rows: list[list[int]]) -> np.ndarray:
+    return np.array([row + [_NUL] * (_WIDTH - len(row)) for row in rows], dtype=np.uint8)
+
+
+def _templates() -> np.ndarray:
+    """Every template, one row per template number, as the record positions
+    of its bytes: a minus, a head cut after its first `head_len` bytes, a
+    tail cut after `tail_len`, the separator, and NULs."""
     digits = list(range(1, 18))
-    sign = [_MINUS] if neg and layout != _NAN_L else []
-    if layout <= _FIXED_MAX - _FIXED_MIN:
-        p = layout + _FIXED_MIN
-        if p <= 0:
-            body = [_ZERO, _POINT] + [_ZERO] * -p + digits[:n]
-        else:  # digits past n are "0", so digits[:p] pads an integral value
-            body = digits[:p] + [_POINT] + (digits[p:n] if n > p else [_ZERO])
-    elif layout in (_EXP2, _EXP3):
-        mantissa = digits[:1] + ([_POINT] + digits[1:n] if n > 1 else [])
-        exponent = [_HUNDREDS, _TENS, _UNITS][layout == _EXP2:]
-        body = mantissa + [_E, _SIGN] + exponent
-    elif layout == _ZERO_L:
-        body = [_ZERO, _POINT, _ZERO]
-    elif layout == _INF_L:
-        body = [_I, _N, _F]
-    elif layout == _NAN_L:
-        body = [_N, _A, _N]
-    else:
-        body = digits[:n]
-    cell = sign + body + [_NEWLINE if last else _COMMA]
-    return cell + [_NUL] * (_WIDTH - len(cell))
+    heads = _padded([[_ZERO, _POINT] + [_ZERO] * -p + digits for p in range(_FIXED_MIN, 1)]
+                    + [digits[:p] + [_POINT] + digits[p:] for p in range(1, _FIXED_MAX + 1)]
+                    + [[1, _POINT] + digits[1:]] * 2
+                    + [[_ZERO, _POINT, _ZERO], [_I, _N, _F], [_N, _A, _N], digits])
+    tails = _padded([[_ZERO]] * _EXP2 + [[_E, _SIGN, _TENS, _UNITS],
+                                         [_E, _SIGN, _HUNDREDS, _TENS, _UNITS]] + [[]] * 4)
+    # axes: layout, n, sign, row end, byte
+    layout = np.arange(_INT_L + 1)[:, None, None, None, None]
+    n = np.arange(1, 18)[:, None, None, None]
+    p = layout + _FIXED_MIN
+    exp = (layout == _EXP2) | (layout == _EXP3)
+    head_len = np.where(layout < _EXP2, np.where(p <= 0, n + 2 - p, np.maximum(n, p) + 1),
+                        np.where(exp, n + (n > 1), np.where(layout < _INT_L, 3, n)))
+    # digits past n are "0", so an integral value shows p digits and ".0"
+    tail_len = np.where(layout < _EXP2, n <= p, np.where(exp, 4 + (layout == _EXP3), 0))
+    at = np.arange(_WIDTH)
+    end = head_len + tail_len
+    cell = np.where(at < head_len, heads[layout[..., 0]],
+                    np.where(at < end, tails[layout, at - head_len], _NUL))
+    cell = np.where(at == end, np.array([_COMMA, _NEWLINE])[:, None], cell)
+    out = np.empty((_INT_L + 1, 17, 2, 2, _WIDTH), dtype=np.uint8)
+    out[:, :, :1] = cell
+    out[:, :, 1, :, 0] = _MINUS
+    out[:, :, 1, :, 1:] = cell[:, :, 0, :, :-1]
+    out[_NAN_L, :, 1] = cell[_NAN_L, :, 0]
+    return out.reshape(-1, _WIDTH)
 
 
-def _chars(text: bytes) -> np.ndarray:
-    """Pairs of bytes as uint16, in memory order on any platform."""
-    return np.frombuffer(text, dtype=np.uint16)
+def _chars(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Pairs of byte values as uint16, in memory order on any platform."""
+    pair = np.empty((np.size(second), 2), dtype=np.uint8)
+    pair[:, 0], pair[:, 1] = first, second
+    return pair.view(np.uint16).ravel()
+
+
+def _scales() -> tuple[np.ndarray, np.ndarray]:
+    """g = floor(10^-k 2^-r) + 1 in [2^125, 2^126) for every k, split 63 +
+    63 bits.  For k > 0 it is floor(2^(125 + len(10^k)) / 10^k) + 1, taken
+    from one running quotient of a power of two: floor(floor(a / b) / c)
+    is floor(a / (b c))."""
+    g, p = [], 1
+    for _ in range(1 - _K_MIN):  # k = 0, -1, .., _K_MIN
+        r = p.bit_length() - 126
+        g.append((p >> r if r >= 0 else p << -r) + 1)
+        p *= 10
+    g.reverse()
+    top = 125 + p.bit_length()  # p = 10^(1 - _K_MIN) exceeds 10^_K_MAX
+    q, p = 1 << top, 10
+    for _ in range(_K_MAX):  # k = 1 .. _K_MAX
+        q //= 10
+        g.append((q >> top - 125 - p.bit_length()) + 1)
+        p *= 10
+    words = np.frombuffer(b"".join(v.to_bytes(16, "big") for v in g), dtype=">u8").astype(_U)
+    return (words[::2] << _U(1)) | (words[1::2] >> _U(63)), words[1::2] & _M63
 
 
 @functools.cache
 def _tables() -> dict[str, np.ndarray]:
     """Built on first use, so that importing the CLI stays cheap."""
-    # g = floor(10^-k 2^-r) + 1 in [2^125, 2^126), split 63 + 63 bits and
-    # each half again into 32-bit halves for the high products
-    g = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        if k <= 0:
-            p = 10 ** -k
-            r = p.bit_length() - 126
-            g.append((p >> r if r >= 0 else p << -r) + 1)
-        else:
-            g.append((1 << (125 + (10 ** k).bit_length())) // 10 ** k + 1)
-    g1 = np.array([v >> 63 for v in g], dtype=_U)
-    g0 = np.array([v & ((1 << 63) - 1) for v in g], dtype=_U)
+    # g, and each half again in 32-bit halves for the high products
+    g1, g0 = _scales()
     t = {"g1": g1, "g1_hi": g1 >> _U(32), "g1_lo": g1 & _M32,
          "g0_hi": g0 >> _U(32), "g0_lo": g0 & _M32,
-         "pow10": np.array([10 ** i for i in range(18)], dtype=_U)}
+         "pow10": _U(10) ** np.arange(18, dtype=_U)}
     # digit pair i of 8 (digits 2i + 2 and 2i + 3) at 100 i + its value,
     # and what its last nonzero digit adds to the template number
-    t["pairs"] = _chars(b"".join(b"%02d" % v for v in range(100)) * 8)
-    t["last"] = np.array([0 if v == 0 else 4 * (2 * i + 1 + (v % 10 != 0))
-                          for i in range(8) for v in range(100)], dtype=np.uint8)
+    i, v = np.divmod(np.arange(800), 100)
+    t["pairs"] = _chars(48 + v // 10, 48 + v % 10)
+    t["last"] = (4 * (2 * i + 1 + (v % 10 != 0)) * (v != 0)).astype(np.uint8)
     # per decimal point position: the layout, and the exponent's bytes
-    layout, head, tail = [], [], []
-    for p in range(-_POINT_BIAS, 310):
-        e = abs(p - 1)
-        layout.append(_PER_LAYOUT * (p - _FIXED_MIN if _FIXED_MIN <= p <= _FIXED_MAX
-                                     else _EXP3 if e >= 100 else _EXP2))
-        head.append(b"%c%d" % (b"-+"[p > 0], e // 100 % 10))
-        tail.append(b"%02d" % (e % 100))
-    t["layout"] = np.array(layout, dtype=np.intp)
-    t["exp_head"], t["exp_tail"] = _chars(b"".join(head)), _chars(b"".join(tail))
-    t["const"] = _chars(_CONST)[:, None, None]
-    templates = np.array([_template(layout, n, neg, last)
-                          for layout in range(_INT_L + 1) for n in range(1, 18)
-                          for neg in (0, 1) for last in (0, 1)], dtype=np.intp)
-    t["plane"], t["byte"] = templates >> 1, templates & 1
+    p = np.arange(-_POINT_BIAS, 310)
+    e = abs(p - 1)
+    t["layout"] = _PER_LAYOUT * np.where((_FIXED_MIN <= p) & (p <= _FIXED_MAX), p - _FIXED_MIN,
+                                         np.where(e >= 100, _EXP3, _EXP2))
+    t["exp_head"] = _chars(np.where(p > 0, ord("+"), ord("-")), 48 + e // 100 % 10)
+    t["exp_tail"] = _chars(48 + e // 10 % 10, 48 + e % 10)
+    t["const"] = np.frombuffer(_CONST, dtype=np.uint16)[:, None, None]
+    templates = _templates()
+    t["plane"] = np.right_shift(templates, 1, dtype=np.intp)
+    t["byte"] = np.bitwise_and(templates, 1, dtype=np.intp)
     return t
 
 
@@ -201,7 +225,8 @@ def _offsets(cells: int) -> np.ndarray:
     return t["plane"] * (2 * cells) + t["byte"]
 
 
-def _records(block: np.ndarray, first_row: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _records(block: np.ndarray, first_row: int | None,
+             row_ends: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's record, and the number of its template."""
     t = _tables()
     rows, width = block.shape
@@ -255,17 +280,23 @@ def _records(block: np.ndarray, first_row: int | None) -> tuple[np.ndarray, np.n
     choice += np.take(t["last"], pairs).max(axis=0)
     if lead:
         choice[:, 0] = _PER_LAYOUT * _INT_L + 4 * (index_length - 1)
-    choice[:, -1] += 1
+    if row_ends is None:
+        choice[:, -1] += 1
+    else:
+        choice += row_ends
     record[9][:, lead:] = np.take(t["exp_head"], point)
     record[10][:, lead:] = np.take(t["exp_tail"], point)
     record[11:] = t["const"]
     return record, choice.ravel()
 
 
-def csv_rows(block: np.ndarray, first_row: int | None = None) -> bytes:
+def csv_rows(block: np.ndarray, first_row: int | None = None,
+             row_ends: np.ndarray | None = None) -> bytes:
     """The CSV lines of a 2-D float64 block, each cell as its repr; with
-    `first_row`, each line starts with its row number, counted from it."""
-    record, choice = _records(block, first_row)
+    `first_row`, each line starts with its row number, counted from it.
+    With `row_ends`, the cells of a one-row block end a line where it is
+    true, and the others, the last one too, end with a comma."""
+    record, choice = _records(block, first_row, row_ends)
     cells = choice.size
     offsets = _offsets(cells)
     source = record.view(np.uint8).ravel()
@@ -278,3 +309,60 @@ def csv_rows(block: np.ndarray, first_row: int | None = None) -> bytes:
         part += np.arange(2 * lo, 2 * (lo + len(part)), 2)[:, None]
         np.take(source, part, out=text[lo:lo + len(part)], mode="clip")
     return text[text != 0].tobytes()
+
+
+def _cells(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Cells lo .. hi - 1 of the 2-D `rows` in row order, clipped to it."""
+    lo, hi, width = max(lo, 0), min(hi, rows.size), rows.shape[1]
+    first = lo // width
+    return rows[first:-(-hi // width)].ravel()[lo - first * width:hi - first * width]
+
+
+def _json_rows(text: bytes) -> str:
+    """CSV text as JSON: ", " between cells, "], [" between rows."""
+    return text.replace(b",", b", ").replace(b"\n", b"], [").decode()
+
+
+class JsonText:
+    """A JSON text and its newline: `parts` joined by the JSON of `arrays`,
+    float64 arrays of one or two dimensions, in pieces.
+
+    Each pass formats the arrays' cells `block` at a time, across arrays,
+    each cell ending with "," or, at the end of a row, a newline (a 1-D
+    array is one row).  JSON has ", " for the comma and "], [" for the
+    newline, except at the end of an array, which closes it.  (A plain
+    class: a dataclass takes about half a millisecond to define.)
+    """
+
+    def __init__(self, parts: list[str], arrays: list[np.ndarray], block: int):
+        self.parts, self.arrays, self.block = parts, arrays, block
+
+    def __iter__(self) -> Iterator[str]:
+        rows = [np.atleast_2d(a) for a in self.arrays]
+        # the "opening" after the last array ends the text
+        brackets = [("[", "]") if a.ndim == 1 else ("[[", "]]") for a in self.arrays]
+        brackets.append(("\n", ""))
+        stops = np.cumsum([a.size for a in rows])
+        starts = stops - [a.size for a in rows]
+        widths = np.array([a.shape[1] for a in rows])
+        j = 0  # the array being written
+        yield self.parts[0] + brackets[0][0]
+        for lo in range(0, stops[-1], self.block):
+            hi = min(lo + self.block, stops[-1])
+            cell = np.arange(lo, hi)
+            owner = np.searchsorted(stops, cell, side="right")
+            row_end = (cell - starts[owner] + 1) % widths[owner] == 0
+            values = np.concatenate([_cells(rows[k], lo - starts[k], hi - starts[k])
+                                     for k in range(owner[0], owner[-1] + 1)])
+            text = csv_rows(values[None], row_ends=row_end)
+            # the newlines that end an array in this block
+            newline = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+            ends = stops[(lo < stops) & (stops <= hi)] - 1 - lo
+            at = 0
+            for end in newline[np.cumsum(row_end)[ends] - 1]:
+                yield _json_rows(text[at:end])
+                yield brackets[j][1] + self.parts[j + 1] + brackets[j + 1][0]
+                j += 1
+                at = end + 1
+            if at < len(text):
+                yield _json_rows(text[at:])

@@ -20,7 +20,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Iterator, NoReturn, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -266,7 +266,7 @@ class CsvTable:
                 os.waitpid(pid, 0)
 
 
-def atomic_write(path: str, content: str | CsvTable) -> None:
+def atomic_write(path: str, content: str | CsvTable | Iterable[str]) -> None:
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -285,7 +285,8 @@ def atomic_write(path: str, content: str | CsvTable) -> None:
             if isinstance(content, CsvTable):
                 content.write(fh)
             else:
-                fh.write(content.encode("utf-8"))
+                for chunk in [content] if isinstance(content, str) else content:
+                    fh.write(chunk.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -326,6 +327,52 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+#: Stands for a float array in the JSON text of the rest of a report.
+_ARRAY_MARK = "\0float64 array\0"
+
+
+def _lift_arrays(obj: Any, arrays: list[np.ndarray]) -> Any:
+    """`obj` with every non-empty float64 ndarray (not a subclass) of one
+    or two dimensions in its dicts, lists and tuples replaced by
+    _ARRAY_MARK; the arrays go to `arrays` in the order json.dumps meets
+    them."""
+    if isinstance(obj, dict):
+        return {k: _lift_arrays(v, arrays) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_lift_arrays(v, arrays) for v in obj]
+    if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
+        arrays.append(obj)
+        return _ARRAY_MARK
+    return obj
+
+
+def _json_text(report: dict) -> Iterable[str]:
+    """The text of json.dumps(report, allow_nan=False, default=_json_default)
+    and a newline, in pieces.
+
+    When the report's float64 arrays hold _CSV_BLOCK_CELLS cells or more,
+    the CSV writer's formatter writes their text as it is read: it writes a
+    cell in about a third of repr's time, but loading it (compiling the
+    module where no bytecode is cached, building its tables) costs what
+    repr spends on several thousand cells.  Raises NonFiniteResult.
+    """
+    arrays: list[np.ndarray] = []
+    rest = _lift_arrays(report, arrays)
+    try:
+        if (sum(a.size for a in arrays) >= _CSV_BLOCK_CELLS
+                and all(np.isfinite(a).all() for a in arrays)):
+            parts = json.dumps(rest, allow_nan=False, default=_json_default).split(
+                json.dumps(_ARRAY_MARK))
+            # a string of the report that holds the mark splits it more often
+            if len(parts) == len(arrays) + 1:
+                from ._decimal import JsonText
+
+                return JsonText(parts, arrays, _CSV_BLOCK_CELLS)
+        return json.dumps(report, allow_nan=False, default=_json_default), "\n"
+    except ValueError as exc:
+        raise NonFiniteResult(f"report holds a non-finite value: {exc}") from exc
+
+
 def emit_report(config: dict, payload: dict, timing: dict, out: str | None = None) -> dict:
     report = {
         "tool_version": __version__,
@@ -333,13 +380,10 @@ def emit_report(config: dict, payload: dict, timing: dict, out: str | None = Non
         "payload": payload,
         "timing": {k: round(v, 6) for k, v in timing.items()},
     }
-    try:
-        text = json.dumps(report, allow_nan=False, default=_json_default)
-    except ValueError as exc:
-        raise NonFiniteResult(f"report holds a non-finite value: {exc}") from exc
+    text = _json_text(report)
     if out:
-        atomic_write(out, text + "\n")
-    print(text)
+        atomic_write(out, text)
+    sys.stdout.writelines(text)
     return report
 
 

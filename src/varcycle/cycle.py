@@ -174,9 +174,12 @@ def _recurse(k1: float, k2: float, x0: float, x1: float, h: list[float]) -> np.n
     freed before x is copied to an array: both lists are as long as the run.
     """
     # Python floats step faster than numpy scalars and overflow to inf silently
-    x = [float(x0), float(x1)]
+    a, b = float(x0), float(x1)  # x(t) and x(t+1)
+    x = [a, b]
+    append = x.append
     for ht in h:
-        x.append(-k1 * x[-1] - k2 * x[-2] + ht)
+        a, b = b, -k1 * b - k2 * a + ht
+        append(b)
     del h
     out = np.array(x)
     _check_finite(out)

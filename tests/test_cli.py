@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import varcycle
-from varcycle import BOUNDARY_TOL, cli, validate_params
+from varcycle import BOUNDARY_TOL, _decimal, cli, validate_params
 from varcycle.cli import (_CSV_BLOCK_CELLS, CsvTable, atomic_write, cycle_csv, main, matrix_csv,
                           trajectory_csv)
 
@@ -1043,6 +1044,109 @@ class TestMoments:
         assert json.dumps(reported) == json.dumps(expected, default=cli._json_default)
 
 
+class TestReportEncoding:
+    """A report whose float64 arrays hold _CSV_BLOCK_CELLS cells or more
+    has their text written by the CSV formatter, in json.dumps's bytes."""
+
+    @staticmethod
+    def emit(monkeypatch, payload, out=None):
+        """The report, its text, and whether the formatter wrote any of it."""
+        calls = []
+        csv_rows = _decimal.csv_rows
+        monkeypatch.setattr(_decimal, "csv_rows",
+                            lambda *args, **kw: calls.append(1) or csv_rows(*args, **kw))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            report = cli.emit_report({"n": 2}, payload, {"compute": 1.0}, out)
+        assert_same_text(buf.getvalue(),
+                         json.dumps(report, allow_nan=False, default=cli._json_default) + "\n")
+        return report, buf.getvalue(), bool(calls)
+
+    @pytest.mark.parametrize("cells,formatted", [(_CSV_BLOCK_CELLS - 1, False),
+                                                 (_CSV_BLOCK_CELLS, True)])
+    def test_size_rule(self, monkeypatch, cells, formatted):
+        values = np.random.default_rng(cells).standard_normal(cells)
+        rows = cells // 3
+        # a 0-d array does not count
+        payload = {"m": values[:3 * rows].reshape(rows, 3), "v": values[3 * rows:],
+                   "k": np.array(2.5)}
+        assert self.emit(monkeypatch, payload)[2] is formatted
+
+    def test_a_string_that_spells_the_mark_keeps_json_dumps(self, monkeypatch):
+        values = np.random.default_rng(8).standard_normal((_CSV_BLOCK_CELLS, 2))
+        _, text, formatted = self.emit(monkeypatch, {"m": values, "s": cli._ARRAY_MARK})
+        assert not formatted
+        assert json.loads(text)["payload"]["s"] == cli._ARRAY_MARK
+
+    def test_report_file_holds_the_same_bytes(self, monkeypatch, tmp_path):
+        values = np.random.default_rng(9).standard_normal((100, 100))
+        _, text, formatted = self.emit(monkeypatch, {"m": values}, str(tmp_path / "r.json"))
+        assert formatted
+        assert_same_text((tmp_path / "r.json").read_text(), text)
+
+    @pytest.mark.parametrize("cells", [10, _CSV_BLOCK_CELLS + 10])
+    def test_non_finite_cell_exits_2(self, capsys, monkeypatch, tmp_path, cells):
+        values = np.zeros(cells)
+        values[cells // 2] = np.nan
+        monkeypatch.setattr(cli, "lint_params", lambda params: {"values": values})
+        code, report, err = run_cli(capsys, "decompose", "--config", config_with(tmp_path),
+                                    "--out", tmp_path / "r.json")
+        assert code == 2 and report is None
+        assert err.startswith("error: NonFiniteResult: report holds a non-finite value")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_moments_report_is_json_dumps_of_its_dict(self, monkeypatch, diag_config, tmp_path):
+        # n = 3 with --mc-reps: 18 6x6 matrices, below the rule; n = 20: above
+        reports = []
+        emit_report = cli.emit_report
+        monkeypatch.setattr(cli, "emit_report", lambda *args: reports.append(
+            emit_report(*args)) or reports[-1])
+        cfg = uniform_config(tmp_path, 20, 4e-4, 0.9)
+        for config in (diag_config[0], cfg):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(["moments", "--config", str(config), "--mc-reps", "50",
+                             "--out", str(tmp_path / "m.json")])
+            assert code == 0
+            want = json.dumps(reports[-1], allow_nan=False, default=cli._json_default) + "\n"
+            assert_same_text(buf.getvalue(), want)
+            assert_same_text((tmp_path / "m.json").read_text(), want)
+
+
+SMALL_REPORT_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+from varcycle.cli import main
+
+work = sys.argv[1]
+w = np.random.default_rng(5).uniform(0.5, 1.5, (2, 700))
+configs = {700: {"n": 700, "alpha": 0.1, "beta": 0.9, "a": (w[0] / w[0].sum()).tolist(),
+                 "b": (w[1] / w[1].sum()).tolist()},
+           70: {"n": 70, "alpha": 0.1, "beta": 0.9}}
+for n, doc in configs.items():
+    with open(f"{work}/{n}.json", "w") as fh:
+        json.dump(doc, fh)
+loaded = []
+for n, argv in ((700, ["decompose"]), (700, ["verify"]), (70, ["moments", "--t-grid", "2",
+                                                               "--tau-grid", "0"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--config", f"{work}/{n}.json"])
+    loaded.append([code, "varcycle._decimal" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_small_reports_do_not_load_the_formatter(tmp_path):
+    # decompose and verify at n = 700 report 4,200 float cells (the
+    # config's weights and noise vectors); moments at n = 70 reports 19,600
+    env = dict(os.environ, PYTHONPATH=str(Path(varcycle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           SMALL_REPORT_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False], [0, False], [0, True]]
+
+
 #: small weights that once failed verify: at the front of b (decomposition_residuals
 #: and block_basis_residuals), at the front of b at T = 500 (block_basis_residuals and
 #: explicit_equals_recursive), and at the front of b in the complex regime
@@ -1303,6 +1407,15 @@ def csv_text(table):
     buf = io.BytesIO()
     table.write(buf)
     return buf.getvalue().decode()
+
+
+def assert_same_text(got, want):
+    # pytest's diff of two long strings is very slow
+    if got != want:
+        at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts differ at {at}: {got[at - 30:at + 30]!r} != "
+                    f"{want[at - 30:at + 30]!r}")
 
 
 def assert_same_lines(got, want):

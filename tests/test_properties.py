@@ -41,9 +41,12 @@ from varcycle import (
     verify_decomposition,
 )
 import varcycle.cycle
+from varcycle import _decimal, cli
 from varcycle.cli import CsvTable, cycle_csv, main, matrix_csv
+from varcycle.errors import NonFiniteResult
 from varcycle.simulate import NoisePath
 
+from test_cli import assert_same_text
 from test_spectral import assert_matches_dense, dense_from_factors, factors
 
 BOUNDARY_FACTORS = {"d1": 3.0 - 2.0 * np.sqrt(2.0), "d2": 3.0 + 2.0 * np.sqrt(2.0)}
@@ -624,3 +627,161 @@ def test_csv_cells_are_the_repr_of_each_double(bits):
     assert csv_bytes(CsvTable(header, (values,))) == f"{header}\n".encode() + indexed
     if values.shape[1] == 2:
         assert csv_bytes(cycle_csv(*values.T)) == b"t,xbar,h\n" + indexed
+
+
+def reference_template(layout, n, neg, last):
+    """One template, written out case by case: the oracle of _templates."""
+    D = _decimal
+    digits = list(range(1, 18))
+    sign = [D._MINUS] if neg and layout != D._NAN_L else []
+    if layout <= D._FIXED_MAX - D._FIXED_MIN:
+        p = layout + D._FIXED_MIN
+        if p <= 0:
+            body = [D._ZERO, D._POINT] + [D._ZERO] * -p + digits[:n]
+        else:  # digits past n are "0", so digits[:p] pads an integral value
+            body = digits[:p] + [D._POINT] + (digits[p:n] if n > p else [D._ZERO])
+    elif layout in (D._EXP2, D._EXP3):
+        mantissa = digits[:1] + ([D._POINT] + digits[1:n] if n > 1 else [])
+        exponent = [D._HUNDREDS, D._TENS, D._UNITS][layout == D._EXP2:]
+        body = mantissa + [D._E, D._SIGN] + exponent
+    elif layout == D._ZERO_L:
+        body = [D._ZERO, D._POINT, D._ZERO]
+    elif layout == D._INF_L:
+        body = [D._I, D._N, D._F]
+    elif layout == D._NAN_L:
+        body = [D._N, D._A, D._N]
+    else:
+        body = digits[:n]
+    cell = sign + body + [D._NEWLINE if last else D._COMMA]
+    return cell + [D._NUL] * (D._WIDTH - len(cell))
+
+
+def reference_tables():
+    """The formatter's tables, built one Python int and one template at a
+    time."""
+    D, U = _decimal, np.uint64
+    g = []
+    for k in range(D._K_MIN, D._K_MAX + 1):
+        if k <= 0:
+            p = 10 ** -k
+            r = p.bit_length() - 126
+            g.append((p >> r if r >= 0 else p << -r) + 1)
+        else:
+            g.append((1 << (125 + (10 ** k).bit_length())) // 10 ** k + 1)
+    g1 = np.array([v >> 63 for v in g], dtype=U)
+    g0 = np.array([v & ((1 << 63) - 1) for v in g], dtype=U)
+    t = {"g1": g1, "g1_hi": g1 >> U(32), "g1_lo": g1 & U(0xFFFFFFFF),
+         "g0_hi": g0 >> U(32), "g0_lo": g0 & U(0xFFFFFFFF),
+         "pow10": np.array([10 ** i for i in range(18)], dtype=U)}
+    chars = lambda text: np.frombuffer(text, dtype=np.uint16)  # noqa: E731
+    t["pairs"] = chars(b"".join(b"%02d" % v for v in range(100)) * 8)
+    t["last"] = np.array([0 if v == 0 else 4 * (2 * i + 1 + (v % 10 != 0))
+                          for i in range(8) for v in range(100)], dtype=np.uint8)
+    layout, head, tail = [], [], []
+    for p in range(-D._POINT_BIAS, 310):
+        e = abs(p - 1)
+        layout.append(D._PER_LAYOUT * (p - D._FIXED_MIN if D._FIXED_MIN <= p <= D._FIXED_MAX
+                                       else D._EXP3 if e >= 100 else D._EXP2))
+        head.append(b"%c%d" % (b"-+"[p > 0], e // 100 % 10))
+        tail.append(b"%02d" % (e % 100))
+    t["layout"] = np.array(layout, dtype=np.intp)
+    t["exp_head"], t["exp_tail"] = chars(b"".join(head)), chars(b"".join(tail))
+    t["const"] = chars(D._CONST)[:, None, None]
+    templates = np.array([reference_template(layout, n, neg, last)
+                          for layout in range(D._INT_L + 1) for n in range(1, 18)
+                          for neg in (0, 1) for last in (0, 1)], dtype=np.intp)
+    t["plane"], t["byte"] = templates >> 1, templates & 1
+    return t
+
+
+def test_formatter_tables_are_the_reference_tables():
+    got, want = _decimal._tables(), reference_tables()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+#: The finite edge doubles and bit patterns of the CSV property, for reports.
+FINITE_EDGES = EDGE_BITS[(EDGE_BITS >> np.uint64(52) & np.uint64(0x7FF)) != 0x7FF].view(np.float64)
+FINITE_BITS = FLOAT_BITS.filter(lambda b: b >> 52 & 0x7FF != 0x7FF)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+REPORT_LEAVES = st.one_of(
+    hnp.arrays(np.uint64, SHAPES, elements=FINITE_BITS).map(lambda b: b.view(np.float64)),
+    hnp.arrays(np.int64, SHAPES), hnp.arrays(np.bool_, SHAPES),
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(), st.booleans(), st.none(),
+    st.text(max_size=4) | st.sampled_from([cli._ARRAY_MARK, "x" + cli._ARRAY_MARK]))
+REPORT_VALUES = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4) | st.just(cli._ARRAY_MARK), inner,
+                                     max_size=4)),
+    max_leaves=12)
+
+
+def counted_cells(obj):
+    """The cells that the encoder's size rule counts."""
+    if isinstance(obj, dict):
+        return sum(counted_cells(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(counted_cells(v) for v in obj)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        return obj.size
+    return 0
+
+
+def filler(cells, width, seed):
+    """`cells` finite float cells as a (rows, width) and a 1-D array:
+    the edge values, then random bit patterns, shuffled."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 1 << 64, cells, dtype=np.uint64, endpoint=False)
+    bits[(bits >> np.uint64(52) & np.uint64(0x7FF)) == 0x7FF] ^= np.uint64(1 << 62)
+    values = bits.view(np.float64)
+    edges = min(cells, FINITE_EDGES.size)
+    values[:edges] = FINITE_EDGES[:edges]
+    rng.shuffle(values)
+    rows = cells // width
+    return [values[:rows * width].reshape(rows, width), values[rows * width:]]
+
+
+def emitted(payload, out=None):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        report = cli.emit_report({"n": 1}, payload, {"compute": 0.25}, out)
+    return report, buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=REPORT_VALUES,
+       cells=st.one_of(st.sampled_from([8191, 8192]), st.integers(0, 8191),
+                       st.integers(8192, 3 * cli._CSV_BLOCK_CELLS)),
+       width=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+@example(values={"m": np.array([[0.0, -0.0, 5e-324], [1e-5, 1e16, 3.0]]), "e": np.zeros((0, 3)),
+                 "z": np.float64(-0.0) * np.ones(()), "s": cli._ARRAY_MARK},
+         cells=8192, width=3, seed=1)
+@example(values=[np.ones(2)], cells=8191, width=8191, seed=2)
+def test_report_text_is_json_dumps(values, cells, width, seed):
+    """Below and above the size rule (8,191 and 8,192 float cells at the
+    edge), the report's bytes are those of json.dumps."""
+    payload = {"values": values}
+    cells -= counted_cells(payload)
+    if cells > 0:
+        payload["filler"] = filler(cells, width, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        report, text = emitted(payload, str(out))
+        want = json.dumps(report, allow_nan=False, default=cli._json_default) + "\n"
+        assert_same_text(text, want)
+        assert_same_text(out.read_text(), want)
+
+
+@pytest.mark.parametrize("cells", [10, 9000])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_array_cell_is_non_finite_result(cells, bad):
+    values = np.linspace(0.0, 1.0, cells).reshape(-1, 2)
+    values[-1, -1] = bad
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(NonFiniteResult, match="non-finite"):
+        cli.emit_report({}, {"values": values}, {})
+    assert buf.getvalue() == ""
