@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import signal
 import stat
 import sys
@@ -383,7 +384,11 @@ def emit_report(config: dict, payload: dict, timing: dict, out: str | None = Non
     text = _json_text(report)
     if out:
         atomic_write(out, text)
-    sys.stdout.writelines(text)
+        # the file holds the text: copy it rather than format the report twice
+        with open(out, encoding="utf-8", newline="") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
+    else:
+        sys.stdout.writelines(text)
     return report
 
 

@@ -1050,7 +1050,7 @@ class TestReportEncoding:
 
     @staticmethod
     def emit(monkeypatch, payload, out=None):
-        """The report, its text, and whether the formatter wrote any of it."""
+        """The report, its text, and how many blocks the formatter wrote."""
         calls = []
         csv_rows = _decimal.csv_rows
         monkeypatch.setattr(_decimal, "csv_rows",
@@ -1060,7 +1060,7 @@ class TestReportEncoding:
             report = cli.emit_report({"n": 2}, payload, {"compute": 1.0}, out)
         assert_same_text(buf.getvalue(),
                          json.dumps(report, allow_nan=False, default=cli._json_default) + "\n")
-        return report, buf.getvalue(), bool(calls)
+        return report, buf.getvalue(), len(calls)
 
     @pytest.mark.parametrize("cells,formatted", [(_CSV_BLOCK_CELLS - 1, False),
                                                  (_CSV_BLOCK_CELLS, True)])
@@ -1070,18 +1070,21 @@ class TestReportEncoding:
         # a 0-d array does not count
         payload = {"m": values[:3 * rows].reshape(rows, 3), "v": values[3 * rows:],
                    "k": np.array(2.5)}
-        assert self.emit(monkeypatch, payload)[2] is formatted
+        assert (self.emit(monkeypatch, payload)[2] > 0) is formatted
 
     def test_a_string_that_spells_the_mark_keeps_json_dumps(self, monkeypatch):
         values = np.random.default_rng(8).standard_normal((_CSV_BLOCK_CELLS, 2))
-        _, text, formatted = self.emit(monkeypatch, {"m": values, "s": cli._ARRAY_MARK})
-        assert not formatted
+        _, text, calls = self.emit(monkeypatch, {"m": values, "s": cli._ARRAY_MARK})
+        assert calls == 0
         assert json.loads(text)["payload"]["s"] == cli._ARRAY_MARK
 
     def test_report_file_holds_the_same_bytes(self, monkeypatch, tmp_path):
+        # the report is formatted once, whether or not it also goes to a file
         values = np.random.default_rng(9).standard_normal((100, 100))
-        _, text, formatted = self.emit(monkeypatch, {"m": values}, str(tmp_path / "r.json"))
-        assert formatted
+        _, alone, calls_alone = self.emit(monkeypatch, {"m": values})
+        _, text, calls = self.emit(monkeypatch, {"m": values}, str(tmp_path / "r.json"))
+        assert calls == calls_alone > 0
+        assert text == alone
         assert_same_text((tmp_path / "r.json").read_text(), text)
 
     @pytest.mark.parametrize("cells", [10, _CSV_BLOCK_CELLS + 10])
@@ -1554,6 +1557,30 @@ class TestRowWriter:
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_write_exits_2_and_keeps_the_old_file(self, capsys, monkeypatch, tmp_path):
+        # on one usable CPU every block is formatted in this process
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        format_rows = cli.CsvTable._format
+
+        def fail_past_first_block(table, lo, hi):
+            if lo >= _CSV_BLOCK_ROWS:
+                raise OSError("disk full")
+            return format_rows(table, lo, hi)
+
+        monkeypatch.setattr(cli.CsvTable, "_format", fail_past_first_block)
+        out = tmp_path / "c.csv"
+        out.write_bytes(b"old rows\n")
+        out.chmod(0o640)
+        # two blocks of rows and one more, so that the second block fails
+        code, report, err = run_cli(capsys, "cycle", "--T", 2 * _CSV_BLOCK_ROWS, "--out", out)
+        assert code == 2 and report is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: OSError: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b"old rows\n"
+        assert file_mode(out) == 0o640
 
     def test_children_are_reaped(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
