@@ -20,7 +20,9 @@ from its record through a template chosen by (layout, significant digits,
 sign, separator); NUL bytes pad the templates and are dropped.  The layouts
 follow ``repr``: exponent form when the decimal exponent is below -4 or at
 least 16 (1e-05 and 1e+16, but 0.0001 and 9999999999999998.0), two
-exponent digits at least, and ``.0`` on integral values.
+exponent digits at least, and ``.0`` on integral values.  A row number is
+no cell: its digits are written as integer text, right aligned behind NULs
+and followed by a comma, in front of the row's cells.
 
 Every constant mixed with a uint64 array is an ``np.uint64``: under the
 value-based casting of numpy < 2, uint64 with int64 gives float64.
@@ -54,12 +56,12 @@ _ZERO = 0
 _WIDTH = 25
 
 #: Layouts: fixed point with the decimal point at p = -3 .. 16 (0 .. 19),
-#: exponent form with two or three exponent digits, 0.0, inf, nan, and a
-#: row number.  A template is chosen by ((layout * 17 + n - 1) * 2 + sign)
+#: exponent form with two or three exponent digits, 0.0, inf and nan.
+#: A template is chosen by ((layout * 17 + n - 1) * 2 + sign)
 #: * 2 + last, for n significant digits and the last cell of a row.
 _FIXED_MIN, _FIXED_MAX = -3, 16
 _PER_LAYOUT = 17 * 2 * 2
-_EXP2, _EXP3, _ZERO_L, _INF_L, _NAN_L, _INT_L = range(20, 26)
+_EXP2, _EXP3, _ZERO_L, _INF_L, _NAN_L = range(20, 25)
 _POINT_BIAS = 324  # the point of a double lies in -323 .. 309
 #: Cells per step of the gather loop, which keeps its byte offsets small.
 _CHUNK = 2048
@@ -77,16 +79,16 @@ def _templates() -> np.ndarray:
     heads = _padded([[_ZERO, _POINT] + [_ZERO] * -p + digits for p in range(_FIXED_MIN, 1)]
                     + [digits[:p] + [_POINT] + digits[p:] for p in range(1, _FIXED_MAX + 1)]
                     + [[1, _POINT] + digits[1:]] * 2
-                    + [[_ZERO, _POINT, _ZERO], [_I, _N, _F], [_N, _A, _N], digits])
+                    + [[_ZERO, _POINT, _ZERO], [_I, _N, _F], [_N, _A, _N]])
     tails = _padded([[_ZERO]] * _EXP2 + [[_E, _SIGN, _TENS, _UNITS],
-                                         [_E, _SIGN, _HUNDREDS, _TENS, _UNITS]] + [[]] * 4)
+                                         [_E, _SIGN, _HUNDREDS, _TENS, _UNITS]] + [[]] * 3)
     # axes: layout, n, sign, row end, byte
-    layout = np.arange(_INT_L + 1)[:, None, None, None, None]
+    layout = np.arange(_NAN_L + 1)[:, None, None, None, None]
     n = np.arange(1, 18)[:, None, None, None]
     p = layout + _FIXED_MIN
     exp = (layout == _EXP2) | (layout == _EXP3)
     head_len = np.where(layout < _EXP2, np.where(p <= 0, n + 2 - p, np.maximum(n, p) + 1),
-                        np.where(exp, n + (n > 1), np.where(layout < _INT_L, 3, n)))
+                        np.where(exp, n + (n > 1), 3))
     # digits past n are "0", so an integral value shows p digits and ".0"
     tail_len = np.where(layout < _EXP2, n <= p, np.where(exp, 4 + (layout == _EXP3), 0))
     at = np.arange(_WIDTH)
@@ -94,7 +96,7 @@ def _templates() -> np.ndarray:
     cell = np.where(at < head_len, heads[layout[..., 0]],
                     np.where(at < end, tails[layout, at - head_len], _NUL))
     cell = np.where(at == end, np.array([_COMMA, _NEWLINE])[:, None], cell)
-    out = np.empty((_INT_L + 1, 17, 2, 2, _WIDTH), dtype=np.uint8)
+    out = np.empty((_NAN_L + 1, 17, 2, 2, _WIDTH), dtype=np.uint8)
     out[:, :, :1] = cell
     out[:, :, 1, :, 0] = _MINUS
     out[:, :, 1, :, 1:] = cell[:, :, 0, :, :-1]
@@ -225,12 +227,9 @@ def _offsets(cells: int) -> np.ndarray:
     return t["plane"] * (2 * cells) + t["byte"]
 
 
-def _records(block: np.ndarray, first_row: int | None,
-             row_ends: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _records(block: np.ndarray, row_ends: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's record, and the number of its template."""
     t = _tables()
-    rows, width = block.shape
-    lead = first_row is not None
     bits = np.ascontiguousarray(block, dtype=np.float64).view(_U)
     x = bits & _M63
     special = (x == 0) | (x >= _INF)
@@ -249,14 +248,8 @@ def _records(block: np.ndarray, first_row: int | None,
         layout[special] = _PER_LAYOUT * np.where(kind == 0, _ZERO_L,
                                                  np.where(kind == _INF, _INF_L, _NAN_L))
     # each cell's 17 digits, left aligned, and its template number but n
-    digits = np.empty((rows, width + lead), dtype=_U)
-    digits[:, lead:] = f * np.take(t["pow10"], 17 - length)
-    choice = np.empty((rows, width + lead), dtype=np.intp)
-    choice[:, lead:] = layout + 2 * (bits >> _U(63)).astype(np.intp)
-    if lead:
-        index = np.arange(first_row, first_row + rows, dtype=_U)
-        index_length = np.maximum(np.searchsorted(t["pow10"], index, side="right"), 1)
-        digits[:, 0] = index * np.take(t["pow10"], 17 - index_length)
+    digits = f * np.take(t["pow10"], 17 - length)
+    choice = layout + 2 * (bits >> _U(63)).astype(np.intp)
     # "0" and the first digit, then eight pairs of digits
     record = np.empty((16,) + digits.shape, dtype=np.uint16)
     high = digits // _U(10 ** 8)
@@ -276,27 +269,44 @@ def _records(block: np.ndarray, first_row: int | None,
     pairs[::2] = tens
     pairs += np.arange(0, 800, 100, dtype=np.uint32)[:, None, None]
     np.take(t["pairs"], pairs, out=record[1:9], mode="clip")
-    # n: up to the last nonzero digit, or all the digits of a row number
+    # n: up to the last nonzero digit
     choice += np.take(t["last"], pairs).max(axis=0)
-    if lead:
-        choice[:, 0] = _PER_LAYOUT * _INT_L + 4 * (index_length - 1)
     if row_ends is None:
         choice[:, -1] += 1
     else:
         choice += row_ends
-    record[9][:, lead:] = np.take(t["exp_head"], point)
-    record[10][:, lead:] = np.take(t["exp_tail"], point)
+    record[9] = np.take(t["exp_head"], point)
+    record[10] = np.take(t["exp_tail"], point)
     record[11:] = t["const"]
     return record, choice.ravel()
+
+
+def _row_numbers(first: int, rows: int) -> np.ndarray:
+    """The text of rows first .. first + rows - 1, one row each: the digits
+    right aligned behind NULs, then a comma."""
+    width = len(str(first + rows - 1))
+    text = np.empty((rows, width + 1), dtype=np.uint8)
+    number = _U(first) + np.arange(rows, dtype=_U)
+    for at in range(width - 1, -1, -1):
+        above = number // _U(10)  # np.divmod takes about twice as long
+        text[:, at] = number - above * _U(10)
+        number = above
+    text += ord("0")
+    text[:, width] = ord(",")
+    # the numbers are ascending, so those short of a digit lead the block
+    for at in range(width - 1):
+        text[:max(0, 10 ** (width - 1 - at) - first), at] = 0
+    return text
 
 
 def csv_rows(block: np.ndarray, first_row: int | None = None,
              row_ends: np.ndarray | None = None) -> bytes:
     """The CSV lines of a 2-D float64 block, each cell as its repr; with
-    `first_row`, each line starts with its row number, counted from it.
-    With `row_ends`, the cells of a one-row block end a line where it is
-    true, and the others, the last one too, end with a comma."""
-    record, choice = _records(block, first_row, row_ends)
+    `first_row`, each line starts with its row number, counted from it,
+    written as integer text with no record or template.  With `row_ends`,
+    the cells of a one-row block end a line where it is true, and the
+    others, the last one too, end with a comma."""
+    record, choice = _records(block, row_ends)
     cells = choice.size
     offsets = _offsets(cells)
     source = record.view(np.uint8).ravel()
@@ -308,6 +318,9 @@ def csv_rows(block: np.ndarray, first_row: int | None = None,
         np.take(offsets, choice[lo:lo + len(part)], axis=0, out=part, mode="clip")
         part += np.arange(2 * lo, 2 * (lo + len(part)), 2)[:, None]
         np.take(source, part, out=text[lo:lo + len(part)], mode="clip")
+    if first_row is not None:
+        text = np.concatenate((_row_numbers(first_row, len(block)),
+                               text.reshape(-1, block.shape[1] * _WIDTH)), axis=1)
     return text[text != 0].tobytes()
 
 

@@ -268,8 +268,10 @@ class CsvTable:
 
 
 def atomic_write(path: str, content: str | CsvTable | Iterable[str]) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write via a temp file in the target directory, then rename.  A
+    symlink at `path` is written through, as open(path, "w") would."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     # mkstemp creates the file 0600; give it the mode open(path, "w")
     # would leave: the old file's, else 0o666 less the umask

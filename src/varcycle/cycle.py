@@ -20,6 +20,7 @@ homogeneous solutions are damped cosines c1 |rho1|^t cos(c2 + omega t).
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,23 +166,23 @@ def forcing_series(noise: ScalarNoise, alpha: float, beta: float) -> np.ndarray:
         return alpha * (e[1:] - e[:-1]) + alpha * beta * (e[:-1] - n0)
 
 
-def _recurse(k1: float, k2: float, x0: float, x1: float, h: list[float]) -> np.ndarray:
+def _recurse(k1: float, k2: float, x0: float, x1: float, h: np.ndarray) -> np.ndarray:
     """x(t+2) = -k1 x(t+1) - k2 x(t) + h(t) from x(0) = x0, x(1) = x1.
 
     Returns x(0) .. x(len(h) + 1).  Raises NonFiniteState at the first
     t whose state is not finite, a t >= 2 since callers pass a finite x0
-    and x1.  Callers pass h as a list that nothing else holds, so it is
-    freed before x is copied to an array: both lists are as long as the run.
+    and x1.  The 1-D float64 array h is read through a memoryview, and x
+    grows in an array('d') that the result wraps: no list of Python floats,
+    which takes four times the memory of the array, is built.
     """
     # Python floats step faster than numpy scalars and overflow to inf silently
     a, b = float(x0), float(x1)  # x(t) and x(t+1)
-    x = [a, b]
+    x = array("d", (a, b))
     append = x.append
-    for ht in h:
+    for ht in memoryview(h):
         a, b = b, -k1 * b - k2 * a + ht
         append(b)
-    del h
-    out = np.array(x)
+    out = np.frombuffer(x)
     _check_finite(out)
     return out
 
@@ -203,7 +204,7 @@ def simulate_cycle(
                          f"{len(noise.eta_bar)} do not cover T={T}, which needs {T} and {T - 1}")
     within = ScalarNoise(noise.eps_bar[:T], noise.eta_bar[: T - 1])
     return _recurse(model.kappa1, model.kappa2, x0, x1,
-                    forcing_series(within, model.alpha, model.beta).tolist())
+                    forcing_series(within, model.alpha, model.beta))
 
 
 def fit_constants(model: CycleModel, x0: float, x1: float) -> tuple[float, float]:
@@ -242,7 +243,7 @@ def psi_weights(model: CycleModel, count: int) -> np.ndarray:
     """
     if count < 0:
         raise RangeError(f"count must be >= 0, got {count}")
-    return _recurse(model.kappa1, model.kappa2, 0.0, 1.0, [0.0] * count)[1:]
+    return _recurse(model.kappa1, model.kappa2, 0.0, 1.0, np.zeros(count))[1:]
 
 
 def particular_solution(model: CycleModel, h: np.ndarray) -> np.ndarray:
@@ -260,7 +261,7 @@ def particular_solution(model: CycleModel, h: np.ndarray) -> np.ndarray:
     """
     if not model.invertible:
         raise NotInvertible(f"kappa2 = {model.kappa2} is outside (0, 1)")
-    return _recurse(model.kappa1, model.kappa2, 0.0, 0.0, np.asarray(h, dtype=float).tolist())
+    return _recurse(model.kappa1, model.kappa2, 0.0, 0.0, np.asarray(h, dtype=float))
 
 
 @dataclass(frozen=True)

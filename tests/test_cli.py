@@ -670,6 +670,25 @@ class TestOutputMode:
         assert out.read_text().startswith("t,xbar,h\n")
         assert file_mode(out) == 0o640
 
+    def test_a_symlink_is_written_through(self, capsys, tmp_path, umask_022):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        assert run_cli(capsys, "cycle", "--T", 10, "--out", link)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        lines = target.read_text().splitlines()
+        assert lines[0] == "t,xbar,h" and len(lines) == 12
+        assert file_mode(target) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_a_dangling_symlink_creates_its_target(self, capsys, tmp_path, umask_022):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        assert run_cli(capsys, "cycle", "--T", 10, "--out", link)[0] == 0
+        assert link.is_symlink() and target.read_text().startswith("t,xbar,h\n")
+        assert file_mode(target) == 0o644
+
 
 def test_numpy_scalars_become_python_numbers():
     out = json.dumps({"x": np.float64(0.1), "k": [np.int64(3)], "f": np.float32(0.5),

@@ -1,4 +1,5 @@
 import decimal
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -274,6 +275,20 @@ class TestSimulateCycle:
         noise = sample_scalar_noise((0.1, 1.0), (-0.2, 1.6), 500, seed=17)
         x = simulate_cycle(m, noise, 0.4, -0.3, 500)
         assert np.array_equal(x, per_step_cycle(m, noise, 0.4, -0.3, 500))
+
+    def test_memory_is_a_few_times_the_result(self):
+        # a Python float per step would take 32 bytes of list slot and
+        # object against the 8 of the result, twice over with the forcing
+        m = reduce_to_cycle(BENCH_ALPHA, BENCH_BETA)
+        noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.6), 300_000, seed=3)
+        tracemalloc.start()
+        try:
+            x = simulate_cycle(m, noise, 0.0, 0.0, 300_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (300_001,)
+        assert peak < 4 * x.nbytes, (peak, x.nbytes)
 
 
 def per_step_cycle(model, noise, x0, x1, T):

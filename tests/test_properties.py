@@ -7,6 +7,7 @@ check's properties take n = 1 and alpha*beta = 0 too."""
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import tempfile
@@ -600,9 +601,9 @@ EDGE_BITS = np.concatenate([EDGE_DOUBLES, EDGE_DOUBLES | np.uint64(1 << 63), np.
     dtype=np.uint64)])
 
 
-def repr_lines(values, indexed):
+def repr_lines(values, indexed, first_row=0):
     return "".join((f"{t}," if indexed else "") + ",".join(map(repr, row)) + "\n"
-                   for t, row in enumerate(values.tolist())).encode()
+                   for t, row in enumerate(values.tolist(), first_row)).encode()
 
 
 def csv_bytes(table):
@@ -613,14 +614,24 @@ def csv_bytes(table):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(bits=hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
-                       elements=FLOAT_BITS))
-@example(bits=EDGE_BITS[:, None])
-@example(bits=EDGE_BITS[:EDGE_BITS.size // 4 * 4].reshape(-1, 4))
+                       elements=FLOAT_BITS),
+       first_row=st.integers(0, 10 ** 7) | st.integers(0, 2 ** 64 - 2 ** 13))
+# row numbers across digit boundaries, 2^32 and the 18th digit
+@example(bits=EDGE_BITS[:, None], first_row=0)
+@example(bits=EDGE_BITS[:EDGE_BITS.size // 4 * 4].reshape(-1, 4), first_row=99_999)
+@example(bits=EDGE_BITS[:24].reshape(-1, 2), first_row=9)
+@example(bits=EDGE_BITS[-40:].reshape(-1, 4), first_row=10 ** 6 - 1)
+@example(bits=EDGE_BITS[100:106].reshape(-1, 3), first_row=2 ** 32 - 1)
+@example(bits=EDGE_BITS[200:208].reshape(-1, 1), first_row=10 ** 17 - 3)
+# one-row blocks wider than a step of the gather loop
+@example(bits=EDGE_BITS[None, :_decimal._CHUNK + 1], first_row=10 ** 17 - 3)
+@example(bits=EDGE_BITS[None, :], first_row=2 ** 64 - 1)
 # the smallest blocks: a 1 x 1 matrix and a one-row cycle table
-@example(bits=double_bits([[1.7976931348623157e308]]))
-@example(bits=double_bits([[5e-324, -2.2250738585072014e-308]]))
-def test_csv_cells_are_the_repr_of_each_double(bits):
+@example(bits=double_bits([[1.7976931348623157e308]]), first_row=0)
+@example(bits=double_bits([[5e-324, -2.2250738585072014e-308]]), first_row=9)
+def test_csv_cells_are_the_repr_of_each_double(bits, first_row):
     values = bits.view(np.float64)
+    assert _decimal.csv_rows(values, first_row) == repr_lines(values, True, first_row)
     assert csv_bytes(matrix_csv(values)) == repr_lines(values, indexed=False)
     header = ",".join(["t"] + [f"v{j}" for j in range(values.shape[1])])
     indexed = repr_lines(values, indexed=True)
@@ -648,10 +659,8 @@ def reference_template(layout, n, neg, last):
         body = [D._ZERO, D._POINT, D._ZERO]
     elif layout == D._INF_L:
         body = [D._I, D._N, D._F]
-    elif layout == D._NAN_L:
-        body = [D._N, D._A, D._N]
     else:
-        body = digits[:n]
+        body = [D._N, D._A, D._N]
     cell = sign + body + [D._NEWLINE if last else D._COMMA]
     return cell + [D._NUL] * (D._WIDTH - len(cell))
 
@@ -688,10 +697,15 @@ def reference_tables():
     t["exp_head"], t["exp_tail"] = chars(b"".join(head)), chars(b"".join(tail))
     t["const"] = chars(D._CONST)[:, None, None]
     templates = np.array([reference_template(layout, n, neg, last)
-                          for layout in range(D._INT_L + 1) for n in range(1, 18)
+                          for layout in range(D._NAN_L + 1) for n in range(1, 18)
                           for neg in (0, 1) for last in (0, 1)], dtype=np.intp)
     t["plane"], t["byte"] = templates >> 1, templates & 1
     return t
+
+
+#: SHA-256 of the first 1,700 templates of the formatter that also wrote
+#: row numbers through templates, in a 26th layout after the 25 kept.
+KEPT_TEMPLATES_SHA256 = "4d024984637fadf2ed411cc15a068c7c4013d26f3601c99793e806df48c9c35d"
 
 
 def test_formatter_tables_are_the_reference_tables():
@@ -701,6 +715,9 @@ def test_formatter_tables_are_the_reference_tables():
         assert got[name].dtype == want[name].dtype, name
         assert got[name].shape == want[name].shape, name
         assert got[name].tobytes() == want[name].tobytes(), name
+    templates = _decimal._templates()
+    assert templates.shape == (1700, _decimal._WIDTH)
+    assert hashlib.sha256(templates.tobytes()).hexdigest() == KEPT_TEMPLATES_SHA256
 
 
 #: The finite edge doubles and bit patterns of the CSV property, for reports.
