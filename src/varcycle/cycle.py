@@ -292,6 +292,19 @@ def _periodogram(x: np.ndarray) -> np.ndarray:
     return p[1:]
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, bitwise, from the same
+    partition: NaN sorts last and makes it NaN, and the sum of the middle
+    values starts from 0.0 as np.mean's does, so -0.0 reads 0.0.
+    np.median imports numpy.ma on its first call, which costs about
+    10 ms in a fresh process."""
+    k = len(x) // 2
+    part = np.partition(x, [k - 1, k, -1])
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(0.0 + part[k] if len(x) % 2 else (0.0 + part[k - 1] + part[k]) / 2)
+
+
 def dominant_period(series: np.ndarray) -> PeriodEstimate:
     """Locate the dominant spectral peak over frequencies (0, 0.5].
 
@@ -314,7 +327,7 @@ def dominant_period(series: np.ndarray) -> PeriodEstimate:
     seg_len = N // n_seg
     avg = np.mean([_periodogram(x[i * seg_len:(i + 1) * seg_len]) for i in range(n_seg)], axis=0)
     peak_power = float(np.max(avg))
-    median_power = float(np.median(avg))
+    median_power = _median(avg)
     return PeriodEstimate(
         frequency=float(freq),
         period=float(1.0 / freq),

@@ -117,10 +117,11 @@ def _iterate(
     """Run z_{t+1} = step(z_t) + gamma_t over any leading batch axes.
 
     z0 has shape (..., m) and gamma (..., T, m); returns the states
-    z_0..z_T as (..., T + 1, m).  This is the one loop over time steps
-    behind every recursion on numpy state vectors.  Overflow is left in
-    the states (callers that care use :func:`_check_finite`), not
-    raised as a numpy warning.
+    z_0..z_T as (..., T + 1, m).  This is the literal step loop, one
+    numpy step per t, behind the recursion in z and the Monte Carlo
+    batches; :func:`simulate_explicit` evaluates blocks of steps in
+    closed form instead.  Overflow is left in the states (callers that
+    care use :func:`_check_finite`), not raised as a numpy warning.
     """
     g = np.moveaxis(gamma, -2, 0)
     z = np.empty((g.shape[0] + 1,) + g.shape[1:])
@@ -131,13 +132,19 @@ def _iterate(
     return np.moveaxis(z, 0, -2)
 
 
-def _check_finite(z: np.ndarray) -> None:
-    """Raise NonFiniteState at the first time row (entry, for a 1-D z)
-    holding a non-finite value.  A non-finite state stays non-finite under
-    a linear step, so this is the first t at which the run overflowed."""
+def _first_non_finite(z: np.ndarray) -> int | None:
+    """The first time row (entry, for a 1-D z) holding a non-finite
+    value, or None."""
     bad = np.flatnonzero(~np.all(np.isfinite(z), axis=tuple(range(1, z.ndim))))
-    if bad.size:
-        raise NonFiniteState(int(bad[0]))
+    return int(bad[0]) if bad.size else None
+
+
+def _check_finite(z: np.ndarray) -> None:
+    """Raise NonFiniteState at :func:`_first_non_finite`.  A non-finite
+    state stays non-finite under a linear step, so this is the first t at
+    which the run overflowed."""
+    if (t := _first_non_finite(z)) is not None:
+        raise NonFiniteState(t)
 
 
 def _initial_state(params: ModelParams, z0: np.ndarray) -> np.ndarray:
@@ -168,18 +175,48 @@ def simulate_recursive(
     return Trajectory(z=z)
 
 
-def _aggregate_path(A: np.ndarray, v0: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(xbar, ybar)_{t+1} = A (xbar, ybar)_t + g_t from v0, for g of shape
-    (T, 2); returns the T + 1 states.  Python floats step faster than
-    numpy scalars and overflow to inf silently."""
-    (a11, a12), (a21, a22) = A.tolist()
-    x, y = v0.tolist()
-    xs, ys = [x], [y]
-    for gx, gy in zip(g[:, 0].tolist(), g[:, 1].tolist()):
-        x, y = a11 * x + a12 * y + gx, a21 * x + a22 * y + gy
-        xs.append(x)
-        ys.append(y)
-    return np.column_stack([xs, ys])
+#: Cells of a block of the blocked recursion: a run of width c steps
+#: min(64, _BLOCK_CELLS // c) rows at a time.
+_BLOCK_CELLS = 16384
+
+
+def _block_operator(F: np.ndarray, block: int) -> np.ndarray:
+    """The (b k, (b + 1) k) matrix K, for k x k F, whose block (i, j) is
+    F^(i+1-j) where j <= i + 1 and 0 above, so that K times the rows
+    v_s, g_s, .., g_{s+b-1} (each k long) gives v_{s+1}..v_{s+b} of
+    v_{t+1} = F v_t + g_t.  b is ``block`` or, where a power of F up to
+    F^block is not finite, the largest b below it whose powers all are
+    (at least 1): an infinite power times a zero state would be NaN."""
+    k, block = len(F), max(block, 1)
+    powers = np.empty((block + 1, k, k))
+    powers[0], powers[1] = np.eye(k), F
+    h = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while h < block:  # F^(h+i) = F^i F^h for i = 1..h, so log2(block) products
+            c = min(h, block - h)
+            np.matmul(powers[1:c + 1], powers[h], out=powers[h + 1:h + c + 1])
+            h += c
+    finite = np.all(np.isfinite(powers), axis=(1, 2))
+    b = block if finite.all() else max(1, int(np.argmin(finite)) - 1)
+    lag = np.arange(1, b + 1)[:, None] - np.arange(b + 1)
+    K = np.where((lag >= 0)[..., None, None], powers[np.maximum(lag, 0)], 0.0)
+    return K.transpose(0, 2, 1, 3).reshape(b * k, (b + 1) * k)
+
+
+def _recur_blocked(F: np.ndarray, v: np.ndarray, block: int) -> None:
+    """v_{t+1} = (F kron I_m) v_t + g_t in place on the rows of v, which
+    hold v_0, g_0, .., g_{T-1} and end up holding v_0..v_T: the k x k F
+    maps entry a*m + c of a row through entry b*m + c.  Each block of
+    rows is one product with :func:`_block_operator` (Blelloch 1990,
+    the blocked form of a linear recurrence), so T / block products
+    replace T steps."""
+    T, k = len(v) - 1, len(F)
+    K = _block_operator(F, block)
+    length = K.shape[0] // k
+    for s in range(0, T, length):
+        b = min(length, T - s)
+        v[s + 1:s + b + 1] = (K[:b * k, :(b + 1) * k]
+                              @ v[s:s + b + 1].reshape((b + 1) * k, -1)).reshape(b, -1)
 
 
 def simulate_explicit(
@@ -192,19 +229,45 @@ def simulate_explicit(
 
         z_{t+1} = R J_R^{t+1} R^-1 z_0 + sum_{i=0..t} R J_R^i R^-1 gamma_{t-i}
 
-    in the coordinates of the block basis R, in every regime: each
-    deviation accumulates through its scalar rate (the running form of
-    the moving-average sum), the aggregate pair through the 2x2 map A,
-    and R maps every step back at the end, all in O(n) per step.
+    in the coordinates of the block basis R, in every regime.  J_R is
+    block diagonal: each run of deviations decays at its scalar rate and
+    the aggregate pair moves by the 2x2 map A, so each of the three runs
+    of columns is its own recurrence.  Each is evaluated a block of
+    steps at a time, every block one product of the stacked powers of
+    its map with the carried state and the block's shocks
+    (:func:`_recur_blocked`); the block holds min(64, 16384 // width)
+    steps for a run ``width`` columns wide, fewer where a power of the
+    map overflows.  R maps every state back at the end, in O(n) per
+    step.
+
+    A block product multiplies the zeros above its diagonal by the later
+    shocks, so a non-finite shock puts NaN in the rows before it.  Only
+    where a state is not finite are the rows from the first such one on
+    stepped again one at a time, and NonFiniteState reports the first
+    row that stays non-finite.
     """
-    R = decomposition.R
-    # rows R^-1 z_0, R^-1 gamma_0, ...; each column block's path overwrites them
-    w = R.solve(np.vstack([_initial_state(params, z0), noises.gamma]))
-    w[:, :-2] = _iterate(lambda u: R.rates * u, w[0, :-2], w[1:, :-2])
-    w[:, -2:] = _aggregate_path(R.A, w[0, -2:], w[1:, -2:])
+    R, n = decomposition.R, params.n
+    T, m = noises.gamma.shape[0], n - 1
+    z0 = _initial_state(params, z0)
+    runs = [(R.rates[k * m:k * m + 1, None], slice(k * m, (k + 1) * m)) for k in range(2) if m]
+    runs.append((R.A, slice(2 * m, 2 * n)))
+    w = np.empty((T + 1, 2 * n))
     with np.errstate(over="ignore", invalid="ignore"):
+        # rows R^-1 z_0, R^-1 gamma_0, ...; each run's path overwrites them
+        w[0] = R.solve(z0)
+        R.solve(noises.gamma, out=w[1:])
+        for F, cols in runs:
+            _recur_blocked(F, w[:, cols], min(64, _BLOCK_CELLS // (cols.stop - cols.start), T))
         z = R.apply(w)
-    _check_finite(z)
+        if (bad := _first_non_finite(z)) is not None:
+            for t in range(bad, T + 1):
+                if t:
+                    R.solve(noises.gamma[t - 1:t], out=w[t:t + 1])
+                    for F, cols in runs:
+                        _recur_blocked(F, w[t - 1:t + 1, cols], 1)
+                    z[t:t + 1] = R.apply(w[t:t + 1])
+                if not np.all(np.isfinite(z[t])):
+                    raise NonFiniteState(t)
     return Trajectory(z=z)
 
 

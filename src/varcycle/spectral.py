@@ -124,10 +124,11 @@ class BlockBasis:
             Z[..., k * n + p] = agg - dev @ (np.delete(w, p) / w[p])
         return Z
 
-    def solve(self, Z: np.ndarray) -> np.ndarray:
-        """w = R^-1 z for each z on the last axis of Z."""
+    def solve(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """w = R^-1 z for each z on the last axis of Z, into ``out`` if
+        given (of Z's shape, not overlapping Z)."""
         n = len(self.a)
-        W = np.empty(Z.shape)
+        W = np.empty(Z.shape) if out is None else out
         for k, (w, p) in enumerate(zip((self.b, self.a), self.pivots)):
             half, dev = Z[..., k * n:(k + 1) * n], W[..., k * (n - 1):(k + 1) * (n - 1)]
             agg = W[..., 2 * n - 2 + k, None]

@@ -569,6 +569,10 @@ BAD_INPUTS = {
     # the complex regime, where the exact check of R runs at float scale
     "verify-complex-float-scale": (lambda p: ["verify", "--config", config_with(
         p, alpha=1e150, beta=1e150)], "NonFiniteState"),
+    # shocks alpha * epsilon that overflow reach the explicit solution as inf
+    "simulate-explicit-shock-overflow": (lambda p: ["simulate", "--config", config_with(
+        p, alpha=1e150, beta=0.5, noise={"mu": [0.0] * 4, "sigma": [1e160] * 4}),
+        "--method", "explicit", "--T", "50", "--out", p / "t.csv"], "NonFiniteState"),
 }
 
 #: Run sections that every model subcommand refuses, and the error type.
@@ -1133,6 +1137,27 @@ class TestReportEncoding:
             want = json.dumps(reports[-1], allow_nan=False, default=cli._json_default) + "\n"
             assert_same_text(buf.getvalue(), want)
             assert_same_text((tmp_path / "m.json").read_text(), want)
+
+
+CYCLE_ANALYZE_SCRIPT = """
+import contextlib, io, sys
+from varcycle.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["cycle", "--analyze", "--T", "3000", "--out", sys.argv[1] + "/c.csv"])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_cycle_analyze_does_not_load_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 10 ms in a fresh
+    # process; the periodogram's median takes one partition instead
+    env = dict(os.environ, PYTHONPATH=str(Path(varcycle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           CYCLE_ANALYZE_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 SMALL_REPORT_SCRIPT = """

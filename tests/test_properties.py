@@ -273,6 +273,81 @@ def test_explicit_equals_recursive_property(params, seed):
     assert np.max(np.abs(rec.z - exp.z)) < 1e-8 * (1.0 + np.max(np.abs(rec.z)))
 
 
+#: The deviation rates 1 - alpha and 1 - beta of the kernel properties
+#: lie in [-1.64, 1.64], explosive beyond 1 in magnitude.
+RATE_LIMIT = 1.64
+
+
+def within_rate_limit(alpha, beta):
+    """(alpha, beta) scaled down by the one factor s <= 1 that brings both
+    deviation rates 1 - s alpha and 1 - s beta into [-RATE_LIMIT,
+    RATE_LIMIT].  Delta is homogeneous, so the regime, the relative
+    distance to d1 and d2, and the axes are kept."""
+    s = min([1.0] + [(RATE_LIMIT - 1.0) / -x for x in (alpha, beta) if x < 0]
+            + [(RATE_LIMIT + 1.0) / x for x in (alpha, beta) if x > 0])
+    return s * alpha, s * beta
+
+
+@st.composite
+def rate_limited_models(draw):
+    alpha, beta = within_rate_limit(*draw(pairs(closest=-12.0, axes=True)))
+    return with_weights(draw, draw(st.integers(1, 8)), alpha, beta)
+
+
+def assert_explicit_tracks_recursive(params, T, seed):
+    """Each row of the explicit solution within 1e-10 of the recursion's,
+    relative to 1 + the largest state entry up to that row: a bound per
+    row, so that a wrong early row of an explosive path cannot hide behind
+    the path's last rows, and tighter than c03's 1e-8."""
+    n = params.n
+    spec = validate_noise({"mu": [0.0] * (2 * n), "sigma": [1.0] * (2 * n)}, n)
+    path = sample_noise_path(spec, params, T, seed=seed)
+    z0 = np.random.default_rng(seed).uniform(-1, 1, 2 * n)
+    rec = simulate_recursive(params, build_transition_matrix(params), z0, path).z
+    exp = simulate_explicit(params, decompose(params), z0, path).z
+    scale = 1.0 + np.maximum.accumulate(np.max(np.abs(rec), axis=1))
+    assert np.all(np.max(np.abs(rec - exp), axis=1) <= 1e-10 * scale)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(params=rate_limited_models(), T=st.sampled_from([1, 63, 64, 65, 131]),
+       seed=st.integers(0, 2**32 - 1))
+@example(params=example_params(4, *within_rate_limit(-1.5, 0.7)), T=131, seed=0)
+@regime_examples(T=131, seed=0)
+def test_blocked_explicit_solution_tracks_recursion(params, T, seed):
+    # up to 8 agents a block holds 64 steps of each run, so T takes one step,
+    # a block less one step, one block, one block and a step, and two blocks
+    # and three steps; n = 1 and alpha*beta = 0 leave deviation runs empty
+    assert_explicit_tracks_recursive(params, T, seed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=hnp.arrays(np.float64, st.integers(1, 40),
+                         elements=st.floats(allow_nan=False) | st.sampled_from(
+                             [np.inf, -np.inf, 0.0, -0.0, 1.0, np.finfo(float).max])))
+@example(values=np.array([np.inf, -np.inf]))
+@example(values=np.array([np.finfo(float).max] * 4))
+@example(values=np.array([-0.0]))
+@example(values=np.array([0.0, -0.0, np.inf]))
+@example(values=np.array([-0.0, 1.0, -0.0, -np.inf]))
+def test_median_is_numpys_bitwise(values):
+    # odd and even lengths, ties, signed zeros, infinities and overflowing
+    # middle pairs; varcycle.cycle._median replaces np.median in
+    # dominant_period, where np.median would import numpy.ma
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, got = np.median(values), varcycle.cycle._median(values)
+    assert np.array(got).tobytes() == np.array(want).tobytes() or np.isnan(got) and np.isnan(want)
+
+
+@pytest.mark.parametrize("T", [1, 22, 23, 24, 49, 131])
+@pytest.mark.parametrize("alpha,beta", [(1.09804, 0.7), (0.1, 0.9), (-0.5, 0.3),
+                                        (NEAR_D1[0], 0.7), (0.0, 0.8)])
+def test_blocked_explicit_solution_tracks_recursion_at_n_700(alpha, beta, T):
+    # 699 columns a run cap the deviation blocks at 16384 // 699 = 23 steps,
+    # while the aggregate pair's block stays at 64
+    assert_explicit_tracks_recursive(example_params(700, alpha, beta), T, seed=700)
+
+
 @PROPERTY
 @given(params=BLOCK_MODELS)
 @regime_examples()

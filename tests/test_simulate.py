@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from varcycle import (
     validate_params,
 )
 from varcycle.errors import DimensionMismatch, NonFiniteState, RangeError
-from varcycle.simulate import Trajectory
+from varcycle.simulate import Trajectory, _block_operator
 
 
 def setup_model(n=3, alpha=0.1, beta=0.9, mu=None, sigma=None):
@@ -235,6 +236,57 @@ class TestExplicit:
         # every state before t is finite
         short = NoisePath(path.epsilon[: t - 1], path.eta[: t - 1], params.alpha, params.beta)
         assert np.all(np.isfinite(simulate_explicit(params, dec, np.ones(6), short).z))
+
+    @pytest.mark.parametrize("row,block,agent", [
+        (0, "epsilon", 0), (40, "epsilon", 0), (40, "eta", 0), (63, "eta", 0),
+        (64, "epsilon", 0), (150, "eta", 0), (40, "epsilon", 1), (64, "eta", 2)])
+    def test_inf_shock_reports_the_recursions_t(self, row, block, agent):
+        # a block product multiplies the zeros above its diagonal by the
+        # block's later shocks, so 0 * inf = NaN lands in the rows before
+        # an infinite shock; the first non-finite state is still the
+        # recursion's, at shock row + 1.  Agent 0 is each block's pivot; on
+        # another agent R^-1 gamma computes inf - inf, without a warning
+        params, spec = setup_model()
+        path = sample_noise_path(spec, params, 200, seed=row)
+        shocks = {"epsilon": path.epsilon.copy(), "eta": path.eta.copy()}
+        shocks[block][row, agent] = np.inf
+        path = NoisePath(shocks["epsilon"], shocks["eta"], params.alpha, params.beta)
+        z0 = np.linspace(-1, 1, 6)
+        with pytest.raises(NonFiniteState) as want:
+            simulate_recursive(params, build_transition_matrix(params), z0, path)
+        with pytest.raises(NonFiniteState) as got:
+            simulate_explicit(params, decompose(params), z0, path)
+        assert got.value.t == want.value.t == row + 1
+
+    @pytest.mark.parametrize("alpha,beta", [(1e150, 0.5), (1e150, 1e150), (0.5, -1e150),
+                                            (1e300, 0.0)])
+    def test_overflowing_powers_keep_a_zero_path_zero(self, alpha, beta):
+        # the third or second power of the maps overflows, so the blocks
+        # shrink to the powers that are finite; an infinite power times the
+        # zero state would be NaN
+        params, spec = setup_model(alpha=alpha, beta=beta, sigma=[0.0] * 6)
+        path = sample_noise_path(spec, params, 200, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = simulate_explicit(params, decompose(params), np.zeros(6), path).z
+        assert z.shape == (201, 6) and not np.any(z)
+
+
+class TestBlockOperator:
+    @pytest.mark.parametrize("F,block,length", [
+        ([[0.9]], 64, 64), ([[0.0]], 5, 5), ([[-1.64]], 23, 23), ([[2.0]], 0, 1),
+        ([[0.9, 0.1], [-0.2, 0.5]], 64, 64), ([[0.9, 0.1], [-0.2, 0.5]], 13, 13),
+        # the third power overflows, or the second
+        ([[1.0 - 1e150, 1e150], [-0.5, 0.5]], 64, 2), ([[1e200]], 64, 1)])
+    def test_blocks_hold_the_finite_powers(self, F, block, length):
+        F = np.array(F)
+        K = _block_operator(F, block)
+        k = len(F)
+        assert K.shape == (length * k, (length + 1) * k) and np.all(np.isfinite(K))
+        for i in range(length):
+            for j in range(length + 1):
+                want = np.linalg.matrix_power(F, i + 1 - j) if j <= i + 1 else np.zeros((k, k))
+                assert_allclose(K[i * k:(i + 1) * k, j * k:(j + 1) * k], want, rtol=1e-13)
 
 
 class TestAggregates:
