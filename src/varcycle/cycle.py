@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvertible, RangeError, TooShort, WrongRegime
+from .errors import NonFiniteState, NotInvertible, RangeError, TooShort, WrongRegime
 from .model import ModelParams
-from .simulate import NoisePath, _check_finite, _draw_shocks, _generator
+from .simulate import NoisePath, _draw_shocks, _first_non_finite, _generator
 from .spectral import Regime, _quadratic
 
 
@@ -166,25 +166,57 @@ def forcing_series(noise: ScalarNoise, alpha: float, beta: float) -> np.ndarray:
         return alpha * (e[1:] - e[:-1]) + alpha * beta * (e[:-1] - n0)
 
 
-def _recurse(k1: float, k2: float, x0: float, x1: float, h: np.ndarray) -> np.ndarray:
-    """x(t+2) = -k1 x(t+1) - k2 x(t) + h(t) from x(0) = x0, x(1) = x1.
+def _recurse(model: CycleModel, x0: float, x1: float, h: np.ndarray, rows: int = 0) -> np.ndarray:
+    """x(t+2) = -kappa1 x(t+1) - kappa2 x(t) + h(t) from x(0) = x0, x(1) = x1.
 
-    Returns x(0) .. x(len(h) + 1).  Raises NonFiniteState at the first
-    t whose state is not finite, a t >= 2 since callers pass a finite x0
-    and x1.  The 1-D float64 array h is read through a memoryview, and x
-    grows in an array('d') that the result wraps: no list of Python floats,
-    which takes four times the memory of the array, is built.
+    Returns x(0) .. x(len(h) + 1) by a two-level scan (Blelloch 1990) in
+    elementwise numpy, so no BLAS kernel touches the bits.  The N steps are
+    C blocks of B, the columns of a buffer of B + 2 rows: each block's
+    solution from a zero state is stepped down the rows in place over its
+    forcing, two more columns step from (0, 1) and (1, 0) to the basis P
+    and Q, a Python loop carries the block start states (a, b) through the
+    last rows of P and Q, and P b + Q a is added.  B is ``rows`` or
+    max(2, sqrt(N / 32)), 96 at N = 3e5, which balances the row operations
+    against the carry; where the larger root modulus rho exceeds 1 it is at
+    most 480 / log2(rho), so P and Q stay below 2^493 while the state grows.
+
+    Raises NonFiniteState at the first t >= 2 (x0 and x1 are finite) whose
+    state is not: from the start of the block where it first comes within
+    2 (1 + |kappa1| + |kappa2|) of overflow, the steps are taken one at a
+    time, so t is the step-by-step recursion's.
     """
-    # Python floats step faster than numpy scalars and overflow to inf silently
-    a, b = float(x0), float(x1)  # x(t) and x(t+1)
-    x = array("d", (a, b))
-    append = x.append
-    for ht in memoryview(h):
-        a, b = b, -k1 * b - k2 * a + ht
-        append(b)
-    out = np.frombuffer(x)
-    _check_finite(out)
-    return out
+    k1, k2, N = float(model.kappa1), float(model.kappa2), len(h)
+    rho = max(abs(model.rho1), abs(model.rho2))
+    B = rows or max(2, min(int((N / 32) ** 0.5), int(480 / np.log2(rho)) if rho > 1 else N))
+    C = -(-N // B)
+    out = np.zeros(C * B + 2)
+    out[:2], out[2:N + 2] = (x0, x1), h
+    buf = np.zeros((B + 2, C + 2))  # two zero states and B steps of C blocks, P and Q
+    buf[2:, :C] = out[2:].reshape(C, B).T
+    buf[1, C] = buf[0, C + 1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev2, prev1, row in zip(buf, buf[1:], buf[2:]):
+            row -= k1 * prev1 + k2 * prev2
+        (p2, q2), (p1, q1) = buf[-2:, C:].tolist()
+        a, b, starts = float(x0), float(x1), array("d")
+        for u, v in zip(memoryview(buf[-2, :C]), memoryview(buf[-1, :C])):
+            starts.extend((a, b))
+            a, b = u + (p2 * b + q2 * a), v + (p1 * b + q1 * a)
+        sa, sb = np.frombuffer(starts).reshape(C, 2).T
+        for row, p, q in zip(buf[2:, :C], buf[2:, C].tolist(), buf[2:, C + 1].tolist()):
+            row += p * sb + q * sa
+        out[2:].reshape(C, B)[...] = buf[2:, :C].T
+        x, scaled = out[:N + 2], buf.reshape(-1)[:N + 2]  # buf is read no more
+        t = _first_non_finite(np.multiply(x, 2.0 + 2.0 * abs(k1) + 2.0 * abs(k2), out=scaled))
+    if t is not None:
+        s = max(2, t - (t - 2) % B)
+        a, b = float(x[s - 2]), float(x[s - 1])
+        for t, ht in enumerate(memoryview(h[s - 2:]), s):
+            a, b = b, -k1 * b - k2 * a + ht
+            x[t] = b
+            if not -np.inf < b < np.inf:
+                raise NonFiniteState(t)
+    return x
 
 
 def simulate_cycle(
@@ -203,8 +235,7 @@ def simulate_cycle(
         raise RangeError(f"noise series of lengths {len(noise.eps_bar)} and "
                          f"{len(noise.eta_bar)} do not cover T={T}, which needs {T} and {T - 1}")
     within = ScalarNoise(noise.eps_bar[:T], noise.eta_bar[: T - 1])
-    return _recurse(model.kappa1, model.kappa2, x0, x1,
-                    forcing_series(within, model.alpha, model.beta))
+    return _recurse(model, x0, x1, forcing_series(within, model.alpha, model.beta))
 
 
 def fit_constants(model: CycleModel, x0: float, x1: float) -> tuple[float, float]:
@@ -243,7 +274,7 @@ def psi_weights(model: CycleModel, count: int) -> np.ndarray:
     """
     if count < 0:
         raise RangeError(f"count must be >= 0, got {count}")
-    return _recurse(model.kappa1, model.kappa2, 0.0, 1.0, np.zeros(count))[1:]
+    return _recurse(model, 0.0, 1.0, np.zeros(count))[1:]
 
 
 def particular_solution(model: CycleModel, h: np.ndarray) -> np.ndarray:
@@ -261,21 +292,20 @@ def particular_solution(model: CycleModel, h: np.ndarray) -> np.ndarray:
     """
     if not model.invertible:
         raise NotInvertible(f"kappa2 = {model.kappa2} is outside (0, 1)")
-    return _recurse(model.kappa1, model.kappa2, 0.0, 0.0, np.asarray(h, dtype=float))
+    return _recurse(model, 0.0, 0.0, np.asarray(h, dtype=float))
 
 
 @dataclass(frozen=True)
 class PeriodEstimate:
-    """Dominant-frequency estimate with a prominence flag.
+    """Dominant-frequency estimate with a prominence flag, all from the
+    mean periodogram of 8 equal segments, 4 below 256 points (Welch 1967).
 
-    ``frequency`` (cycles/step) and ``period`` come from the argmax bin
-    of the full-length periodogram refined by quadratic interpolation of
-    its neighbors.  ``peak_power``/``median_power`` are taken from a
-    segment-averaged periodogram whose noise floor is concentrated
-    enough that "peak above 3x median" separates genuine oscillations
-    from white noise (the raw periodogram's max/median ratio grows like
-    log N even for white noise, so the averaged spectrum carries the
-    flag).
+    ``frequency`` (cycles/step) and ``period`` come from its argmax bin on
+    the grid 1/seg_len, refined by quadratic interpolation of its
+    neighbors.  ``peak_power``/``median_power`` are its maximum and median:
+    the averaged noise floor is concentrated enough that "peak above 3x
+    median" separates genuine oscillations from white noise (the raw
+    periodogram's max/median ratio grows like log N even for white noise).
     """
 
     frequency: float
@@ -286,10 +316,10 @@ class PeriodEstimate:
 
 
 def _periodogram(x: np.ndarray) -> np.ndarray:
-    """Mean-removed, untapered periodogram over bins 1 .. N//2."""
-    x = x - x.mean()
-    p = np.abs(np.fft.rfft(x)) ** 2 / len(x)
-    return p[1:]
+    """Mean-removed, untapered periodogram of each row over bins 1 .. N//2."""
+    x = x - x.mean(axis=-1, keepdims=True)
+    p = np.abs(np.fft.rfft(x)) ** 2 / x.shape[-1]
+    return p[..., 1:]
 
 
 def _median(x: np.ndarray) -> float:
@@ -314,18 +344,16 @@ def dominant_period(series: np.ndarray) -> PeriodEstimate:
     N = len(x)
     if N < 64:
         raise TooShort(f"need at least 64 points, got {N}")
-    power = _periodogram(x)
-    k = int(np.argmax(power)) + 1  # bin index in the full rfft layout
-    freq = k / N
-    if 2 <= k <= len(power) - 1:
-        pm, p0, pp = power[k - 2], power[k - 1], power[k]
-        denom = pm - 2.0 * p0 + pp
-        if denom < 0:
-            freq = (k + 0.5 * (pm - pp) / denom) / N
-
     n_seg = 8 if N >= 256 else 4
     seg_len = N // n_seg
-    avg = np.mean([_periodogram(x[i * seg_len:(i + 1) * seg_len]) for i in range(n_seg)], axis=0)
+    avg = _periodogram(x[:n_seg * seg_len].reshape(n_seg, seg_len)).mean(axis=0)
+    k = int(np.argmax(avg)) + 1  # bin index in the segment's rfft layout
+    freq = k / seg_len
+    if 2 <= k <= len(avg) - 1:
+        pm, p0, pp = avg[k - 2], avg[k - 1], avg[k]
+        denom = pm - 2.0 * p0 + pp
+        if denom < 0:
+            freq = (k + 0.5 * (pm - pp) / denom) / seg_len
     peak_power = float(np.max(avg))
     median_power = _median(avg)
     return PeriodEstimate(

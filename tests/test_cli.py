@@ -717,14 +717,15 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path, argv
 
 class TestCycleCommand:
     def test_csv_bytes_match_recorded_hash(self, capsys, tmp_path):
-        # recorded with the per-row writer; the values come from a
-        # Python-float recursion and elementwise numpy, and each cell is
-        # the repr of a Python float, so the bytes are the same everywhere
+        # recorded from the two-level scan of the recursion, which is
+        # elementwise numpy without BLAS: the bytes were the same under
+        # OPENBLAS_CORETYPE SkylakeX, Haswell and Prescott, and each cell is
+        # the repr of a double
         out = tmp_path / "c.csv"
         code, _, _ = run_cli(capsys, "cycle", "--T", 20000, "--seed", 3, "--out", out)
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "47bf9056e5949d959a48429d7504cc99122de54c64573940c2f81737b17232e3")
+            "8261be5a0a024c70ba40a374cc99e9126eb5a1a00b787b5c08f83a76796032b9")
 
     def test_default_run_reproduces_benchmark(self, capsys, tmp_path):
         out = tmp_path / "fig.csv"

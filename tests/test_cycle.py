@@ -271,10 +271,26 @@ class TestSimulateCycle:
 
     @pytest.mark.parametrize("alpha,beta", [(BENCH_ALPHA, BENCH_BETA), (0.1, 0.9), (0.5, 0.5)])
     def test_equals_per_step_forcing_loop(self, alpha, beta):
+        # equal within the scan's stated bound, not bitwise: the blocks
+        # round differently from the step-by-step recursion
         m = reduce_to_cycle(alpha, beta)
         noise = sample_scalar_noise((0.1, 1.0), (-0.2, 1.6), 500, seed=17)
         x = simulate_cycle(m, noise, 0.4, -0.3, 500)
-        assert np.array_equal(x, per_step_cycle(m, noise, 0.4, -0.3, 500))
+        assert_tracks(x, per_step_cycle(m, noise, 0.4, -0.3, 500))
+
+    @pytest.mark.parametrize("alpha,beta", [(-35.0, -35.0), (-2000.0, -2000.0), (0.1, 2.5)])
+    def test_explosive_long_run_raises_at_the_loops_step(self, alpha, beta):
+        # |rho| = 50, 2.8e3 and 1.4: the block is capped by 480 / log2(rho)
+        # (84 and 41 rows) or sized by T (96 rows), and the rows of the
+        # overflowing block are stepped again one at a time
+        m = reduce_to_cycle(alpha, beta)
+        noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.6), 300_000, seed=5)
+        with pytest.raises(NonFiniteState) as info:
+            simulate_cycle(m, noise, 0.0, 0.0, 300_000)
+        h = forcing_series(ScalarNoise(noise.eps_bar[:300_000], noise.eta_bar[:299_999]),
+                           alpha, beta)
+        x = literal_recursion(m, 0.0, 0.0, h)
+        assert info.value.t == np.flatnonzero(~np.isfinite(x))[0]
 
     def test_memory_is_a_few_times_the_result(self):
         # a Python float per step would take 32 bytes of list slot and
@@ -289,6 +305,27 @@ class TestSimulateCycle:
             tracemalloc.stop()
         assert x.shape == (300_001,)
         assert peak < 4 * x.nbytes, (peak, x.nbytes)
+
+
+def literal_recursion(model, x0, x1, h):
+    """Oracle: the recursion one step at a time in Python floats, each
+    step -kappa1 x(t+1) - kappa2 x(t) + h(t) in that order; overflow is
+    left in the result."""
+    k1, k2 = float(model.kappa1), float(model.kappa2)
+    a, b = float(x0), float(x1)
+    x = [a, b]
+    for ht in np.asarray(h, dtype=float).tolist():
+        a, b = b, -k1 * b - k2 * a + ht
+        x.append(b)
+    return np.array(x)
+
+
+def assert_tracks(x, ref):
+    """The scan's stated bound against a step-by-step recursion: 1e-13 of
+    one plus the largest |entry|, as in test_random_forcing_residual."""
+    assert x.shape == ref.shape
+    scale = 1.0 + np.max(np.abs(ref), initial=0.0)
+    assert np.max(np.abs(x - ref), initial=0.0) <= 1e-13 * scale
 
 
 def per_step_cycle(model, noise, x0, x1, T):
@@ -457,10 +494,12 @@ class TestParticularSolution:
     @pytest.mark.parametrize(
         "alpha,beta", [(BENCH_ALPHA, BENCH_BETA), (0.1, 0.9), ((3 - 2 * np.sqrt(2)) * 0.7, 0.7)]
     )
-    def test_psi_weights_bitwise_equal_loop(self, alpha, beta):
+    def test_psi_weights_track_the_loop(self, alpha, beta):
         m = reduce_to_cycle(alpha, beta)
         for count in (0, 1, 2, 300):
-            assert psi_weights(m, count).tobytes() == psi_loop(m, count).tobytes()
+            psi = psi_weights(m, count)
+            assert psi[0] == 1.0
+            assert_tracks(psi, psi_loop(m, count))
         with pytest.raises(RangeError):
             psi_weights(m, -1)
 
@@ -503,6 +542,21 @@ class TestDominantPeriod:
         est = dominant_period(x)
         pred = 2 * np.pi / m.omega
         assert abs(est.period - pred) / pred < 0.10
+
+    @pytest.mark.parametrize("T", [700, 20_000])
+    def test_narrow_peak_within_half_a_segment_bin(self, T):
+        # kappa2 = 0.9995, |rho| = 0.99975: a peak far narrower than the
+        # segments' bin 1/seg_len (87 and 2,500 points).  Interpolated on that
+        # grid, the frequency stays within half a bin of omega / 2 pi; 50
+        # seeds gave at most 0.24 and 0.12 bins
+        m = reduce_to_cycle(0.99975, 0.99975)
+        assert abs(m.kappa2 - 1.0) < 1e-3
+        seg_len = (T + 1) // 8
+        for seed in range(5):
+            noise = sample_scalar_noise((0.0, 1.0), (0.0, 1.6), T, seed=seed)
+            est = dominant_period(simulate_cycle(m, noise, 0.0, 0.0, T))
+            assert abs(est.frequency - m.omega / (2 * np.pi)) <= 0.5 / seg_len
+            assert est.prominent
 
 
 class TestScalarNoise:

@@ -44,10 +44,11 @@ from varcycle import (
 import varcycle.cycle
 from varcycle import _decimal, cli
 from varcycle.cli import CsvTable, cycle_csv, main, matrix_csv
-from varcycle.errors import NonFiniteResult
+from varcycle.errors import NonFiniteResult, NonFiniteState
 from varcycle.simulate import NoisePath
 
 from test_cli import assert_same_text
+from test_cycle import literal_recursion
 from test_spectral import assert_matches_dense, dense_from_factors, factors
 
 BOUNDARY_FACTORS = {"d1": 3.0 - 2.0 * np.sqrt(2.0), "d2": 3.0 + 2.0 * np.sqrt(2.0)}
@@ -603,6 +604,86 @@ def test_particular_solution_meets_its_equation(pair, seed):
     x = particular_solution(model, h)
     resid = x[2:] + model.kappa1 * x[1:-1] + model.kappa2 * x[:-2] - h
     assert np.max(np.abs(resid)) <= 1e-13 * (1.0 + np.max(np.abs(x)))
+
+
+@st.composite
+def scan_pairs(draw):
+    """(alpha, beta) from :func:`pairs` (all three regimes, down to 1e-12
+    of d1 and d2), or explosive in [-36, 36]^2, where the larger root
+    modulus reaches about 50, or with kappa2 within 1e-12 .. 1e-2 of 0 or
+    of 1 on either side."""
+    kind = draw(st.sampled_from(["pairs", "explosive", "kappa2"]))
+    if kind == "pairs":
+        return draw(pairs(closest=-12.0, axes=True))
+    if kind == "explosive":
+        pair = draw(st.floats(-36.0, 36.0)), draw(st.floats(-36.0, 36.0))
+        assume(pair not in ((0.0, 0.0), (1.0, 1.0)))
+        return pair
+    beta = 0.5 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 2.5))
+    kappa2 = draw(st.sampled_from([0.0, 1.0])) + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+        st.floats(-12.0, -2.0))
+    return (1.0 - beta - kappa2) / (1.0 - 2.0 * beta), beta
+
+
+@st.composite
+def scan_lengths(draw):
+    """A block of B = 2 .. 48 rows and N forcing terms below B, equal to
+    it, one off a multiple of it, a multiple of it or between two."""
+    rows, blocks = draw(st.integers(2, 48)), draw(st.integers(1, 12))
+    where = draw(st.sampled_from(["below", "equal", "one off", "multiple", "between"]))
+    if where == "below":
+        return rows, draw(st.integers(0, rows - 1))
+    if where == "equal":
+        return rows, rows
+    if where == "one off":
+        return rows, blocks * rows + draw(st.sampled_from([-1, 1]))
+    return rows, blocks * rows + (0 if where == "multiple" else draw(st.integers(1, rows - 1)))
+
+
+def rounding_scale(model, x, h):
+    """E_t, for each t, of the first-order bound u E_t on the rounding error
+    of the step-by-step recursion (u = 2^-53): each step s rounds within a
+    few u of its magnitude m_s = |kappa1 x(s+1)| + |kappa2 x(s)| + |h(s)|,
+    and the exact response psi carries that to t, so
+    E_t = sum_s |psi_(t-2-s)| m_s.  Near a repeated root psi_k grows like
+    k |rho|^k, and so does the error of any evaluation."""
+    N = len(h)
+    psi = np.abs(literal_recursion(model, 0.0, 1.0, np.zeros(N))[1:N + 1])
+    steps = abs(model.kappa1) * np.abs(x[1:N + 1]) + abs(model.kappa2) * np.abs(x[:N]) + np.abs(h)
+    E = np.zeros(N + 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E[2:] = np.convolve(psi, steps)[:N] if N else 0.0
+    return np.nan_to_num(E, nan=np.inf, posinf=np.inf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=scan_pairs(), lengths=scan_lengths(), seed=st.integers(0, 2**32 - 1),
+       start=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+@example(pair=(-36.0, -36.0), lengths=(48, 12 * 48 + 1), seed=0, start=(1.0, -1.0))
+@example(pair=(0.99975, 0.99975), lengths=(7, 600), seed=1, start=(0.0, 2.5))
+@example(pair=(5.822598697621443, 1.0), lengths=(4, 36), seed=0, start=(0.0, 0.0))
+def test_scan_tracks_the_literal_recursion(pair, lengths, seed, start):
+    # with the drawn block of B rows and with the rule's B, the scan stays
+    # within 4 B u E_t of the step-by-step recursion at every t, or raises
+    # NonFiniteState at the recursion's first non-finite step.  The factor
+    # B: a block adds the terms P b and Q a of its start state (a, b), which
+    # near a repeated root cancel by up to the block's length.  In 4,000
+    # random draws like these, each scanned with a drawn B and with the
+    # rule's, the largest ratio to B u E_t was 1.33
+    model = reduce_to_cycle(*pair)
+    rows, N = lengths
+    h = np.random.default_rng(seed).standard_normal(N)
+    ref = literal_recursion(model, *start, h)
+    bad = np.flatnonzero(~np.isfinite(ref))
+    bound = 4.0 * 2.0**-53 * rounding_scale(model, ref, h) if not bad.size else None
+    for block, B in ((rows, rows), (0, max(2, int((N / 32) ** 0.5)))):
+        if bad.size:
+            with pytest.raises(NonFiniteState) as info:
+                varcycle.cycle._recurse(model, *start, h, block)
+            assert info.value.t == bad[0]
+        else:
+            x = varcycle.cycle._recurse(model, *start, h, block)
+            assert x.shape == ref.shape and np.all(np.abs(x - ref) <= B * bound)
 
 
 def reject_constant(token):
